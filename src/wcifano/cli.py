@@ -69,11 +69,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (CandidateError, InvalidQuery, ValueError) as exc:
-        if isinstance(exc, TransformError) or isinstance(exc, NotNormalized):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (TransformError, NotNormalized)) else 2
 
 
 def run() -> None:

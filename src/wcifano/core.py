@@ -13,7 +13,8 @@ degree positions are 1-based, mirroring the usual a_i / d_j notation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from itertools import accumulate
+from math import gcd
 
 __all__ = [
     "Candidate",
@@ -140,39 +141,61 @@ def _is_sorted(values: tuple[int, ...]) -> bool:
     return all(values[p] <= values[p + 1] for p in range(len(values) - 1))
 
 
-def _divisors_above_one(value: int) -> list[int]:
-    out = []
-    for small in range(2, isqrt(value) + 1):
-        if value % small == 0:
-            out.append(small)
-            if small != value // small:
-                out.append(value // small)
-    if value > 1:
-        out.append(value)
-    return out
+def _complement_gcd(weights) -> tuple[int, int] | None:
+    """First position whose complement (all weights but that one) has gcd > 1.
+
+    Returns (position, gcd), or None when every complement is coprime.
+    One weight has an empty complement (gcd 0), so it gives None.
+    """
+    # suffixes[p] = gcd(weights[p:]), with gcd() = 0
+    suffixes = list(accumulate(reversed(weights), gcd, initial=0))[::-1]
+    prefix = 0
+    for p, value in enumerate(weights):
+        g = gcd(prefix, suffixes[p + 1])
+        if g > 1:
+            return p, g
+        prefix = gcd(prefix, value)
+    return None
+
+
+def _class_generators(weights) -> list[int]:
+    """The gcds g > 1 of nonempty weight subsets, ascending.
+
+    This is the gcd closure of the weight values, built by one pass that
+    adds each weight and its gcd with every value seen so far; no weight
+    is factored.  Unit weights only contribute gcd 1 and are skipped.
+    """
+    closure: set[int] = set()
+    for a in weights:
+        if a > 1:
+            closure |= {gcd(a, g) for g in closure}
+            closure.add(a)
+    closure.discard(1)
+    return sorted(closure)
 
 
 def gcd_classes(c: Candidate) -> list[GcdClass]:
     """All divisibility classes of the weights, merged by member set.
 
     For every integer delta > 1 dividing at least one weight, the class
-    of delta collects every position it divides.  Distinct divisors that
-    cut out the same position set describe the same class; the merged
-    class keeps the gcd of the member weights as its generator.  Classes
-    are returned sorted by (delta, member positions).
+    of delta collects every position it divides; distinct divisors that
+    cut out the same position set describe the same class, whose
+    generator is the gcd of its member weights.  Those generators are
+    exactly the gcds g > 1 of nonempty weight subsets: the class of a
+    divisor delta has as gcd the gcd of the weights delta divides, and
+    the class of a subset gcd g has g itself as gcd (it contains the
+    subset, and g divides each member).  So the classes are built from
+    the gcd closure of the weights, {i : g | a_i} for each closure value
+    g > 1, with no factoring, and deciding them costs gcds only, however
+    large the weights.  Distinct generators give distinct classes;
+    classes are returned sorted by (delta, member positions), which is
+    ascending delta.
     """
-    members_by_divisor: dict[int, list[int]] = {}
-    for pos, w in enumerate(c.weights):
-        if w > 1:
-            for d in _divisors_above_one(w):
-                members_by_divisor.setdefault(d, []).append(pos)
-    merged: dict[frozenset[int], int] = {}
-    for positions in members_by_divisor.values():
-        key = frozenset(positions)
-        if key not in merged:
-            merged[key] = gcd(*(c.weights[p] for p in key))
-    classes = [
-        GcdClass(delta=g, member_indices=key, class_gcd=g) for key, g in merged.items()
+    return [
+        GcdClass(
+            delta=g,
+            member_indices=frozenset(p for p, a in enumerate(c.weights) if a % g == 0),
+            class_gcd=g,
+        )
+        for g in _class_generators(c.weights)
     ]
-    classes.sort(key=lambda cls: (cls.delta, tuple(sorted(cls.member_indices))))
-    return classes

@@ -27,7 +27,7 @@ from itertools import repeat
 from typing import Callable
 
 from .core import Candidate, canonical_key
-from .filters import FilterId, SMOOTH_FANO_PROFILE, _passes_tuples, passes_profile
+from .filters import FilterId, SMOOTH_FANO_PROFILE, _fail_fast, _survives, passes_profile
 
 __all__ = [
     "CapTooSmall",
@@ -133,7 +133,9 @@ def enumerate_streaming(
 
     The returned result is identical for any worker count; with several
     workers the search is partitioned over the first middle weight and
-    partial results are merged in ascending task order.
+    partial results are merged in ascending task order.  The sink sees
+    each task's survivors as soon as that task and every earlier one
+    have finished, not after the whole search.
     """
     if workers < 1:
         raise InvalidQuery(f"workers must be >= 1, got {workers}")
@@ -141,10 +143,8 @@ def enumerate_streaming(
         FilterId.DELTAS in query.profile or query.k == 0
     )
     if structured:
-        result = _run_structured(query, sink, workers)
-    else:
-        result = _collect(query, [_grid_task(query)], sink, prefix_infeasible=False)
-    return result
+        return _run_structured(query, sink, workers)
+    return _collect(query, [_grid_task(query)], sink)
 
 
 def _run_structured(query, sink, workers: int) -> EnumerationResult:
@@ -162,7 +162,7 @@ def _run_structured(query, sink, workers: int) -> EnumerationResult:
     if query.k == 0:
         # No degrees: the index equation forces all weights to 1, which
         # needs index == n + 1 exactly; no range depends on the cap.
-        return _collect(query, [_prefix_only_task(query)], sink, prefix_infeasible=False)
+        return _collect(query, [_prefix_only_task(query)], sink)
     base_touched = False
     if middle_count == 0:
         tasks = [_structured_task(query, None)]
@@ -171,16 +171,19 @@ def _run_structured(query, sink, workers: int) -> EnumerationResult:
         if bound is None or bound > query.max_weight:
             base_touched = True
         hi = query.max_weight if bound is None else min(query.max_weight, bound)
-        keys = list(range(1, hi + 1))
+        keys = range(1, hi + 1)
         if workers > 1 and len(keys) > 1:
+            # pool.map yields in submission order, so the sink order
+            # stays canonical while later tasks still run.
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                tasks = list(pool.map(_structured_task, repeat(query), keys))
-        else:
-            tasks = [_structured_task(query, m1) for m1 in keys]
-    return _collect(query, tasks, sink, prefix_infeasible=False, base_touched=base_touched)
+                tasks = pool.map(_structured_task, repeat(query), keys)
+                return _collect(query, tasks, sink, base_touched)
+        tasks = (_structured_task(query, m1) for m1 in keys)
+    return _collect(query, tasks, sink, base_touched)
 
 
-def _collect(query, tasks, sink, prefix_infeasible: bool, base_touched: bool = False) -> EnumerationResult:
+def _collect(query, tasks, sink, base_touched: bool = False) -> EnumerationResult:
+    """Merge task results in order, feeding survivors to sink as each task arrives."""
     survivors: list[Candidate] = []
     nodes = tested = 0
     touched = base_touched
@@ -197,7 +200,7 @@ def _collect(query, tasks, sink, prefix_infeasible: bool, base_touched: bool = F
         survivors=tuple(survivors),
         complete_within_cap=True,
         cap_touched=touched,
-        prefix_infeasible=prefix_infeasible,
+        prefix_infeasible=False,
         stats=SearchStats(nodes=nodes, tested=tested),
     )
 
@@ -218,6 +221,7 @@ def _structured_task(query: EnumerationQuery, first_middle: int | None) -> _Task
     use_last_weight = FilterId.LAST_WEIGHT in profile
     mid_bound = _middle_bound(middle_count, profile)
     mid_hi = cap if mid_bound is None else min(cap, mid_bound)
+    predicates = _fail_fast(profile)
 
     survivors: list[Candidate] = []
     state = {"nodes": 0, "tested": 0, "touched": False}
@@ -271,7 +275,7 @@ def _structured_task(query: EnumerationQuery, first_middle: int | None) -> _Task
     def test(ms: tuple[int, ...], ts: tuple[int, ...], ds: tuple[int, ...]) -> None:
         ws = prefix + ms + ts
         state["tested"] += 1
-        if _passes_tuples(ws, ds, profile):
+        if _survives(ws, ds, predicates):
             survivors.append(Candidate(ws, ds))
 
     if middle_count == 0:
@@ -297,6 +301,7 @@ def _grid_task(query: EnumerationQuery) -> _TaskResult:
     """
     n, index, k, cap, profile = query.n, query.index, query.k, query.max_weight, query.profile
     length = n + k + 1
+    predicates = _fail_fast(profile)
     survivors: list[Candidate] = []
     state = {"nodes": 0, "tested": 0}
     if k == 0:
@@ -333,7 +338,7 @@ def _grid_task(query: EnumerationQuery) -> _TaskResult:
 
     def test(ws: tuple[int, ...], ds: tuple[int, ...]) -> None:
         state["tested"] += 1
-        if _passes_tuples(ws, ds, profile):
+        if _survives(ws, ds, predicates):
             survivors.append(Candidate(ws, ds))
 
     weights_rec(())

@@ -9,16 +9,28 @@ to carry a smooth family.
 Verdicts carry machine-checkable witnesses on failure.  Witness fields
 follow the notation convention: weight positions 0-based, degree
 positions 1-based.
+
+Each screen has exactly one implementation: a private tuple-level
+predicate (weights, degrees) -> witness dict | None that builds the
+witness only on failure.  The public verdict functions wrap it, and the
+two ways of running a profile walk the same predicates in two orders:
+run_all evaluates every requested screen in FILTER_ORDER, the order a
+report lists them in, while passes_profile and the enumerator stop at
+the first witness in a cheap-first order, because in a search nearly
+every tuple fails and the gcd screens cost the most.  Both raise
+NotNormalized on unsorted tuples when the profile holds a screen that
+reads positions (Deltas, UnitPrefix, LastWeight with k >= 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from .core import Candidate, NotNormalized, _divisors_above_one, fano_index, gcd_classes
+from .core import Candidate, NotNormalized, _class_generators, _complement_gcd
 
 __all__ = [
     "CALABI_YAU_PROFILE",
@@ -105,11 +117,7 @@ class FilterReport:
 
 def is_normalized(c: Candidate) -> FilterVerdict:
     """Both tuples sorted non-decreasing; witness is the first inversion."""
-    for name, values in (("weights", c.weights), ("degrees", c.degrees)):
-        for p in range(len(values) - 1):
-            if values[p] > values[p + 1]:
-                return _fail(FilterId.NORMALIZED, {"list": name, "position": p})
-    return _pass(FilterId.NORMALIZED)
+    return _verdict(FilterId.NORMALIZED, _normalized(c.weights, c.degrees))
 
 
 def ambient_well_formed(c: Candidate) -> FilterVerdict:
@@ -119,30 +127,12 @@ def ambient_well_formed(c: Candidate) -> FilterVerdict:
     single weight itself must be 1 (the degenerate reading under which
     wellformization of a one-weight space always lands on a pass).
     """
-    w = c.weights
-    if len(w) == 1:
-        if w[0] == 1:
-            return _pass(FilterId.AMBIENT_WELL_FORMED)
-        return _fail(FilterId.AMBIENT_WELL_FORMED, {"omitted_index": 0, "gcd": w[0]})
-    prefix = [0] * (len(w) + 1)
-    for p, value in enumerate(w):
-        prefix[p + 1] = gcd(prefix[p], value)
-    suffix = [0] * (len(w) + 1)
-    for p in range(len(w) - 1, -1, -1):
-        suffix[p] = gcd(suffix[p + 1], w[p])
-    for omitted in range(len(w)):
-        g = gcd(prefix[omitted], suffix[omitted + 1])
-        if g != 1:
-            return _fail(FilterId.AMBIENT_WELL_FORMED, {"omitted_index": omitted, "gcd": g})
-    return _pass(FilterId.AMBIENT_WELL_FORMED)
+    return _verdict(FilterId.AMBIENT_WELL_FORMED, _ambient_well_formed(c.weights, c.degrees))
 
 
 def fano_positive(c: Candidate) -> FilterVerdict:
     """sum(weights) - sum(degrees) > 0."""
-    value = fano_index(c)
-    if value > 0:
-        return _pass(FilterId.FANO_POSITIVITY)
-    return _fail(FilterId.FANO_POSITIVITY, {"fano_index": value})
+    return _verdict(FilterId.FANO_POSITIVITY, _fano_positive(c.weights, c.degrees))
 
 
 def is_linear_cone(c: Candidate) -> FilterVerdict:
@@ -150,17 +140,7 @@ def is_linear_cone(c: Candidate) -> FilterVerdict:
 
     Witness: (weight_index, degree_index, value), first in degree order.
     """
-    weight_positions: dict[int, int] = {}
-    for pos, w in enumerate(c.weights):
-        if w not in weight_positions:
-            weight_positions[w] = pos
-    for j, d in enumerate(c.degrees, start=1):
-        if d in weight_positions:
-            return _fail(
-                FilterId.LINEAR_CONE,
-                {"weight_index": weight_positions[d], "degree_index": j, "value": d},
-            )
-    return _pass(FilterId.LINEAR_CONE)
+    return _verdict(FilterId.LINEAR_CONE, _linear_cone(c.weights, c.degrees))
 
 
 def deltas_ok(c: Candidate) -> FilterVerdict:
@@ -170,13 +150,7 @@ def deltas_ok(c: Candidate) -> FilterVerdict:
     """
     if not c.is_normalized:
         raise NotNormalized("deltas_ok needs sorted weights and degrees")
-    n = c.dim
-    for j in range(1, c.codim + 1):
-        d = c.degrees[j - 1]
-        a = c.weights[n + j]
-        if d <= a:
-            return _fail(FilterId.DELTAS, {"j": j, "degree": d, "weight": a})
-    return _pass(FilterId.DELTAS)
+    return _verdict(FilterId.DELTAS, _deltas(c.weights, c.degrees))
 
 
 def last_weight_ok(c: Candidate) -> FilterVerdict:
@@ -185,11 +159,7 @@ def last_weight_ok(c: Candidate) -> FilterVerdict:
         raise NotNormalized("last_weight_ok needs sorted weights and degrees")
     if c.codim == 0:
         raise NoDegrees("last_weight_ok needs at least one degree")
-    d_k = c.degrees[-1]
-    a_n = c.weights[-1]
-    if d_k >= 2 * a_n:
-        return _pass(FilterId.LAST_WEIGHT)
-    return _fail(FilterId.LAST_WEIGHT, {"d_k": d_k, "a_N": a_n})
+    return _verdict(FilterId.LAST_WEIGHT, _last_weight(c.weights, c.degrees))
 
 
 def gcd_cover_ok(c: Candidate) -> FilterVerdict:
@@ -199,15 +169,7 @@ def gcd_cover_ok(c: Candidate) -> FilterVerdict:
     must be divisible by g.  Witness: the first class, in class order,
     with fewer divisible degrees than members.
     """
-    for cls in gcd_classes(c):
-        required = len(cls.member_indices)
-        available = sum(1 for d in c.degrees if d % cls.class_gcd == 0)
-        if available < required:
-            return _fail(
-                FilterId.GCD_COVER,
-                {"class_gcd": cls.class_gcd, "required": required, "available": available},
-            )
-    return _pass(FilterId.GCD_COVER)
+    return _verdict(FilterId.GCD_COVER, _gcd_cover(c.weights, c.degrees))
 
 
 def gcd_cover_bruteforce(c: Candidate) -> FilterVerdict:
@@ -233,11 +195,11 @@ def gcd_cover_bruteforce(c: Candidate) -> FilterVerdict:
                     gcd(*combo) % delta == 0 for combo in combinations(c.degrees, r)
                 )
             if not searched[key]:
-                return _fail(
+                return _verdict(
                     FilterId.GCD_COVER,
                     {"delta": delta, "weight_positions": list(subset), "required": r},
                 )
-    return _pass(FilterId.GCD_COVER)
+    return _verdict(FilterId.GCD_COVER, None)
 
 
 def unit_prefix_ok(c: Candidate, index: int) -> FilterVerdict:
@@ -249,31 +211,23 @@ def unit_prefix_ok(c: Candidate, index: int) -> FilterVerdict:
     """
     if not c.is_normalized:
         raise NotNormalized("unit_prefix_ok needs sorted weights and degrees")
-    prefix_len = c.codim + max(index, 0)
-    if prefix_len == 0:
-        return _pass(FilterId.UNIT_PREFIX)
-    if prefix_len > len(c.weights):
-        return _fail(
-            FilterId.UNIT_PREFIX,
-            {"infeasible_prefix": True, "required_length": prefix_len, "num_weights": len(c.weights)},
-        )
-    for p in range(prefix_len):
-        if c.weights[p] != 1:
-            return _fail(FilterId.UNIT_PREFIX, {"position": p, "weight": c.weights[p]})
-    return _pass(FilterId.UNIT_PREFIX)
+    return _verdict(FilterId.UNIT_PREFIX, _unit_prefix(c.weights, c.degrees, index))
 
 
 def run_all(c: Candidate, profile: frozenset[FilterId] = SMOOTH_FANO_PROFILE) -> FilterReport:
     """Evaluate every requested filter in FILTER_ORDER, no short-circuit.
 
-    The Fano index is computed once and shared.  For k = 0 candidates the
-    LastWeight screen is reported as a vacuous pass (there is no degree
-    for it to constrain); the standalone last_weight_ok still raises.
-    Filters that need normalization propagate NotNormalized.
+    Each verdict comes from the same predicate as the standalone verdict
+    function; UnitPrefix uses the candidate's own Fano index.  For k = 0
+    candidates the LastWeight screen is reported as a vacuous pass (there
+    is no degree for it to constrain); the standalone last_weight_ok
+    still raises.  Raises NotNormalized on unsorted tuples when the
+    profile holds a screen that needs them sorted.
     """
-    index = fano_index(c)
+    weights, degrees = c.weights, c.degrees
+    _require_sorted(weights, degrees, profile)
     verdicts = tuple(
-        _evaluate(c, fid, index) for fid in FILTER_ORDER if fid in profile
+        _verdict(fid, _PREDICATES[fid](weights, degrees)) for fid in FILTER_ORDER if fid in profile
     )
     return FilterReport(candidate=c, verdicts=verdicts, profile=frozenset(profile))
 
@@ -281,79 +235,87 @@ def run_all(c: Candidate, profile: frozenset[FilterId] = SMOOTH_FANO_PROFILE) ->
 def passes_profile(c: Candidate, profile: frozenset[FilterId]) -> bool:
     """True iff every filter in the profile passes.
 
-    Exactly run_all(...).survives, including the NotNormalized raise
-    when a normalization-requiring filter is in the profile, evaluated
-    fail-fast without building verdicts; the enumerator's hot path.
+    Walks the same predicates as run_all, so it equals
+    run_all(...).survives by construction, NotNormalized raise included;
+    it only stops at the first witness, in the cheap-first order, and
+    builds no verdicts.  The enumerator runs the same walk on its own
+    (always sorted) tuples.
     """
-    return _passes_tuples(c.weights, c.degrees, profile)
+    _require_sorted(c.weights, c.degrees, profile)
+    return _survives(c.weights, c.degrees, _fail_fast(frozenset(profile)))
 
 
-def _passes_tuples(
-    weights: tuple[int, ...], degrees: tuple[int, ...], profile: frozenset[FilterId]
-) -> bool:
-    sorted_ok = all(
-        weights[p] <= weights[p + 1] for p in range(len(weights) - 1)
-    ) and all(degrees[p] <= degrees[p + 1] for p in range(len(degrees) - 1))
-    if not sorted_ok and (
+def _verdict(fid: FilterId, witness: dict | None) -> FilterVerdict:
+    return FilterVerdict(filter_id=fid, passed=witness is None, witness=witness)
+
+
+def _require_sorted(weights, degrees, profile) -> None:
+    if (
         FilterId.DELTAS in profile
         or FilterId.UNIT_PREFIX in profile
         or (FilterId.LAST_WEIGHT in profile and degrees)
-    ):
+    ) and _normalized(weights, degrees) is not None:
         raise NotNormalized("profile includes filters that need sorted tuples")
-    if FilterId.NORMALIZED in profile and not sorted_ok:
-        return False
-    if FilterId.FANO_POSITIVITY in profile and sum(weights) <= sum(degrees):
-        return False
-    if FilterId.UNIT_PREFIX in profile:
-        plen = len(degrees) + max(sum(weights) - sum(degrees), 0)
-        if plen > 0 and (plen > len(weights) or weights[plen - 1] != 1):
+
+
+def _survives(weights, degrees, predicates) -> bool:
+    for predicate in predicates:
+        if predicate(weights, degrees) is not None:
             return False
-    if FilterId.LAST_WEIGHT in profile and degrees and degrees[-1] < 2 * weights[-1]:
-        return False
-    if FilterId.DELTAS in profile:
-        n = len(weights) - 1 - len(degrees)
-        for j, d in enumerate(degrees):
-            if d <= weights[n + 1 + j]:
-                return False
-    if FilterId.LINEAR_CONE in profile and set(degrees) & set(weights):
-        return False
-    if FilterId.AMBIENT_WELL_FORMED in profile and not _ambient_ok(weights):
-        return False
-    if FilterId.GCD_COVER in profile and not _gcd_cover(weights, degrees):
-        return False
     return True
 
 
-def _ambient_ok(weights: tuple[int, ...]) -> bool:
+# One predicate per screen: (weights, degrees) -> witness dict, or None
+# on a pass.  Deltas, LastWeight and UnitPrefix assume sorted tuples.
+
+
+def _normalized(weights, degrees):
+    for name, values in (("weights", weights), ("degrees", degrees)):
+        for p in range(len(values) - 1):
+            if values[p] > values[p + 1]:
+                return {"list": name, "position": p}
+    return None
+
+
+def _ambient_well_formed(weights, degrees):
     if len(weights) == 1:
-        return weights[0] == 1
-    prefix = 0
-    prefixes = []
-    for value in weights:
-        prefixes.append(prefix)
-        prefix = gcd(prefix, value)
-    suffix = 0
-    for omitted in range(len(weights) - 1, -1, -1):
-        if gcd(prefixes[omitted], suffix) != 1:
-            return False
-        suffix = gcd(suffix, weights[omitted])
-    return True
+        return None if weights[0] == 1 else {"omitted_index": 0, "gcd": weights[0]}
+    found = _complement_gcd(weights)
+    return None if found is None else {"omitted_index": found[0], "gcd": found[1]}
 
 
-def _gcd_cover(weights: tuple[int, ...], degrees: tuple[int, ...]) -> bool:
-    members_by_divisor: dict[int, list[int]] = {}
-    for pos, value in enumerate(weights):
-        if value > 1:
-            for divisor in _divisors_above_one(value):
-                members_by_divisor.setdefault(divisor, []).append(pos)
-    seen: set[tuple[int, ...]] = set()
-    for positions in members_by_divisor.values():
-        key = tuple(positions)
-        if key in seen:
-            continue
-        seen.add(key)
-        g = gcd(*(weights[p] for p in positions))
-        required = len(positions)
+def _fano_positive(weights, degrees):
+    value = sum(weights) - sum(degrees)
+    return None if value > 0 else {"fano_index": value}
+
+
+def _linear_cone(weights, degrees):
+    for j, d in enumerate(degrees, start=1):
+        if d in weights:
+            return {"weight_index": weights.index(d), "degree_index": j, "value": d}
+    return None
+
+
+def _deltas(weights, degrees):
+    n = len(weights) - 1 - len(degrees)
+    for j, d in enumerate(degrees, start=1):
+        if d <= weights[n + j]:
+            return {"j": j, "degree": d, "weight": weights[n + j]}
+    return None
+
+
+def _last_weight(weights, degrees):
+    # k = 0 passes vacuously here; last_weight_ok raises NoDegrees first.
+    if degrees and degrees[-1] < 2 * weights[-1]:
+        return {"d_k": degrees[-1], "a_N": weights[-1]}
+    return None
+
+
+def _gcd_cover(weights, degrees):
+    # Walks the generators of core.gcd_classes in the same ascending
+    # order, without building the class objects.
+    for g in _class_generators(weights):
+        required = sum(1 for a in weights if a % g == 0)
         available = 0
         for d in degrees:
             if d % g == 0:
@@ -361,35 +323,51 @@ def _gcd_cover(weights: tuple[int, ...], degrees: tuple[int, ...]) -> bool:
                 if available == required:
                     break
         if available < required:
-            return False
-    return True
+            return {"class_gcd": g, "required": required, "available": available}
+    return None
 
 
-def _evaluate(c: Candidate, fid: FilterId, index: int) -> FilterVerdict:
-    if fid is FilterId.NORMALIZED:
-        return is_normalized(c)
-    if fid is FilterId.AMBIENT_WELL_FORMED:
-        return ambient_well_formed(c)
-    if fid is FilterId.FANO_POSITIVITY:
-        return fano_positive(c)
-    if fid is FilterId.LINEAR_CONE:
-        return is_linear_cone(c)
-    if fid is FilterId.DELTAS:
-        return deltas_ok(c)
-    if fid is FilterId.LAST_WEIGHT:
-        if c.codim == 0:
-            return _pass(FilterId.LAST_WEIGHT)
-        return last_weight_ok(c)
-    if fid is FilterId.GCD_COVER:
-        return gcd_cover_ok(c)
-    if fid is FilterId.UNIT_PREFIX:
-        return unit_prefix_ok(c, index)
-    raise ValueError(f"unknown filter id {fid!r}")
+def _unit_prefix(weights, degrees, index=None):
+    if index is None:
+        index = sum(weights) - sum(degrees)
+    prefix_len = len(degrees) + max(index, 0)
+    if prefix_len == 0:
+        return None
+    if prefix_len > len(weights):
+        return {"infeasible_prefix": True, "required_length": prefix_len, "num_weights": len(weights)}
+    if weights[prefix_len - 1] == 1:
+        return None
+    # Sorted weights: the first non-unit weight lies inside the prefix.
+    p = next(p for p, a in enumerate(weights) if a != 1)
+    return {"position": p, "weight": weights[p]}
 
 
-def _pass(fid: FilterId) -> FilterVerdict:
-    return FilterVerdict(filter_id=fid, passed=True)
+_PREDICATES = {
+    FilterId.NORMALIZED: _normalized,
+    FilterId.AMBIENT_WELL_FORMED: _ambient_well_formed,
+    FilterId.FANO_POSITIVITY: _fano_positive,
+    FilterId.LINEAR_CONE: _linear_cone,
+    FilterId.DELTAS: _deltas,
+    FilterId.LAST_WEIGHT: _last_weight,
+    FilterId.GCD_COVER: _gcd_cover,
+    FilterId.UNIT_PREFIX: _unit_prefix,
+}
+
+# Fail-fast order: the O(N) arithmetic screens first, the gcd screens
+# last.  Any order gives the same pass/fail answer.
+_FAIL_FAST_ORDER = (
+    FilterId.NORMALIZED,
+    FilterId.FANO_POSITIVITY,
+    FilterId.UNIT_PREFIX,
+    FilterId.LAST_WEIGHT,
+    FilterId.DELTAS,
+    FilterId.LINEAR_CONE,
+    FilterId.AMBIENT_WELL_FORMED,
+    FilterId.GCD_COVER,
+)
 
 
-def _fail(fid: FilterId, witness: dict) -> FilterVerdict:
-    return FilterVerdict(filter_id=fid, passed=False, witness=witness)
+@lru_cache(maxsize=256)
+def _fail_fast(profile: frozenset[FilterId]) -> tuple:
+    """The profile's predicates in fail-fast order, resolved once per profile (2^8 at most)."""
+    return tuple(_PREDICATES[fid] for fid in _FAIL_FAST_ORDER if fid in profile)

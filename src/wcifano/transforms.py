@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .core import Candidate, NotNormalized, fano_index, normalize
+from .core import Candidate, NotNormalized, _complement_gcd, fano_index, normalize
 
 __all__ = [
     "DegenerateEmpty",
@@ -123,7 +123,7 @@ def wellformize(c: Candidate) -> TransformTrace:
     degrees = list(c.degrees)
     steps: list[VeroneseStep] = []
     while True:
-        found = _veronese_factor(weights)
+        found = _complement_gcd(weights)
         if found is None:
             break
         exempt, factor = found
@@ -137,23 +137,6 @@ def wellformize(c: Candidate) -> TransformTrace:
         steps.append(VeroneseStep(factor=factor, divided_positions=positions))
     after = normalize(Candidate(tuple(weights), tuple(degrees)))
     return TransformTrace(TransformKind.WELLFORMIZE, before=c, after=after, steps=tuple(steps))
-
-
-def _veronese_factor(weights: list[int]) -> tuple[int, int] | None:
-    """First position whose complement has gcd > 1, with that gcd."""
-    if len(weights) == 1:
-        return None
-    prefix = [0] * (len(weights) + 1)
-    for p, value in enumerate(weights):
-        prefix[p + 1] = gcd(prefix[p], value)
-    suffix = [0] * (len(weights) + 1)
-    for p in range(len(weights) - 1, -1, -1):
-        suffix[p] = gcd(suffix[p + 1], weights[p])
-    for exempt in range(len(weights)):
-        g = gcd(prefix[exempt], suffix[exempt + 1])
-        if g > 1:
-            return exempt, g
-    return None
 
 
 def unconize(c: Candidate) -> TransformTrace:

@@ -56,6 +56,16 @@ class TestCheck:
         assert record["degrees"] == [2, 4]
         assert code == 1  # the sorted tuple fails the degree/weight pairing
 
+    def test_huge_weight_decided_at_once(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--weights", "1,1,1,1000000000000000003",
+            "--degrees", "2000000000000000006",
+        )
+        assert code == 1
+        record = json.loads(out)
+        assert record["witnesses"] == {"FanoPositivity": {"fano_index": -1000000000000000000}}
+        assert [f for f, ok in record["verdicts"].items() if not ok] == ["FanoPositivity"]
+
     def test_named_and_explicit_profiles(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--weights", "1,2,3", "--degrees", "6", "--profile", "calabi-yau"

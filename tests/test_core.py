@@ -150,6 +150,18 @@ class TestGcdClasses:
             (8, {1}, 8),
         ]
 
+    def test_huge_shared_prime(self):
+        # p = 2^61 - 1 is prime: the classes come from gcds alone, with no
+        # factoring of the weights.
+        p = 2**61 - 1
+        classes = gcd_classes(Candidate((1, 1, 2 * p, 3 * p, 6 * p)))
+        assert [(c.delta, set(c.member_indices), c.class_gcd) for c in classes] == [
+            (p, {2, 3, 4}, p),
+            (2 * p, {2, 4}, 2 * p),
+            (3 * p, {3, 4}, 3 * p),
+            (6 * p, {4}, 6 * p),
+        ]
+
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=9))
     @settings(max_examples=300)
     def test_matches_divisor_scan_oracle(self, weights):

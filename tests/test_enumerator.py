@@ -103,6 +103,24 @@ class TestStreaming:
         result = enumerate_streaming(q, seen.append, workers=3)
         assert tuple(seen) == result.survivors
 
+    def test_sink_runs_before_the_last_task(self, monkeypatch):
+        # (5, 1, 3) has two middle weights, so cap 10 gives ten tasks, one
+        # per first middle weight; every survivor has first middle 1.
+        started: list[int] = []
+        task = wcifano.enumerator._structured_task
+
+        def counting_task(query, first_middle):
+            started.append(first_middle)
+            return task(query, first_middle)
+
+        monkeypatch.setattr(wcifano.enumerator, "_structured_task", counting_task)
+        tasks_started_at_sink: list[int] = []
+        q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
+        result = enumerate_streaming(q, lambda c: tasks_started_at_sink.append(len(started)))
+        assert len(started) == 10
+        assert len(tasks_started_at_sink) == len(result.survivors) == 3
+        assert tasks_started_at_sink[0] == 1
+
 
 class TestCapMonotonicity:
     @pytest.mark.parametrize(

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcifano.core import Candidate, NotNormalized, fano_index, normalize
+from wcifano.core import Candidate, NotNormalized, fano_index, gcd_classes, normalize
 from wcifano.filters import (
     CALABI_YAU_PROFILE,
     FILTER_ORDER,
     FilterId,
+    FilterVerdict,
     NoDegrees,
     SMOOTH_FANO_PROFILE,
     TooLarge,
@@ -175,6 +176,34 @@ class TestGcdCover:
         # N = 12 is still allowed
         assert gcd_cover_bruteforce(Candidate((1,) * 13)).passed
 
+    def test_huge_shared_prime(self):
+        p = 2**61 - 1
+        weights = (1, 1, 2 * p, 3 * p, 6 * p)
+        assert gcd_cover_ok(Candidate(weights, (6 * p, 6 * p, 6 * p))).passed
+        v = gcd_cover_ok(Candidate(weights, (2 * p, 3 * p)))
+        assert not v.passed
+        assert v.witness == {"class_gcd": p, "required": 3, "available": 2}
+
+    @given(any_candidates)
+    @settings(max_examples=400, deadline=None)
+    def test_witness_is_first_short_class(self, c):
+        short = [
+            cls
+            for cls in gcd_classes(c)
+            if sum(1 for d in c.degrees if d % cls.class_gcd == 0) < len(cls.member_indices)
+        ]
+        v = gcd_cover_ok(c)
+        if not short:
+            assert v.passed and v.witness is None
+            return
+        first = short[0]
+        assert not v.passed
+        assert v.witness == {
+            "class_gcd": first.class_gcd,
+            "required": len(first.member_indices),
+            "available": sum(1 for d in c.degrees if d % first.class_gcd == 0),
+        }
+
     @given(
         st.lists(st.integers(1, 12), min_size=1, max_size=6),
         st.lists(st.integers(1, 24), min_size=0, max_size=5),
@@ -304,6 +333,30 @@ class TestRunAll:
         assert report.survives
         by_id = {v.filter_id: v for v in report.verdicts}
         assert by_id[FilterId.LAST_WEIGHT].passed
+
+    @given(any_candidates, profiles)
+    @settings(max_examples=400, deadline=None)
+    def test_verdicts_match_standalone_functions(self, c, profile):
+        try:
+            report = run_all(c, profile)
+        except NotNormalized:
+            return
+        standalone = {
+            FilterId.NORMALIZED: lambda: is_normalized(c),
+            FilterId.AMBIENT_WELL_FORMED: lambda: ambient_well_formed(c),
+            FilterId.FANO_POSITIVITY: lambda: fano_positive(c),
+            FilterId.LINEAR_CONE: lambda: is_linear_cone(c),
+            FilterId.DELTAS: lambda: deltas_ok(c),
+            # run_all reports k = 0 as a vacuous pass; last_weight_ok raises
+            FilterId.LAST_WEIGHT: lambda: (
+                last_weight_ok(c) if c.degrees else FilterVerdict(FilterId.LAST_WEIGHT, True)
+            ),
+            FilterId.GCD_COVER: lambda: gcd_cover_ok(c),
+            FilterId.UNIT_PREFIX: lambda: unit_prefix_ok(c, fano_index(c)),
+        }
+        assert [v.filter_id for v in report.verdicts] == [f for f in FILTER_ORDER if f in profile]
+        for v in report.verdicts:
+            assert v == standalone[v.filter_id]()
 
     def test_propagates_not_normalized(self):
         with pytest.raises(NotNormalized):
