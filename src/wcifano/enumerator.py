@@ -2,21 +2,25 @@
 
 Candidates are generated in canonical order (lexicographic on weights,
 then degrees), deduplicated by construction, post-filtered through the
-query profile, and returned with completeness metadata:
+query profile, and returned with search metadata.  Every normalized
+tuple whose weights all lie within max_weight is decided.
 
-- complete_within_cap is always True: every normalized tuple whose
-  weights all lie within max_weight has been decided.
 - cap_touched is True iff some enumeration variable had a structurally
   admissible range reaching beyond max_weight, i.e. raising the cap
   could reveal further survivors.  The cap bounds weights only; degrees
   are determined by the index equation and are never capped.
+- stats.nodes counts entries placed: one node per weight or degree
+  fixed, except that the last degree, forced by the index equation,
+  counts only when it is admissible.  stats.tested counts the tuples
+  run through the profile.
 
 When the profile contains UnitPrefix and Deltas the search is
 structured: weights split into a forced unit prefix of length k+index,
 free middle weights, and tail weights paired with the degrees, whose
 excesses e_j = d_j - a_{n+j} >= 1 satisfy sum(e) = k + sum(middles).
 Profiles without that structure fall back to a plain grid over all
-normalized weight tuples within the cap.
+normalized weight tuples within the cap.  Both searches run on the one
+sorted-tuple walker and the one degree walker of _Walk.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from itertools import repeat
 from typing import Callable
 
 from .core import Candidate, canonical_key
-from .filters import FilterId, SMOOTH_FANO_PROFILE, _fail_fast, _survives, passes_profile
+from .filters import FilterId, SMOOTH_FANO_PROFILE, _fail_fast, _survives
 
 __all__ = [
     "CapTooSmall",
@@ -89,18 +93,9 @@ class SearchStats:
 class EnumerationResult:
     query: EnumerationQuery
     survivors: tuple[Candidate, ...]
-    complete_within_cap: bool
     cap_touched: bool
     prefix_infeasible: bool
     stats: SearchStats
-
-
-@dataclass(frozen=True)
-class _TaskResult:
-    survivors: tuple[Candidate, ...]
-    nodes: int
-    tested: int
-    cap_touched: bool
 
 
 # Filters that justify capping a single middle weight at 2: with one
@@ -154,7 +149,6 @@ def _run_structured(query, sink, workers: int) -> EnumerationResult:
         return EnumerationResult(
             query=query,
             survivors=(),
-            complete_within_cap=True,
             cap_touched=False,
             prefix_infeasible=True,
             stats=SearchStats(nodes=0, tested=0),
@@ -182,38 +176,90 @@ def _run_structured(query, sink, workers: int) -> EnumerationResult:
     return _collect(query, tasks, sink, base_touched)
 
 
-def _collect(query, tasks, sink, base_touched: bool = False) -> EnumerationResult:
-    """Merge task results in order, feeding survivors to sink as each task arrives."""
+def _collect(query, walks, sink, base_touched: bool = False) -> EnumerationResult:
+    """Merge task walks in order, feeding survivors to sink as each walk arrives."""
     survivors: list[Candidate] = []
     nodes = tested = 0
     touched = base_touched
-    for task in tasks:
-        for c in task.survivors:
+    for walk in walks:
+        for c in walk.survivors:
             sink(c)
-        survivors.extend(task.survivors)
-        nodes += task.nodes
-        tested += task.tested
-        touched = touched or task.cap_touched
+        survivors.extend(walk.survivors)
+        nodes += walk.nodes
+        tested += walk.tested
+        touched = touched or walk.touched
     survivors.sort(key=canonical_key)
     return EnumerationResult(
         query=query,
         survivors=tuple(survivors),
-        complete_within_cap=True,
         cap_touched=touched,
         prefix_infeasible=False,
         stats=SearchStats(nodes=nodes, tested=tested),
     )
 
 
-def _prefix_only_task(query) -> _TaskResult:
-    if query.index != query.n + 1:
-        return _TaskResult(survivors=(), nodes=0, tested=0, cap_touched=False)
-    c = Candidate((1,) * (query.n + 1), ())
-    survivors = (c,) if passes_profile(c, query.profile) else ()
-    return _TaskResult(survivors=survivors, nodes=1, tested=1, cap_touched=False)
+class _Walk:
+    """One search task: the profile's predicates, its counters and its survivors.
+
+    Both the structured and the grid search are loop nests over the two
+    walkers below.  touched records that the cap cut a structurally
+    admissible range.
+    """
+
+    def __init__(self, profile: frozenset[FilterId]) -> None:
+        self.predicates = _fail_fast(profile)
+        self.nodes = 0
+        self.tested = 0
+        self.touched = False
+        self.survivors: list[Candidate] = []
+
+    def tuples(self, head: tuple[int, ...], length: int, lo: int, hi: int):
+        """Yield the non-decreasing extensions of head to length entries in lo..hi."""
+        if len(head) == length:
+            yield head
+            return
+        for value in range(head[-1] if head else lo, hi + 1):
+            self.nodes += 1
+            yield from self.tuples(head + (value,), length, lo, hi)
+
+    def degrees(self, floors: tuple[int, ...], total: int, min_last: int, head=()):
+        """Yield the non-decreasing degrees d_j = floors[j] + e_j extending head.
+
+        Every e_j >= 1, the e_j of the unplaced degrees sum to total, and
+        the last e_j >= min_last >= 1.  The last degree is forced by the
+        sum, so it counts as a node only when admissible.  No floors: the
+        empty tuple, iff total == 0.
+        """
+        j, last = len(head), len(floors) - 1
+        prev = head[-1] if head else 0
+        if j >= last:
+            if j > last:
+                if total == 0:
+                    yield head
+            elif total >= min_last and floors[j] + total >= prev:
+                self.nodes += 1
+                yield head + (floors[j] + total,)
+            return
+        reserve = last - 1 - j + min_last
+        for e in range(max(1, prev - floors[j]), total - reserve + 1):
+            self.nodes += 1
+            yield from self.degrees(floors, total - e, min_last, head + (floors[j] + e,))
+
+    def test(self, ws: tuple[int, ...], ds: tuple[int, ...]) -> None:
+        self.tested += 1
+        if _survives(ws, ds, self.predicates):
+            self.survivors.append(Candidate(ws, ds))
 
 
-def _structured_task(query: EnumerationQuery, first_middle: int | None) -> _TaskResult:
+def _prefix_only_task(query) -> _Walk:
+    walk = _Walk(query.profile)
+    if query.index == query.n + 1:
+        walk.nodes += 1
+        walk.test((1,) * (query.n + 1), ())
+    return walk
+
+
+def _structured_task(query: EnumerationQuery, first_middle: int | None) -> _Walk:
     """Explore the structured search tree under one fixed first middle weight."""
     n, index, k, cap, profile = query.n, query.index, query.k, query.max_weight, query.profile
     prefix = (1,) * (k + index)
@@ -221,77 +267,26 @@ def _structured_task(query: EnumerationQuery, first_middle: int | None) -> _Task
     use_last_weight = FilterId.LAST_WEIGHT in profile
     mid_bound = _middle_bound(middle_count, profile)
     mid_hi = cap if mid_bound is None else min(cap, mid_bound)
-    predicates = _fail_fast(profile)
-
-    survivors: list[Candidate] = []
-    state = {"nodes": 0, "tested": 0, "touched": False}
-
-    def middles(ms: tuple[int, ...]) -> None:
-        if len(ms) == middle_count:
-            tails_stage(ms)
-            return
-        lo = ms[-1] if ms else 1
-        for value in range(lo, mid_hi + 1):
-            state["nodes"] += 1
-            middles(ms + (value,))
-
-    def tails_stage(ms: tuple[int, ...]) -> None:
+    walk = _Walk(profile)
+    if middle_count == 0:
+        middles = [()]
+    else:
+        walk.nodes += 1  # the fixed first middle weight
+        middles = walk.tuples((first_middle,), middle_count, first_middle, mid_hi)
+    for ms in middles:
         msum = sum(ms)
         tail_struct = msum + 1 if use_last_weight else None
         if tail_struct is None or tail_struct > cap:
-            state["touched"] = True
+            walk.touched = True
         tail_hi = cap if tail_struct is None else min(cap, tail_struct)
-        lo = ms[-1] if ms else 1
-        excess_total = k + msum
-
-        def tails(ts: tuple[int, ...]) -> None:
-            if len(ts) == k:
-                excess_stage(ms, ts, excess_total)
-                return
-            for value in range(ts[-1] if ts else lo, tail_hi + 1):
-                state["nodes"] += 1
-                tails(ts + (value,))
-
-        tails(())
-
-    def excess_stage(ms: tuple[int, ...], ts: tuple[int, ...], total: int) -> None:
-        min_last = ts[-1] if use_last_weight else 1
-
-        def excesses(j: int, prev_degree: int, rem: int, ds: tuple[int, ...]) -> None:
-            if j == k - 1:
-                degree = ts[j] + rem
-                if rem >= 1 and rem >= min_last and degree >= prev_degree:
-                    state["nodes"] += 1
-                    test(ms, ts, ds + (degree,))
-                return
-            reserve = (k - 2 - j) + max(1, min_last)
-            lo_e = max(1, prev_degree - ts[j])
-            for e in range(lo_e, rem - reserve + 1):
-                state["nodes"] += 1
-                excesses(j + 1, ts[j] + e, rem - e, ds + (ts[j] + e,))
-
-        excesses(0, 0, total, ())
-
-    def test(ms: tuple[int, ...], ts: tuple[int, ...], ds: tuple[int, ...]) -> None:
-        ws = prefix + ms + ts
-        state["tested"] += 1
-        if _survives(ws, ds, predicates):
-            survivors.append(Candidate(ws, ds))
-
-    if middle_count == 0:
-        tails_stage(())
-    else:
-        state["nodes"] += 1
-        middles((first_middle,))
-    return _TaskResult(
-        survivors=tuple(survivors),
-        nodes=state["nodes"],
-        tested=state["tested"],
-        cap_touched=state["touched"],
-    )
+        for ts in walk.tuples((), k, ms[-1] if ms else 1, tail_hi):
+            ws = prefix + ms + ts
+            for ds in walk.degrees(ts, k + msum, ts[-1] if use_last_weight else 1):
+                walk.test(ws, ds)
+    return walk
 
 
-def _grid_task(query: EnumerationQuery) -> _TaskResult:
+def _grid_task(query: EnumerationQuery) -> _Walk:
     """Plain grid for profiles without the prefix/excess structure.
 
     All normalized weight tuples within the cap; degrees enumerated from
@@ -299,52 +294,10 @@ def _grid_task(query: EnumerationQuery) -> _TaskResult:
     cap stays structurally admissible, so cap_touched is set whenever
     weight choices exist (k >= 1) or a k = 0 partition part overflows.
     """
-    n, index, k, cap, profile = query.n, query.index, query.k, query.max_weight, query.profile
-    length = n + k + 1
-    predicates = _fail_fast(profile)
-    survivors: list[Candidate] = []
-    state = {"nodes": 0, "tested": 0}
-    if k == 0:
-        touched = index - n > cap
-    else:
-        touched = True
-
-    def weights_rec(ws: tuple[int, ...]) -> None:
-        if len(ws) == length:
-            total = sum(ws) - index
-            if k == 0:
-                if total == 0:
-                    test(ws, ())
-                return
-            if total < k:
-                return
-            degrees_rec(ws, (), total)
-            return
-        for value in range(ws[-1] if ws else 1, cap + 1):
-            state["nodes"] += 1
-            weights_rec(ws + (value,))
-
-    def degrees_rec(ws: tuple[int, ...], ds: tuple[int, ...], rem: int) -> None:
-        slot = len(ds)
-        if slot == k - 1:
-            if rem >= (ds[-1] if ds else 1):
-                state["nodes"] += 1
-                test(ws, ds + (rem,))
-            return
-        lo = ds[-1] if ds else 1
-        for value in range(lo, rem - (k - 1 - slot) + 1):
-            state["nodes"] += 1
-            degrees_rec(ws, ds + (value,), rem - value)
-
-    def test(ws: tuple[int, ...], ds: tuple[int, ...]) -> None:
-        state["tested"] += 1
-        if _survives(ws, ds, predicates):
-            survivors.append(Candidate(ws, ds))
-
-    weights_rec(())
-    return _TaskResult(
-        survivors=tuple(survivors),
-        nodes=state["nodes"],
-        tested=state["tested"],
-        cap_touched=touched,
-    )
+    n, index, k, cap = query.n, query.index, query.k, query.max_weight
+    walk = _Walk(query.profile)
+    walk.touched = k > 0 or index - n > cap
+    for ws in walk.tuples((), n + k + 1, 1, cap):
+        for ds in walk.degrees((0,) * k, sum(ws) - index, 1):
+            walk.test(ws, ds)
+    return walk

@@ -2,8 +2,8 @@
 
 A record is self-contained: re-parsing a JSON line and re-running the
 filters on its (weights, degrees) reproduces its verdict map.  Field
-names and order are fixed: weights, degrees, dim, codim, fano_index,
-verdicts, witnesses.  Witnesses appear for failing filters only.
+names and order are fixed by RECORD_FIELDS.  Witnesses appear for
+failing filters only.
 """
 
 from __future__ import annotations
@@ -60,15 +60,7 @@ class OutputRecord:
         return Candidate(self.weights, self.degrees)
 
     def to_json_line(self) -> str:
-        payload = {
-            "weights": list(self.weights),
-            "degrees": list(self.degrees),
-            "dim": self.dim,
-            "codim": self.codim,
-            "fano_index": self.fano_index,
-            "verdicts": self.verdicts,
-            "witnesses": self.witnesses,
-        }
+        payload = {f: getattr(self, f) for f in RECORD_FIELDS}
         return json.dumps(payload, separators=(",", ":"))
 
 

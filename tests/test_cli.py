@@ -237,6 +237,12 @@ class TestVerify:
     def test_bad_range_exits_two(self, capsys):
         assert run_cli(capsys, "verify", "--case", "ii", "--dim", "4..2")[0] == 2
 
+    def test_zero_cap_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--case", "ii", "--max-weight", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: max_weight must be >= 1, got 0\n"
+
 
 class TestTransform:
     def test_wellformize_trace(self, capsys):

@@ -59,7 +59,6 @@ class TestFrozenSlices:
             Candidate((1, 1, 1, 2, 3), (6,)),
         )
         assert result.cap_touched is False
-        assert result.complete_within_cap is True
         assert result.prefix_infeasible is False
         assert result.stats == SearchStats(nodes=10, tested=4)
 
@@ -67,6 +66,36 @@ class TestFrozenSlices:
         result = enumerate_candidates(EnumerationQuery(n=2, index=1, k=2))
         assert result.survivors == (Candidate((1, 1, 1, 1, 1), (2, 2)),)
         assert result.cap_touched is False
+
+    @pytest.mark.parametrize(
+        "n, index, k, cap, profile, expected",
+        [
+            (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (30832, 11345, 3, True)),
+            (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (6423, 2804, 4, True)),
+            (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (27, 7, 1, False)),
+            (2, 3, 0, None, SMOOTH_FANO_PROFILE, (1, 1, 1, False)),
+            (2, 0, 2, 6, CALABI_YAU_PROFILE, (27, 7, 1, False)),
+            (
+                2,
+                1,
+                1,
+                8,
+                SMOOTH_FANO_PROFILE - {FilterId.UNIT_PREFIX, FilterId.DELTAS},
+                (824, 330, 3, True),
+            ),
+            (2, 9, 0, 9, frozenset(), (219, 7, 7, False)),
+            (3, 1, 2, 8, frozenset({FilterId.UNIT_PREFIX, FilterId.DELTAS}), (944, 330, 330, True)),
+        ],
+    )
+    def test_search_counts_are_pinned(self, n, index, k, cap, profile, expected):
+        # nodes, tested, survivors and cap_touched of the structured,
+        # ambient-only and grid searches
+        q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
+        result = enumerate_candidates(q)
+        nodes, tested, survivors, touched = expected
+        assert result.stats == SearchStats(nodes=nodes, tested=tested)
+        assert len(result.survivors) == survivors
+        assert result.cap_touched is touched
 
     def test_infeasible_prefix(self):
         result = enumerate_candidates(EnumerationQuery(n=2, index=2, k=3))
