@@ -145,11 +145,14 @@ def _parse_profile(text: str) -> frozenset[FilterId]:
 
 
 def _parse_span(text: str, label: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    try:
+        if ".." in text:
+            lo_text, hi_text = text.split("..", 1)
+            lo, hi = int(lo_text), int(hi_text)
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise ValueError(f"--{label} {text!r} is not an integer or a range A..B") from None
     if lo > hi:
         raise ValueError(f"{label} range {text!r} is empty")
     return lo, hi
@@ -180,7 +183,11 @@ def _cmd_enumerate(args) -> int:
     profile = _parse_profile(args.profile)
     cap = args.max_weight
     if cap is None and os.environ.get(ENV_DEFAULT_CAP):
-        cap = int(os.environ[ENV_DEFAULT_CAP])
+        text = os.environ[ENV_DEFAULT_CAP]
+        try:
+            cap = int(text)
+        except ValueError:
+            raise ValueError(f"{ENV_DEFAULT_CAP}={text!r} is not an integer") from None
     query = EnumerationQuery(
         n=args.dim, index=args.index, k=args.codim, max_weight=cap, profile=profile
     )

@@ -147,6 +147,9 @@ def _complement_gcd(weights) -> tuple[int, int] | None:
     Returns (position, gcd), or None when every complement is coprime.
     One weight has an empty complement (gcd 0), so it gives None.
     """
+    if weights.count(1) >= 2:
+        # Every complement keeps a unit weight, so every gcd is 1.
+        return None
     # suffixes[p] = gcd(weights[p:]), with gcd() = 0
     suffixes = list(accumulate(reversed(weights), gcd, initial=0))[::-1]
     prefix = 0

@@ -20,7 +20,10 @@ free middle weights, and tail weights paired with the degrees, whose
 excesses e_j = d_j - a_{n+j} >= 1 satisfy sum(e) = k + sum(middles).
 Profiles without that structure fall back to a plain grid over all
 normalized weight tuples within the cap.  Both searches run on the one
-sorted-tuple walker and the one degree walker of _Walk.
+sorted-tuple walker and the one degree walker of _Walk.  Each weight
+vector gets one filters._WeightContext, shared by all of its degree
+tuples, so the screen work that depends on the weights alone (the
+complement gcd, the class gcds) is done once per vector, not per tuple.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from itertools import repeat
 from typing import Callable
 
 from .core import Candidate, canonical_key
-from .filters import FilterId, SMOOTH_FANO_PROFILE, _fail_fast, _survives
+from .filters import FilterId, SMOOTH_FANO_PROFILE, _WeightContext, _fail_fast, _survives
 
 __all__ = [
     "CapTooSmall",
@@ -202,8 +205,9 @@ class _Walk:
     """One search task: the profile's predicates, its counters and its survivors.
 
     Both the structured and the grid search are loop nests over the two
-    walkers below.  touched records that the cap cut a structurally
-    admissible range.
+    walkers below that test each weight vector's degree tuples on one
+    shared weight context.  touched records that the cap cut a
+    structurally admissible range.
     """
 
     def __init__(self, profile: frozenset[FilterId]) -> None:
@@ -245,17 +249,17 @@ class _Walk:
             self.nodes += 1
             yield from self.degrees(floors, total - e, min_last, head + (floors[j] + e,))
 
-    def test(self, ws: tuple[int, ...], ds: tuple[int, ...]) -> None:
+    def test(self, context: _WeightContext, ds: tuple[int, ...]) -> None:
         self.tested += 1
-        if _survives(ws, ds, self.predicates):
-            self.survivors.append(Candidate(ws, ds))
+        if _survives(context, ds, self.predicates):
+            self.survivors.append(Candidate(context.weights, ds))
 
 
 def _prefix_only_task(query) -> _Walk:
     walk = _Walk(query.profile)
     if query.index == query.n + 1:
         walk.nodes += 1
-        walk.test((1,) * (query.n + 1), ())
+        walk.test(_WeightContext((1,) * (query.n + 1)), ())
     return walk
 
 
@@ -280,9 +284,9 @@ def _structured_task(query: EnumerationQuery, first_middle: int | None) -> _Walk
             walk.touched = True
         tail_hi = cap if tail_struct is None else min(cap, tail_struct)
         for ts in walk.tuples((), k, ms[-1] if ms else 1, tail_hi):
-            ws = prefix + ms + ts
+            context = _WeightContext(prefix + ms + ts)
             for ds in walk.degrees(ts, k + msum, ts[-1] if use_last_weight else 1):
-                walk.test(ws, ds)
+                walk.test(context, ds)
     return walk
 
 
@@ -298,6 +302,7 @@ def _grid_task(query: EnumerationQuery) -> _Walk:
     walk = _Walk(query.profile)
     walk.touched = k > 0 or index - n > cap
     for ws in walk.tuples((), n + k + 1, 1, cap):
-        for ds in walk.degrees((0,) * k, sum(ws) - index, 1):
-            walk.test(ws, ds)
+        context = _WeightContext(ws)
+        for ds in walk.degrees((0,) * k, context.total - index, 1):
+            walk.test(context, ds)
     return walk

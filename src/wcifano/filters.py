@@ -10,14 +10,21 @@ Verdicts carry machine-checkable witnesses on failure.  Witness fields
 follow the notation convention: weight positions 0-based, degree
 positions 1-based.
 
-Each screen has exactly one implementation: a private tuple-level
-predicate (weights, degrees) -> witness dict | None that builds the
-witness only on failure.  The public verdict functions wrap it, and the
-two ways of running a profile walk the same predicates in two orders:
-run_all evaluates every requested screen in FILTER_ORDER, the order a
-report lists them in, while passes_profile and the enumerator stop at
-the first witness in a cheap-first order, because in a search nearly
-every tuple fails and the gcd screens cost the most.  Both raise
+Each screen has exactly one implementation: a private predicate
+(context, degrees) -> witness dict | None that builds the witness only
+on failure.  The context (_WeightContext) holds one weight vector and
+its sum, and computes each value that depends on the weights alone (the
+first weight inversion, the complement gcd, the class gcds) when a
+screen first asks for it, so at most once per vector.  The public
+verdict functions, run_all and passes_profile build one context per
+call; the enumerator builds one per weight vector and shares it by all
+of that vector's degree tuples, so the gcd work is not redone per tuple.
+
+The two ways of running a profile walk the same predicates in two
+orders: run_all evaluates every requested screen in FILTER_ORDER, the
+order a report lists them in, while passes_profile and the enumerator
+stop at the first witness in a cheap-first order, because in a search
+nearly every tuple fails and the gcd screens cost the most.  Both raise
 NotNormalized on unsorted tuples when the profile holds a screen that
 reads positions (Deltas, UnitPrefix, LastWeight with k >= 1).
 """
@@ -117,7 +124,7 @@ class FilterReport:
 
 def is_normalized(c: Candidate) -> FilterVerdict:
     """Both tuples sorted non-decreasing; witness is the first inversion."""
-    return _verdict(FilterId.NORMALIZED, _normalized(c.weights, c.degrees))
+    return _screen(FilterId.NORMALIZED, c)
 
 
 def ambient_well_formed(c: Candidate) -> FilterVerdict:
@@ -127,12 +134,12 @@ def ambient_well_formed(c: Candidate) -> FilterVerdict:
     single weight itself must be 1 (the degenerate reading under which
     wellformization of a one-weight space always lands on a pass).
     """
-    return _verdict(FilterId.AMBIENT_WELL_FORMED, _ambient_well_formed(c.weights, c.degrees))
+    return _screen(FilterId.AMBIENT_WELL_FORMED, c)
 
 
 def fano_positive(c: Candidate) -> FilterVerdict:
     """sum(weights) - sum(degrees) > 0."""
-    return _verdict(FilterId.FANO_POSITIVITY, _fano_positive(c.weights, c.degrees))
+    return _screen(FilterId.FANO_POSITIVITY, c)
 
 
 def is_linear_cone(c: Candidate) -> FilterVerdict:
@@ -140,7 +147,7 @@ def is_linear_cone(c: Candidate) -> FilterVerdict:
 
     Witness: (weight_index, degree_index, value), first in degree order.
     """
-    return _verdict(FilterId.LINEAR_CONE, _linear_cone(c.weights, c.degrees))
+    return _screen(FilterId.LINEAR_CONE, c)
 
 
 def deltas_ok(c: Candidate) -> FilterVerdict:
@@ -150,7 +157,7 @@ def deltas_ok(c: Candidate) -> FilterVerdict:
     """
     if not c.is_normalized:
         raise NotNormalized("deltas_ok needs sorted weights and degrees")
-    return _verdict(FilterId.DELTAS, _deltas(c.weights, c.degrees))
+    return _screen(FilterId.DELTAS, c)
 
 
 def last_weight_ok(c: Candidate) -> FilterVerdict:
@@ -159,7 +166,7 @@ def last_weight_ok(c: Candidate) -> FilterVerdict:
         raise NotNormalized("last_weight_ok needs sorted weights and degrees")
     if c.codim == 0:
         raise NoDegrees("last_weight_ok needs at least one degree")
-    return _verdict(FilterId.LAST_WEIGHT, _last_weight(c.weights, c.degrees))
+    return _screen(FilterId.LAST_WEIGHT, c)
 
 
 def gcd_cover_ok(c: Candidate) -> FilterVerdict:
@@ -169,7 +176,7 @@ def gcd_cover_ok(c: Candidate) -> FilterVerdict:
     must be divisible by g.  Witness: the first class, in class order,
     with fewer divisible degrees than members.
     """
-    return _verdict(FilterId.GCD_COVER, _gcd_cover(c.weights, c.degrees))
+    return _screen(FilterId.GCD_COVER, c)
 
 
 def gcd_cover_bruteforce(c: Candidate) -> FilterVerdict:
@@ -211,7 +218,7 @@ def unit_prefix_ok(c: Candidate, index: int) -> FilterVerdict:
     """
     if not c.is_normalized:
         raise NotNormalized("unit_prefix_ok needs sorted weights and degrees")
-    return _verdict(FilterId.UNIT_PREFIX, _unit_prefix(c.weights, c.degrees, index))
+    return _screen(FilterId.UNIT_PREFIX, c, index)
 
 
 def run_all(c: Candidate, profile: frozenset[FilterId] = SMOOTH_FANO_PROFILE) -> FilterReport:
@@ -224,10 +231,10 @@ def run_all(c: Candidate, profile: frozenset[FilterId] = SMOOTH_FANO_PROFILE) ->
     still raises.  Raises NotNormalized on unsorted tuples when the
     profile holds a screen that needs them sorted.
     """
-    weights, degrees = c.weights, c.degrees
-    _require_sorted(weights, degrees, profile)
+    context, degrees = _WeightContext(c.weights), c.degrees
+    _require_sorted(context, degrees, profile)
     verdicts = tuple(
-        _verdict(fid, _PREDICATES[fid](weights, degrees)) for fid in FILTER_ORDER if fid in profile
+        _verdict(fid, _PREDICATES[fid](context, degrees)) for fid in FILTER_ORDER if fid in profile
     )
     return FilterReport(candidate=c, verdicts=verdicts, profile=frozenset(profile))
 
@@ -239,64 +246,118 @@ def passes_profile(c: Candidate, profile: frozenset[FilterId]) -> bool:
     run_all(...).survives by construction, NotNormalized raise included;
     it only stops at the first witness, in the cheap-first order, and
     builds no verdicts.  The enumerator runs the same walk on its own
-    (always sorted) tuples.
+    (always sorted) tuples, one context per weight vector.
     """
-    _require_sorted(c.weights, c.degrees, profile)
-    return _survives(c.weights, c.degrees, _fail_fast(frozenset(profile)))
+    context = _WeightContext(c.weights)
+    _require_sorted(context, c.degrees, profile)
+    return _survives(context, c.degrees, _fail_fast(frozenset(profile)))
 
 
 def _verdict(fid: FilterId, witness: dict | None) -> FilterVerdict:
     return FilterVerdict(filter_id=fid, passed=witness is None, witness=witness)
 
 
-def _require_sorted(weights, degrees, profile) -> None:
+def _screen(fid: FilterId, c: Candidate, *args) -> FilterVerdict:
+    """One screen's verdict on c, through its predicate on a fresh context."""
+    return _verdict(fid, _PREDICATES[fid](_WeightContext(c.weights), c.degrees, *args))
+
+
+def _require_sorted(context, degrees, profile) -> None:
     if (
         FilterId.DELTAS in profile
         or FilterId.UNIT_PREFIX in profile
         or (FilterId.LAST_WEIGHT in profile and degrees)
-    ) and _normalized(weights, degrees) is not None:
+    ) and _normalized(context, degrees) is not None:
         raise NotNormalized("profile includes filters that need sorted tuples")
 
 
-def _survives(weights, degrees, predicates) -> bool:
+def _survives(context, degrees, predicates) -> bool:
     for predicate in predicates:
-        if predicate(weights, degrees) is not None:
+        if predicate(context, degrees) is not None:
             return False
     return True
 
 
-# One predicate per screen: (weights, degrees) -> witness dict, or None
+_UNSET = object()
+
+
+class _WeightContext:
+    """One weight vector with its sum and its weight-only screen values.
+
+    inversion (Normalized), complement (AmbientWellFormed) and classes
+    (GcdCover) are computed when a screen first reads them and kept, so
+    a context shared by many degree tuples computes each at most once,
+    and one read by a single tuple computes only what its screens ask.
+    """
+
+    __slots__ = ("weights", "total", "_inversion", "_complement", "_classes")
+
+    def __init__(self, weights: tuple[int, ...]) -> None:
+        self.weights = weights
+        self.total = sum(weights)
+        self._inversion = self._complement = self._classes = _UNSET
+
+    @property
+    def inversion(self) -> dict | None:
+        """The Normalized witness of the first weight inversion, or None."""
+        if self._inversion is _UNSET:
+            self._inversion = _first_inversion("weights", self.weights)
+        return self._inversion
+
+    @property
+    def complement(self) -> tuple[int, int] | None:
+        """core._complement_gcd of the weights."""
+        if self._complement is _UNSET:
+            self._complement = _complement_gcd(self.weights)
+        return self._complement
+
+    @property
+    def classes(self) -> list[int]:
+        """The class gcds of core.gcd_classes, ascending (core._class_generators)."""
+        if self._classes is _UNSET:
+            self._classes = _class_generators(self.weights)
+        return self._classes
+
+
+# One predicate per screen: (context, degrees) -> witness dict, or None
 # on a pass.  Deltas, LastWeight and UnitPrefix assume sorted tuples.
 
 
-def _normalized(weights, degrees):
-    for name, values in (("weights", weights), ("degrees", degrees)):
-        for p in range(len(values) - 1):
-            if values[p] > values[p + 1]:
-                return {"list": name, "position": p}
+def _first_inversion(name, values):
+    for p in range(len(values) - 1):
+        if values[p] > values[p + 1]:
+            return {"list": name, "position": p}
     return None
 
 
-def _ambient_well_formed(weights, degrees):
+def _normalized(context, degrees):
+    found = context.inversion
+    return _first_inversion("degrees", degrees) if found is None else found
+
+
+def _ambient_well_formed(context, degrees):
+    weights = context.weights
     if len(weights) == 1:
         return None if weights[0] == 1 else {"omitted_index": 0, "gcd": weights[0]}
-    found = _complement_gcd(weights)
+    found = context.complement
     return None if found is None else {"omitted_index": found[0], "gcd": found[1]}
 
 
-def _fano_positive(weights, degrees):
-    value = sum(weights) - sum(degrees)
+def _fano_positive(context, degrees):
+    value = context.total - sum(degrees)
     return None if value > 0 else {"fano_index": value}
 
 
-def _linear_cone(weights, degrees):
+def _linear_cone(context, degrees):
+    weights = context.weights
     for j, d in enumerate(degrees, start=1):
         if d in weights:
             return {"weight_index": weights.index(d), "degree_index": j, "value": d}
     return None
 
 
-def _deltas(weights, degrees):
+def _deltas(context, degrees):
+    weights = context.weights
     n = len(weights) - 1 - len(degrees)
     for j, d in enumerate(degrees, start=1):
         if d <= weights[n + j]:
@@ -304,17 +365,18 @@ def _deltas(weights, degrees):
     return None
 
 
-def _last_weight(weights, degrees):
+def _last_weight(context, degrees):
     # k = 0 passes vacuously here; last_weight_ok raises NoDegrees first.
-    if degrees and degrees[-1] < 2 * weights[-1]:
-        return {"d_k": degrees[-1], "a_N": weights[-1]}
+    if degrees and degrees[-1] < 2 * context.weights[-1]:
+        return {"d_k": degrees[-1], "a_N": context.weights[-1]}
     return None
 
 
-def _gcd_cover(weights, degrees):
-    # Walks the generators of core.gcd_classes in the same ascending
+def _gcd_cover(context, degrees):
+    # Walks the class gcds of core.gcd_classes in the same ascending
     # order, without building the class objects.
-    for g in _class_generators(weights):
+    weights = context.weights
+    for g in context.classes:
         required = sum(1 for a in weights if a % g == 0)
         available = 0
         for d in degrees:
@@ -327,9 +389,10 @@ def _gcd_cover(weights, degrees):
     return None
 
 
-def _unit_prefix(weights, degrees, index=None):
+def _unit_prefix(context, degrees, index=None):
     if index is None:
-        index = sum(weights) - sum(degrees)
+        index = context.total - sum(degrees)
+    weights = context.weights
     prefix_len = len(degrees) + max(index, 0)
     if prefix_len == 0:
         return None

@@ -170,6 +170,13 @@ class TestEnumerate:
         monkeypatch.setenv("WCI_DEFAULT_MAX_WEIGHT", "abc")
         assert run_cli(capsys, "enumerate", "--dim", "2", "--index", "1", "--codim", "1")[0] == 2
 
+    def test_bad_env_var_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("WCI_DEFAULT_MAX_WEIGHT", "abc")
+        code, out, err = run_cli(capsys, "enumerate", "--dim", "2", "--index", "1", "--codim", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: WCI_DEFAULT_MAX_WEIGHT='abc' is not an integer\n"
+
     def test_default_cap_formula_in_summary(self, capsys):
         _, _, err = run_cli(capsys, "enumerate", "--dim", "2", "--index", "1", "--codim", "1")
         assert "max_weight=16" in err  # 4 * (2 + 1 + 1)
@@ -236,6 +243,21 @@ class TestVerify:
 
     def test_bad_range_exits_two(self, capsys):
         assert run_cli(capsys, "verify", "--case", "ii", "--dim", "4..2")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (("--case", "ii", "--dim", "x"), "dim", "x"),
+            (("--case", "i", "--index", "x"), "index", "x"),
+            (("--case", "iii", "--dim", "3..y"), "dim", "3..y"),
+            (("--case", "survey", "--dim", "6", "--index", "1.5"), "index", "1.5"),
+        ],
+    )
+    def test_non_integer_span_names_the_flag(self, capsys, argv, flag, text):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --{flag} {text!r} is not an integer or a range A..B\n"
 
     def test_zero_cap_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--case", "ii", "--max-weight", "0")

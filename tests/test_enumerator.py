@@ -6,6 +6,7 @@ import pytest
 from grid_oracle import naive_survivors, sorted_partitions
 
 import wcifano.enumerator
+import wcifano.filters
 from wcifano.core import Candidate, canonical_key, fano_index
 from wcifano.enumerator import (
     CapTooSmall,
@@ -103,6 +104,30 @@ class TestFrozenSlices:
         assert result.prefix_infeasible is True
         assert result.cap_touched is False
         assert result.stats == SearchStats(nodes=0, tested=0)
+
+
+class TestSharedWeightContext:
+    def test_gcd_closure_built_once_per_weight_vector(self, monkeypatch):
+        # one context per weight vector serves all of its degree tuples,
+        # so GcdCover's class gcds are built at most once per vector
+        closures: list[tuple[int, ...]] = []
+        vectors: set[tuple[int, ...]] = set()
+        build = wcifano.filters._class_generators
+        test = wcifano.enumerator._Walk.test
+
+        def counting_build(weights):
+            closures.append(tuple(weights))
+            return build(weights)
+
+        def recording_test(walk, context, ds):
+            vectors.add(context.weights)
+            test(walk, context, ds)
+
+        monkeypatch.setattr(wcifano.filters, "_class_generators", counting_build)
+        monkeypatch.setattr(wcifano.enumerator._Walk, "test", recording_test)
+        result = enumerate_candidates(EnumerationQuery(n=5, index=1, k=3, max_weight=12))
+        assert len(closures) == len(set(closures)) <= len(vectors)
+        assert 5 * len(closures) < result.stats.tested
 
 
 class TestDeterminism:

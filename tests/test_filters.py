@@ -18,6 +18,11 @@ from wcifano.filters import (
     NoDegrees,
     SMOOTH_FANO_PROFILE,
     TooLarge,
+    _PREDICATES,
+    _WeightContext,
+    _fail_fast,
+    _survives,
+    _verdict,
     ambient_well_formed,
     deltas_ok,
     fano_positive,
@@ -408,3 +413,54 @@ class TestPassesProfile:
 
     def test_empty_profile_accepts_anything(self):
         assert passes_profile(Candidate((7, 3), (5,)), frozenset())
+
+
+class TestSharedContext:
+    """One weight context shared by many degree tuples answers as a fresh one.
+
+    The context fills its weight-only values on first use, so the checks
+    run in a random order: whichever screen fills a value first, every
+    later screen must read the same answer.  Some degree tuples are left
+    unsorted, so the Normalized witness must not leak from one degree
+    tuple to the next.
+    """
+
+    all_profiles = [
+        frozenset(f for bit, f in enumerate(FILTER_ORDER) if mask >> bit & 1)
+        for mask in range(1 << len(FILTER_ORDER))
+    ]
+    # run_all on unsorted tuples raises for the screens that read positions
+    order_free = SMOOTH_FANO_PROFILE - {FilterId.DELTAS, FilterId.LAST_WEIGHT, FilterId.UNIT_PREFIX}
+
+    @given(
+        st.lists(st.one_of(st.just(1), st.integers(1, 24)), min_size=1, max_size=8),
+        st.lists(
+            st.tuples(st.lists(st.integers(1, 48), max_size=7), st.booleans()),
+            min_size=1,
+            max_size=6,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fresh_candidates(self, weights, degree_lists, rng):
+        weights = tuple(sorted(weights))
+        context = _WeightContext(weights)
+        degree_tuples = [
+            tuple(sorted(ds) if keep_sorted else ds)[: len(weights) - 1]
+            for ds, keep_sorted in degree_lists
+        ]
+        # None stands for the run_all check of that degree tuple
+        checks = [(ds, p) for ds in degree_tuples for p in [None, *self.all_profiles]]
+        rng.shuffle(checks)
+        for degrees, profile in checks:
+            c = Candidate(weights, degrees)
+            if profile is None:
+                report = run_all(c, SMOOTH_FANO_PROFILE if c.is_normalized else self.order_free)
+                for v in report.verdicts:
+                    assert _verdict(v.filter_id, _PREDICATES[v.filter_id](context, degrees)) == v
+                continue
+            try:
+                fresh = passes_profile(c, profile)
+            except NotNormalized:
+                continue
+            assert _survives(context, degrees, _fail_fast(profile)) == fresh
