@@ -10,20 +10,26 @@ tuple whose weights all lie within max_weight is decided.
   could reveal further survivors.  The cap bounds weights only; degrees
   are determined by the index equation and are never capped.
 - stats.nodes counts entries placed: one node per weight or degree
-  fixed, except that the last degree, forced by the index equation,
-  counts only when it is admissible.  stats.tested counts the tuples
-  run through the profile.
+  fixed, except that the forced unit prefix places none and the last
+  degree, forced by the index equation, counts only when it is
+  admissible.  stats.tested counts the tuples run through the profile.
 
-When the profile contains UnitPrefix and Deltas the search is
-structured: weights split into a forced unit prefix of length k+index,
-free middle weights, and tail weights paired with the degrees, whose
-excesses e_j = d_j - a_{n+j} >= 1 satisfy sum(e) = k + sum(middles).
-Profiles without that structure fall back to a plain grid over all
-normalized weight tuples within the cap.  Both searches run on the one
-sorted-tuple walker and the one degree walker of _Walk.  Each weight
-vector gets one filters._WeightContext, shared by all of its degree
-tuples, so the screen work that depends on the weights alone (the
-complement gcd, the class gcds) is done once per vector, not per tuple.
+Every profile runs one search shape (_Shape), derived once per query
+from the structural screens it holds.  UnitPrefix forces a prefix of
+k + index unit weights (prefix_infeasible when it cannot fit); Deltas
+makes the top k weights tails, paired with the degrees d_j = a_{n+j} +
+e_j with every excess e_j >= 1; the other weights are middles.  The
+index equation fixes sum(e) (the degree sum without tails) at
+sum(prefix + middles) - index.  With tails, LastWeight asks e_k >= a_N,
+which bounds the tails by that total - k + 1; at k = 0 the weights sum
+to the index, which bounds every middle.  One task walks the middles,
+tails and degrees under one fixed first middle weight, for any profile.
+The screens the shape enforces (Normalized and UnitPrefix always,
+FanoPositivity at index >= 1, Deltas and LastWeight with tails) are not
+re-run on its tuples.  Each weight vector gets one
+filters._WeightContext, shared by all of its degree tuples, so the
+screen work that depends on the weights alone (the complement gcd, the
+class gcds) is done once per vector, not per tuple.
 """
 
 from __future__ import annotations
@@ -101,13 +107,20 @@ class EnumerationResult:
     stats: SearchStats
 
 
-# Filters that justify capping a single middle weight at 2: with one
-# middle m, tails lie in {m, m+1} and the forced excess split makes
-# every m >= 3 fail GcdCover and every m = 2 fail GcdCover or
-# LinearCone unless k = 1 with all tails m+1.  Survivors beyond the
-# bound cannot exist, so the cap is not considered touched by it.
+# Filters that justify capping a single middle weight at 2: with the
+# unit prefix and one middle m, the Deltas tails lie in {m, m+1} and
+# the forced excess split makes every m >= 3 fail GcdCover and every
+# m = 2 fail GcdCover or LinearCone unless k = 1 with all tails m+1.
+# Survivors beyond the bound cannot exist, so the cap is not considered
+# touched by it.
 _CLOSURE_FILTERS = frozenset(
-    {FilterId.LAST_WEIGHT, FilterId.GCD_COVER, FilterId.LINEAR_CONE}
+    {
+        FilterId.UNIT_PREFIX,
+        FilterId.DELTAS,
+        FilterId.LAST_WEIGHT,
+        FilterId.GCD_COVER,
+        FilterId.LINEAR_CONE,
+    }
 )
 
 
@@ -115,6 +128,39 @@ def _middle_bound(middle_count: int, profile: frozenset[FilterId]) -> int | None
     if middle_count == 1 and _CLOSURE_FILTERS <= profile:
         return 2
     return None
+
+
+class _Shape:
+    """The search shape of one query, derived from its profile's structural screens.
+
+    prefix: the forced unit weights.  tails: how many top weights pair
+    with the degrees.  middles: how many free weights lie between, each
+    in 1..middle_hi (negative when the prefix cannot fit).  last_weight:
+    the top tail bounds the last excess from below.  touched: the cap
+    cut the middle range.  enforced: the profile's screens that every
+    tuple of the shape passes by construction.
+    """
+
+    def __init__(self, query: EnumerationQuery) -> None:
+        n, index, k, cap, profile = query.n, query.index, query.k, query.max_weight, query.profile
+        self.query = query
+        self.prefix = (1,) * (k + index) if FilterId.UNIT_PREFIX in profile else ()
+        self.tails = k if FilterId.DELTAS in profile else 0
+        self.middles = n + k + 1 - len(self.prefix) - self.tails
+        if k == 0:
+            # No degrees: the weights sum to the index.
+            bound = index - len(self.prefix) - self.middles + 1
+        else:
+            bound = _middle_bound(self.middles, profile)
+        self.middle_hi = cap if bound is None else min(cap, bound)
+        self.touched = self.middles > 0 and (bound is None or bound > cap)
+        self.last_weight = self.tails > 0 and FilterId.LAST_WEIGHT in profile
+        enforced = {FilterId.NORMALIZED, FilterId.UNIT_PREFIX}
+        if index >= 1:
+            enforced.add(FilterId.FANO_POSITIVITY)
+        if self.tails:
+            enforced |= {FilterId.DELTAS, FilterId.LAST_WEIGHT}
+        self.enforced = profile & enforced
 
 
 def enumerate_candidates(query: EnumerationQuery, workers: int = 1) -> EnumerationResult:
@@ -137,53 +183,24 @@ def enumerate_streaming(
     """
     if workers < 1:
         raise InvalidQuery(f"workers must be >= 1, got {workers}")
-    structured = FilterId.UNIT_PREFIX in query.profile and (
-        FilterId.DELTAS in query.profile or query.k == 0
-    )
-    if structured:
-        return _run_structured(query, sink, workers)
-    return _collect(query, [_grid_task(query)], sink)
-
-
-def _run_structured(query, sink, workers: int) -> EnumerationResult:
-    middle_count = query.n - query.k - query.index + 1
-    if middle_count < 0:
-        # Unit prefix plus index equation admit no weight vector at all.
-        return EnumerationResult(
-            query=query,
-            survivors=(),
-            cap_touched=False,
-            prefix_infeasible=True,
-            stats=SearchStats(nodes=0, tested=0),
-        )
-    if query.k == 0:
-        # No degrees: the index equation forces all weights to 1, which
-        # needs index == n + 1 exactly; no range depends on the cap.
-        return _collect(query, [_prefix_only_task(query)], sink)
-    base_touched = False
-    if middle_count == 0:
-        tasks = [_structured_task(query, None)]
+    shape = _Shape(query)
+    if shape.middles > 0:
+        keys = range(1, shape.middle_hi + 1)
     else:
-        bound = _middle_bound(middle_count, query.profile)
-        if bound is None or bound > query.max_weight:
-            base_touched = True
-        hi = query.max_weight if bound is None else min(query.max_weight, bound)
-        keys = range(1, hi + 1)
-        if workers > 1 and len(keys) > 1:
-            # pool.map yields in submission order, so the sink order
-            # stays canonical while later tasks still run.
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                tasks = pool.map(_structured_task, repeat(query), keys)
-                return _collect(query, tasks, sink, base_touched)
-        tasks = (_structured_task(query, m1) for m1 in keys)
-    return _collect(query, tasks, sink, base_touched)
+        keys = [None] if shape.middles == 0 else []
+    if workers > 1 and len(keys) > 1:
+        # pool.map yields in submission order, so the sink order stays
+        # canonical while later tasks still run.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return _collect(shape, pool.map(_task, repeat(shape), keys), sink)
+    return _collect(shape, (_task(shape, m1) for m1 in keys), sink)
 
 
-def _collect(query, walks, sink, base_touched: bool = False) -> EnumerationResult:
+def _collect(shape: _Shape, walks, sink) -> EnumerationResult:
     """Merge task walks in order, feeding survivors to sink as each walk arrives."""
     survivors: list[Candidate] = []
     nodes = tested = 0
-    touched = base_touched
+    touched = shape.touched
     for walk in walks:
         for c in walk.survivors:
             sink(c)
@@ -193,25 +210,25 @@ def _collect(query, walks, sink, base_touched: bool = False) -> EnumerationResul
         touched = touched or walk.touched
     survivors.sort(key=canonical_key)
     return EnumerationResult(
-        query=query,
+        query=shape.query,
         survivors=tuple(survivors),
         cap_touched=touched,
-        prefix_infeasible=False,
+        prefix_infeasible=shape.middles < 0,
         stats=SearchStats(nodes=nodes, tested=tested),
     )
 
 
 class _Walk:
-    """One search task: the profile's predicates, its counters and its survivors.
+    """One search task: its shape's remaining predicates, counters and survivors.
 
-    Both the structured and the grid search are loop nests over the two
-    walkers below that test each weight vector's degree tuples on one
-    shared weight context.  touched records that the cap cut a
-    structurally admissible range.
+    test runs only the profile's screens that the shape does not
+    enforce, on one weight context shared by the vector's degree tuples.
+    touched records that the cap cut a structurally admissible range.
     """
 
-    def __init__(self, profile: frozenset[FilterId]) -> None:
-        self.predicates = _fail_fast(profile)
+    def __init__(self, shape: _Shape) -> None:
+        self.shape = shape
+        self.predicates = _fail_fast(shape.query.profile - shape.enforced)
         self.nodes = 0
         self.tested = 0
         self.touched = False
@@ -255,54 +272,24 @@ class _Walk:
             self.survivors.append(Candidate(context.weights, ds))
 
 
-def _prefix_only_task(query) -> _Walk:
-    walk = _Walk(query.profile)
-    if query.index == query.n + 1:
-        walk.nodes += 1
-        walk.test(_WeightContext((1,) * (query.n + 1)), ())
-    return walk
-
-
-def _structured_task(query: EnumerationQuery, first_middle: int | None) -> _Walk:
-    """Explore the structured search tree under one fixed first middle weight."""
-    n, index, k, cap, profile = query.n, query.index, query.k, query.max_weight, query.profile
-    prefix = (1,) * (k + index)
-    middle_count = n - k - index + 1
-    use_last_weight = FilterId.LAST_WEIGHT in profile
-    mid_bound = _middle_bound(middle_count, profile)
-    mid_hi = cap if mid_bound is None else min(cap, mid_bound)
-    walk = _Walk(profile)
-    if middle_count == 0:
+def _task(shape: _Shape, first_middle: int | None) -> _Walk:
+    """Walk the middles, tails and degrees of the shape under one fixed first middle weight."""
+    index, k, cap = shape.query.index, shape.query.k, shape.query.max_weight
+    walk = _Walk(shape)
+    if first_middle is None:
         middles = [()]
     else:
         walk.nodes += 1  # the fixed first middle weight
-        middles = walk.tuples((first_middle,), middle_count, first_middle, mid_hi)
+        middles = walk.tuples((first_middle,), shape.middles, first_middle, shape.middle_hi)
     for ms in middles:
-        msum = sum(ms)
-        tail_struct = msum + 1 if use_last_weight else None
-        if tail_struct is None or tail_struct > cap:
+        total = len(shape.prefix) + sum(ms) - index
+        tail_struct = total - k + 1 if shape.last_weight else None
+        if shape.tails and (tail_struct is None or tail_struct > cap):
             walk.touched = True
         tail_hi = cap if tail_struct is None else min(cap, tail_struct)
-        for ts in walk.tuples((), k, ms[-1] if ms else 1, tail_hi):
-            context = _WeightContext(prefix + ms + ts)
-            for ds in walk.degrees(ts, k + msum, ts[-1] if use_last_weight else 1):
+        for ts in walk.tuples((), shape.tails, ms[-1] if ms else 1, tail_hi):
+            context = _WeightContext(shape.prefix + ms + ts)
+            floors = ts if shape.tails else (0,) * k
+            for ds in walk.degrees(floors, total, ts[-1] if shape.last_weight else 1):
                 walk.test(context, ds)
-    return walk
-
-
-def _grid_task(query: EnumerationQuery) -> _Walk:
-    """Plain grid for profiles without the prefix/excess structure.
-
-    All normalized weight tuples within the cap; degrees enumerated from
-    the index equation sum(d) = sum(a) - index.  The region beyond the
-    cap stays structurally admissible, so cap_touched is set whenever
-    weight choices exist (k >= 1) or a k = 0 partition part overflows.
-    """
-    n, index, k, cap = query.n, query.index, query.k, query.max_weight
-    walk = _Walk(query.profile)
-    walk.touched = k > 0 or index - n > cap
-    for ws in walk.tuples((), n + k + 1, 1, cap):
-        context = _WeightContext(ws)
-        for ds in walk.degrees((0,) * k, context.total - index, 1):
-            walk.test(context, ds)
     return walk

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from grid_oracle import naive_survivors, sorted_partitions
 
@@ -16,7 +18,11 @@ from wcifano.enumerator import (
     enumerate_candidates,
     enumerate_streaming,
 )
-from wcifano.filters import CALABI_YAU_PROFILE, SMOOTH_FANO_PROFILE, FilterId
+from wcifano.filters import CALABI_YAU_PROFILE, FILTER_ORDER, SMOOTH_FANO_PROFILE, FilterId, run_all
+
+ALL_PROFILES = [
+    frozenset(c) for r in range(len(FILTER_ORDER) + 1) for c in itertools.combinations(FILTER_ORDER, r)
+]
 
 
 class TestQueryValidation:
@@ -74,7 +80,7 @@ class TestFrozenSlices:
             (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (30832, 11345, 3, True)),
             (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (6423, 2804, 4, True)),
             (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (27, 7, 1, False)),
-            (2, 3, 0, None, SMOOTH_FANO_PROFILE, (1, 1, 1, False)),
+            (2, 3, 0, None, SMOOTH_FANO_PROFILE, (0, 1, 1, False)),
             (2, 0, 2, 6, CALABI_YAU_PROFILE, (27, 7, 1, False)),
             (
                 2,
@@ -84,13 +90,13 @@ class TestFrozenSlices:
                 SMOOTH_FANO_PROFILE - {FilterId.UNIT_PREFIX, FilterId.DELTAS},
                 (824, 330, 3, True),
             ),
-            (2, 9, 0, 9, frozenset(), (219, 7, 7, False)),
+            (2, 9, 0, 9, frozenset(), (119, 7, 7, False)),
             (3, 1, 2, 8, frozenset({FilterId.UNIT_PREFIX, FilterId.DELTAS}), (944, 330, 330, True)),
         ],
     )
     def test_search_counts_are_pinned(self, n, index, k, cap, profile, expected):
-        # nodes, tested, survivors and cap_touched of the structured,
-        # ambient-only and grid searches
+        # nodes, tested, survivors and cap_touched of profiles with and
+        # without the unit-prefix structure, ambient-only slices included
         q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
         result = enumerate_candidates(q)
         nodes, tested, survivors, touched = expected
@@ -130,12 +136,70 @@ class TestSharedWeightContext:
         assert 5 * len(closures) < result.stats.tested
 
 
+class TestSearchShape:
+    @pytest.mark.parametrize(
+        "n, index, k, cap",
+        [
+            (1, 0, 1, 5),
+            (1, 2, 0, 5),
+            (2, 1, 1, 5),
+            (2, 3, 0, 4),
+            (2, 2, 2, 4),
+            (3, 1, 2, 4),
+            (3, 5, 1, 4),
+        ],
+    )
+    def test_enforced_screens_hold_on_every_tested_tuple(self, monkeypatch, n, index, k, cap):
+        # the screens the shape enforces are not re-run, so every tuple
+        # the walk tests must pass them; the survivors must still match
+        # the naive grid for every profile
+        test = wcifano.enumerator._Walk.test
+        checked: list[int] = []
+
+        def checking_test(walk, context, ds):
+            assert run_all(Candidate(context.weights, ds), walk.shape.enforced).survives
+            checked.append(1)
+            test(walk, context, ds)
+
+        monkeypatch.setattr(wcifano.enumerator._Walk, "test", checking_test)
+        assert len(ALL_PROFILES) == 256
+        for profile in ALL_PROFILES:
+            q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
+            result = enumerate_candidates(q)
+            assert result.survivors == naive_survivors(n, index, k, cap, profile)
+        assert checked
+
+    def test_forced_unit_weights_are_cap_independent(self):
+        # UnitPrefix alone at (1, 2, 1) forces every weight to 1, so no
+        # range depends on the cap
+        profile = frozenset({FilterId.UNIT_PREFIX})
+        low, high = (
+            enumerate_candidates(EnumerationQuery(n=1, index=2, k=1, max_weight=cap, profile=profile))
+            for cap in (4, 9)
+        )
+        assert low.survivors == high.survivors == (Candidate((1, 1, 1), (1,)),)
+        assert low.cap_touched is high.cap_touched is False
+
+    def test_prefix_infeasible_without_deltas(self):
+        profile = frozenset({FilterId.UNIT_PREFIX})
+        result = enumerate_candidates(EnumerationQuery(n=1, index=3, k=1, profile=profile))
+        assert result.prefix_infeasible is True
+        assert result.survivors == ()
+        assert result.stats == SearchStats(nodes=0, tested=0)
+
+
 class TestDeterminism:
     def test_worker_counts_agree_exactly(self):
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=12)
         single = enumerate_candidates(q, workers=1)
         multi = enumerate_candidates(q, workers=4)
         assert single == multi  # survivors, flags and stats all included
+
+    def test_worker_counts_agree_without_the_unit_prefix_structure(self):
+        # profiles without UnitPrefix and Deltas are split into tasks too
+        profile = SMOOTH_FANO_PROFILE - {FilterId.UNIT_PREFIX, FilterId.DELTAS}
+        q = EnumerationQuery(n=3, index=1, k=1, max_weight=8, profile=profile)
+        assert enumerate_candidates(q, workers=1) == enumerate_candidates(q, workers=2)
 
     def test_repeat_runs_agree(self):
         q = EnumerationQuery(n=4, index=1, k=2, max_weight=10)
@@ -161,13 +225,13 @@ class TestStreaming:
         # (5, 1, 3) has two middle weights, so cap 10 gives ten tasks, one
         # per first middle weight; every survivor has first middle 1.
         started: list[int] = []
-        task = wcifano.enumerator._structured_task
+        task = wcifano.enumerator._task
 
-        def counting_task(query, first_middle):
+        def counting_task(shape, first_middle):
             started.append(first_middle)
-            return task(query, first_middle)
+            return task(shape, first_middle)
 
-        monkeypatch.setattr(wcifano.enumerator, "_structured_task", counting_task)
+        monkeypatch.setattr(wcifano.enumerator, "_task", counting_task)
         tasks_started_at_sink: list[int] = []
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
         result = enumerate_streaming(q, lambda c: tasks_started_at_sink.append(len(started)))
