@@ -21,7 +21,7 @@ import os
 import sys
 
 from .core import Candidate, CandidateError, NotNormalized, new_candidate, normalize
-from .enumerator import EnumerationQuery, InvalidQuery, enumerate_candidates
+from .enumerator import EnumerationQuery, InvalidQuery, _Shape, enumerate_candidates
 from .filters import (
     CALABI_YAU_PROFILE,
     FILTER_ORDER,
@@ -204,7 +204,11 @@ def _cmd_enumerate(args) -> int:
         f" max_weight={query.max_weight}"
     )
     if result.prefix_infeasible:
-        summary += " prefix_infeasible=true (codimension exceeds the admissible bound for this index)"
+        if _Shape(query).prefix_too_long:
+            reason = "index exceeds the admissible bound for this dimension"
+        else:
+            reason = "codimension exceeds the admissible bound for this index"
+        summary += f" prefix_infeasible=true ({reason})"
     print(summary, file=sys.stderr)
     return 0
 

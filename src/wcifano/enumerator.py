@@ -10,9 +10,10 @@ tuple whose weights all lie within max_weight is decided.
   could reveal further survivors.  The cap bounds weights only; degrees
   are determined by the index equation and are never capped.
 - stats.nodes counts entries placed: one node per weight or degree
-  fixed, except that the forced unit prefix places none and the last
-  degree, forced by the index equation, counts only when it is
-  admissible.  stats.tested counts the tuples run through the profile.
+  fixed, except that the forced unit prefix places none, an entry forced
+  by a sum (the last degree; the last middle at k = 0) counts only when
+  it is admissible, and a degree the cuts skip is not placed, so not a
+  node.  stats.tested counts the tuples run through the profile.
 
 Every profile runs one search shape (_Shape), derived once per query
 from the structural screens it holds.  UnitPrefix forces a prefix of
@@ -22,7 +23,8 @@ e_j with every excess e_j >= 1; the other weights are middles.  The
 index equation fixes sum(e) (the degree sum without tails) at
 sum(prefix + middles) - index.  With tails, LastWeight asks e_k >= a_N,
 which bounds the tails by that total - k + 1; at k = 0 the weights sum
-to the index, which bounds every middle.  One task walks the middles,
+to the index, so each middle is at most an equal share of what the
+earlier ones leave and the last is forced.  One task walks the middles,
 tails and degrees under one fixed first middle weight, for any profile.
 The screens the shape enforces (Normalized and UnitPrefix always,
 FanoPositivity at index >= 1, Deltas and LastWeight with tails) are not
@@ -30,6 +32,18 @@ re-run on its tuples.  Each weight vector gets one
 filters._WeightContext, shared by all of its degree tuples, so the
 screen work that depends on the weights alone (the complement gcd, the
 class gcds) is done once per vector, not per tuple.
+
+At k >= 2 the profile's GcdCover and LinearCone cut the degree search
+instead of screening its tuples.  GcdCover asks every class (gcd g,
+required members) for at least required degrees divisible by g, so a
+vector with required > k has no degree tuple, and while the degrees are
+placed no class may need more divisible degrees than there are slots
+left: a class that needs every slot left must divide the next degree,
+so the walk steps through multiples of the lcm of those classes.
+LinearCone skips every degree equal to a weight.  Every tuple the walk
+tests passes both screens, so they are not re-run.  At k <= 1 a vector
+has at most one degree tuple, so nothing is cut and both screens run
+per tuple.
 """
 
 from __future__ import annotations
@@ -37,6 +51,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
+from math import lcm
 from typing import Callable
 
 from .core import Candidate, canonical_key
@@ -124,6 +139,10 @@ _CLOSURE_FILTERS = frozenset(
 )
 
 
+# The screens that cut the degree walk at k >= 2 instead of screening its tuples.
+_CUT_SCREENS = frozenset({FilterId.GCD_COVER, FilterId.LINEAR_CONE})
+
+
 def _middle_bound(middle_count: int, profile: frozenset[FilterId]) -> int | None:
     if middle_count == 1 and _CLOSURE_FILTERS <= profile:
         return 2
@@ -147,12 +166,22 @@ class _Shape:
         self.prefix = (1,) * (k + index) if FilterId.UNIT_PREFIX in profile else ()
         self.tails = k if FilterId.DELTAS in profile else 0
         self.middles = n + k + 1 - len(self.prefix) - self.tails
+        # Whether the prefix alone overflows the n + k + 1 weights (index >
+        # n + 1), as opposed to the prefix with the tails.
+        self.prefix_too_long = len(self.prefix) > n + k + 1
+        # The index equation at k = 0 (no degrees): the middles sum to
+        # what the prefix leaves of the index.
+        self.middle_sum = index - len(self.prefix) if k == 0 else None
         if k == 0:
-            # No degrees: the weights sum to the index.
-            bound = index - len(self.prefix) - self.middles + 1
+            bound = self.middle_sum - self.middles + 1
         else:
             bound = _middle_bound(self.middles, profile)
         self.middle_hi = cap if bound is None else min(cap, bound)
+        # The first middle (the task key) is the smallest, so at most an
+        # equal share of the middle sum.
+        self.first_hi = self.middle_hi
+        if k == 0 and self.middles > 0:
+            self.first_hi = min(self.middle_hi, self.middle_sum // self.middles)
         self.touched = self.middles > 0 and (bound is None or bound > cap)
         self.last_weight = self.tails > 0 and FilterId.LAST_WEIGHT in profile
         enforced = {FilterId.NORMALIZED, FilterId.UNIT_PREFIX}
@@ -185,7 +214,7 @@ def enumerate_streaming(
         raise InvalidQuery(f"workers must be >= 1, got {workers}")
     shape = _Shape(query)
     if shape.middles > 0:
-        keys = range(1, shape.middle_hi + 1)
+        keys = range(1, shape.first_hi + 1)
     else:
         keys = [None] if shape.middles == 0 else []
     if workers > 1 and len(keys) > 1:
@@ -221,35 +250,71 @@ def _collect(shape: _Shape, walks, sink) -> EnumerationResult:
 class _Walk:
     """One search task: its shape's remaining predicates, counters and survivors.
 
-    test runs only the profile's screens that the shape does not
-    enforce, on one weight context shared by the vector's degree tuples.
-    touched records that the cap cut a structurally admissible range.
+    At k >= 2 the profile's GcdCover and LinearCone cut the degree
+    search (cuts) instead of screening its tuples; at k <= 1 a vector has
+    at most one degree tuple, so there is nothing to cut.  test runs the
+    profile's other screens that the shape does not enforce, on one
+    weight context shared by the vector's degree tuples.  touched
+    records that the cap cut a structurally admissible range.
     """
 
     def __init__(self, shape: _Shape) -> None:
         self.shape = shape
-        self.predicates = _fail_fast(shape.query.profile - shape.enforced)
+        screens = shape.query.profile - shape.enforced
+        self.cuts = screens & _CUT_SCREENS if shape.query.k >= 2 else frozenset()
+        self.predicates = _fail_fast(screens - self.cuts)
         self.nodes = 0
         self.tested = 0
         self.touched = False
         self.survivors: list[Candidate] = []
 
-    def tuples(self, head: tuple[int, ...], length: int, lo: int, hi: int):
-        """Yield the non-decreasing extensions of head to length entries in lo..hi."""
-        if len(head) == length:
-            yield head
-            return
-        for value in range(head[-1] if head else lo, hi + 1):
-            self.nodes += 1
-            yield from self.tuples(head + (value,), length, lo, hi)
+    def tuples(self, head: tuple[int, ...], length: int, lo: int, hi: int, total=None):
+        """Yield the non-decreasing extensions of head to length entries in lo..hi.
 
-    def degrees(self, floors: tuple[int, ...], total: int, min_last: int, head=()):
+        With total, only the extensions summing to total: the last entry
+        is forced (a node only when admissible), and each earlier one is
+        at most an equal share of what the entries before it leave.
+        """
+        if len(head) == length:
+            if total is None or sum(head) == total:
+                yield head
+            return
+        if total is None:
+            values = range(head[-1] if head else lo, hi + 1)
+        else:
+            slots, left = length - len(head), total - sum(head)
+            start = head[-1] if head else lo
+            values = range(max(start, left) if slots == 1 else start, min(hi, left // slots) + 1)
+        for value in values:
+            self.nodes += 1
+            yield from self.tuples(head + (value,), length, lo, hi, total)
+
+    def cut_degrees(self, context: _WeightContext, floors, total: int, min_last: int):
+        """The degrees of one weight vector, cut by the walk's cut screens.
+
+        GcdCover's (g, required) pairs come from the vector's context; a
+        vector with a class that needs more divisible degrees than there
+        are degrees yields nothing.  LinearCone bans the weights as
+        degrees.
+        """
+        pending = context.cover() if FilterId.GCD_COVER in self.cuts else ()
+        if any(required > len(floors) for _, required in pending):
+            return ()
+        banned = context.weights if FilterId.LINEAR_CONE in self.cuts else ()
+        return self.degrees(floors, total, min_last, pending, banned)
+
+    def degrees(self, floors, total, min_last, pending=(), banned=(), head=()):
         """Yield the non-decreasing degrees d_j = floors[j] + e_j extending head.
 
         Every e_j >= 1, the e_j of the unplaced degrees sum to total, and
-        the last e_j >= min_last >= 1.  The last degree is forced by the
-        sum, so it counts as a node only when admissible.  No floors: the
-        empty tuple, iff total == 0.
+        the last e_j >= min_last >= 1.  Each (g, c) in pending asks c > 0
+        more degrees divisible by g (GcdCover), with c at most the number
+        of unplaced degrees.  A class whose c equals that number must
+        divide the next degree, so only multiples of the lcm of those
+        classes are placed, and the bound holds again after each degree.
+        No degree is in banned (LinearCone).  The last degree is forced by
+        the sum, so it counts as a node only when admissible.  No floors:
+        the empty tuple, iff total == 0.
         """
         j, last = len(head), len(floors) - 1
         prev = head[-1] if head else 0
@@ -257,14 +322,27 @@ class _Walk:
             if j > last:
                 if total == 0:
                     yield head
-            elif total >= min_last and floors[j] + total >= prev:
+                return
+            d = floors[j] + total
+            if (
+                total >= min_last
+                and d >= prev
+                and d not in banned
+                and (not pending or all(d % g == 0 for g, _ in pending))
+            ):
                 self.nodes += 1
-                yield head + (floors[j] + total,)
+                yield head + (d,)
             return
-        reserve = last - 1 - j + min_last
-        for e in range(max(1, prev - floors[j]), total - reserve + 1):
+        step = lcm(*(g for g, c in pending if c == last + 1 - j))
+        lo = max(floors[j] + 1, prev)
+        hi = floors[j] + total - (last - 1 - j + min_last)
+        for d in range(-(-lo // step) * step, hi + 1, step):
+            if d in banned:
+                continue
             self.nodes += 1
-            yield from self.degrees(floors, total - e, min_last, head + (floors[j] + e,))
+            rest = tuple((g, c - (d % g == 0)) for g, c in pending if c > 1 or d % g)
+            left = total + floors[j] - d
+            yield from self.degrees(floors, left, min_last, rest, banned, head + (d,))
 
     def test(self, context: _WeightContext, ds: tuple[int, ...]) -> None:
         self.tested += 1
@@ -280,7 +358,9 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
         middles = [()]
     else:
         walk.nodes += 1  # the fixed first middle weight
-        middles = walk.tuples((first_middle,), shape.middles, first_middle, shape.middle_hi)
+        middles = walk.tuples(
+            (first_middle,), shape.middles, first_middle, shape.middle_hi, shape.middle_sum
+        )
     for ms in middles:
         total = len(shape.prefix) + sum(ms) - index
         tail_struct = total - k + 1 if shape.last_weight else None
@@ -290,6 +370,11 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
         for ts in walk.tuples((), shape.tails, ms[-1] if ms else 1, tail_hi):
             context = _WeightContext(shape.prefix + ms + ts)
             floors = ts if shape.tails else (0,) * k
-            for ds in walk.degrees(floors, total, ts[-1] if shape.last_weight else 1):
+            min_last = ts[-1] if shape.last_weight else 1
+            if walk.cuts:
+                degrees = walk.cut_degrees(context, floors, total, min_last)
+            else:
+                degrees = walk.degrees(floors, total, min_last)
+            for ds in degrees:
                 walk.test(context, ds)
     return walk

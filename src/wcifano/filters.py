@@ -12,13 +12,15 @@ positions 1-based.
 
 Each screen has exactly one implementation: a private predicate
 (context, degrees) -> witness dict | None that builds the witness only
-on failure.  The context (_WeightContext) holds one weight vector and
-its sum, and computes each value that depends on the weights alone (the
+on failure.  The context (_WeightContext) holds one weight vector, and
+computes each value that depends on the weights alone (their sum, the
 first weight inversion, the complement gcd, the class gcds) when a
-screen first asks for it, so at most once per vector.  The public
-verdict functions, run_all and passes_profile build one context per
-call; the enumerator builds one per weight vector and shares it by all
-of that vector's degree tuples, so the gcd work is not redone per tuple.
+screen first asks for it, so at most once per vector; it also counts
+the members of each class, for GcdCover and for the enumerator's
+degree cuts alike.  The public verdict functions, run_all and
+passes_profile build one context per call; the enumerator builds one
+per weight vector and shares it by all of that vector's degree tuples,
+so the gcd work is not redone per tuple.
 
 The two ways of running a profile walk the same predicates in two
 orders: run_all evaluates every requested screen in FILTER_ORDER, the
@@ -282,20 +284,27 @@ _UNSET = object()
 
 
 class _WeightContext:
-    """One weight vector with its sum and its weight-only screen values.
+    """One weight vector with its weight-only screen values.
 
-    inversion (Normalized), complement (AmbientWellFormed) and classes
-    (GcdCover) are computed when a screen first reads them and kept, so
-    a context shared by many degree tuples computes each at most once,
-    and one read by a single tuple computes only what its screens ask.
+    total (FanoPositivity, UnitPrefix), inversion (Normalized),
+    complement (AmbientWellFormed) and classes (GcdCover) are computed
+    when a screen first reads them and kept, so a context shared by many
+    degree tuples computes each at most once, and one read by a single
+    tuple computes only what its screens ask.
     """
 
-    __slots__ = ("weights", "total", "_inversion", "_complement", "_classes")
+    __slots__ = ("weights", "_total", "_inversion", "_complement", "_classes")
 
     def __init__(self, weights: tuple[int, ...]) -> None:
         self.weights = weights
-        self.total = sum(weights)
-        self._inversion = self._complement = self._classes = _UNSET
+        self._total = self._inversion = self._complement = self._classes = _UNSET
+
+    @property
+    def total(self) -> int:
+        """The sum of the weights."""
+        if self._total is _UNSET:
+            self._total = sum(self.weights)
+        return self._total
 
     @property
     def inversion(self) -> dict | None:
@@ -317,6 +326,19 @@ class _WeightContext:
         if self._classes is _UNSET:
             self._classes = _class_generators(self.weights)
         return self._classes
+
+    def required(self, g: int) -> int:
+        """The number of weights g divides: how many degrees GcdCover asks g to divide."""
+        return sum(1 for a in self.weights if a % g == 0)
+
+    def cover(self) -> tuple[tuple[int, int], ...]:
+        """The (g, required) pair of every class, in class order.
+
+        For a reader that needs every class at once (the enumerator's
+        degree cuts); GcdCover itself counts a class only when it
+        reaches it.
+        """
+        return tuple((g, self.required(g)) for g in self.classes)
 
 
 # One predicate per screen: (context, degrees) -> witness dict, or None
@@ -373,11 +395,12 @@ def _last_weight(context, degrees):
 
 
 def _gcd_cover(context, degrees):
-    # Walks the class gcds of core.gcd_classes in the same ascending
-    # order, without building the class objects.
-    weights = context.weights
+    # Walks the classes of core.gcd_classes in the same ascending order,
+    # without building the class objects, and counts a class's members
+    # only when it is reached: in a search nearly every tuple fails at
+    # its first class.
     for g in context.classes:
-        required = sum(1 for a in weights if a % g == 0)
+        required = context.required(g)
         available = 0
         for d in degrees:
             if d % g == 0:

@@ -152,6 +152,28 @@ class TestEnumerate:
         assert out == ""
         assert "prefix_infeasible=true" in err
 
+    def test_infeasible_prefix_blames_the_tails_when_the_prefix_fits(self, capsys):
+        # 5 unit weights fit in 6, but not with the 3 Deltas tails
+        code, out, err = run_cli(capsys, "enumerate", "--dim", "2", "--index", "2", "--codim", "3")
+        assert (code, out) == (0, "")
+        assert err == (
+            "survivors=0 nodes=0 tested=0 cap_touched=false complete_within_cap=true"
+            " max_weight=28 prefix_infeasible=true"
+            " (codimension exceeds the admissible bound for this index)\n"
+        )
+
+    def test_infeasible_prefix_blames_the_index_when_the_prefix_is_too_long(self, capsys):
+        # without Deltas: 4 unit weights asked of 3, whatever the codimension
+        code, out, err = run_cli(
+            capsys,
+            "enumerate", "--dim", "1", "--index", "3", "--codim", "1", "--profile", "UnitPrefix",
+        )
+        assert (code, out) == (0, "")
+        assert err.endswith(
+            " prefix_infeasible=true (index exceeds the admissible bound for this dimension)\n"
+        )
+        assert "codimension" not in err
+
     def test_env_var_sets_default_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("WCI_DEFAULT_MAX_WEIGHT", "7")
         _, _, err = run_cli(capsys, "enumerate", "--dim", "2", "--index", "1", "--codim", "1")

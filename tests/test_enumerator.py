@@ -77,11 +77,11 @@ class TestFrozenSlices:
     @pytest.mark.parametrize(
         "n, index, k, cap, profile, expected",
         [
-            (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (30832, 11345, 3, True)),
+            (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (3604, 3, 3, True)),
             (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (6423, 2804, 4, True)),
-            (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (27, 7, 1, False)),
+            (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (15, 1, 1, False)),
             (2, 3, 0, None, SMOOTH_FANO_PROFILE, (0, 1, 1, False)),
-            (2, 0, 2, 6, CALABI_YAU_PROFILE, (27, 7, 1, False)),
+            (2, 0, 2, 6, CALABI_YAU_PROFILE, (15, 1, 1, False)),
             (
                 2,
                 1,
@@ -90,7 +90,7 @@ class TestFrozenSlices:
                 SMOOTH_FANO_PROFILE - {FilterId.UNIT_PREFIX, FilterId.DELTAS},
                 (824, 330, 3, True),
             ),
-            (2, 9, 0, 9, frozenset(), (119, 7, 7, False)),
+            (2, 9, 0, 9, frozenset(), (17, 7, 7, False)),
             (3, 1, 2, 8, frozenset({FilterId.UNIT_PREFIX, FilterId.DELTAS}), (944, 330, 330, True)),
         ],
     )
@@ -114,26 +114,29 @@ class TestFrozenSlices:
 
 class TestSharedWeightContext:
     def test_gcd_closure_built_once_per_weight_vector(self, monkeypatch):
-        # one context per weight vector serves all of its degree tuples,
-        # so GcdCover's class gcds are built at most once per vector
+        # one context per weight vector serves its degree cuts and all of
+        # its degree tuples, so GcdCover's class gcds are built at most
+        # once per vector; the cuts leave almost no tuple to test, so the
+        # vectors are recorded where the walk builds their contexts
         closures: list[tuple[int, ...]] = []
-        vectors: set[tuple[int, ...]] = set()
+        contexts: list[tuple[int, ...]] = []
         build = wcifano.filters._class_generators
-        test = wcifano.enumerator._Walk.test
+        context_type = wcifano.enumerator._WeightContext
 
         def counting_build(weights):
             closures.append(tuple(weights))
             return build(weights)
 
-        def recording_test(walk, context, ds):
-            vectors.add(context.weights)
-            test(walk, context, ds)
+        def recording_context(weights):
+            contexts.append(weights)
+            return context_type(weights)
 
         monkeypatch.setattr(wcifano.filters, "_class_generators", counting_build)
-        monkeypatch.setattr(wcifano.enumerator._Walk, "test", recording_test)
-        result = enumerate_candidates(EnumerationQuery(n=5, index=1, k=3, max_weight=12))
-        assert len(closures) == len(set(closures)) <= len(vectors)
-        assert 5 * len(closures) < result.stats.tested
+        monkeypatch.setattr(wcifano.enumerator, "_WeightContext", recording_context)
+        enumerate_candidates(EnumerationQuery(n=5, index=1, k=3, max_weight=12))
+        assert len(contexts) == len(set(contexts))
+        assert len(closures) == len(set(closures)) <= len(contexts)
+        assert set(closures) <= set(contexts)
 
 
 class TestSearchShape:
@@ -186,6 +189,51 @@ class TestSearchShape:
         assert result.prefix_infeasible is True
         assert result.survivors == ()
         assert result.stats == SearchStats(nodes=0, tested=0)
+
+
+class TestDegreeCuts:
+    # A profile without GcdCover and LinearCone walks the uncut search:
+    # the pinned {UnitPrefix, Deltas} row of test_search_counts_are_pinned
+    # (944 nodes, 330 tested) keeps its counts from before the cuts.
+
+    @pytest.mark.parametrize("n, index, k, cap", [(3, 1, 2, 4), (2, 1, 3, 4)])
+    def test_cut_search_equals_the_grid_for_every_profile(self, monkeypatch, n, index, k, cap):
+        # GcdCover and LinearCone cut the degree search when the profile
+        # holds them and are then not re-run, so every tested tuple must
+        # pass them; no profile may lose or gain a survivor by the cuts
+        test = wcifano.enumerator._Walk.test
+        checked: list[int] = []
+
+        def checking_test(walk, context, ds):
+            assert run_all(Candidate(context.weights, ds), walk.cuts).survives
+            checked.append(len(walk.cuts))
+            test(walk, context, ds)
+
+        monkeypatch.setattr(wcifano.enumerator._Walk, "test", checking_test)
+        tested = {}
+        for profile in ALL_PROFILES:
+            q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
+            result = enumerate_candidates(q)
+            assert result.survivors == naive_survivors(n, index, k, cap, profile)
+            tested[profile] = result.stats.tested
+        # the cuts bite: most profiles with a cut screen test fewer tuples
+        # than the same profile without GcdCover and LinearCone
+        cut_screens = {FilterId.GCD_COVER, FilterId.LINEAR_CONE}
+        bitten = [p for p in ALL_PROFILES if tested[p] < tested[p - cut_screens]]
+        assert len(bitten) >= 128
+        assert any(checked)
+
+    def test_every_tested_tuple_survives_the_smooth_fano_profile(self):
+        result = enumerate_candidates(EnumerationQuery(n=5, index=1, k=3, max_weight=12))
+        assert result.stats.tested == len(result.survivors) == 3
+
+    def test_ambient_middles_are_bounded_by_the_index_sum(self):
+        # at k = 0 each middle is at most an equal share of what the index
+        # leaves, and the last is forced: 2,475 nodes for 1,115 partitions
+        q = EnumerationQuery(n=4, index=40, k=0, max_weight=40, profile=frozenset())
+        result = enumerate_candidates(q)
+        assert len(result.survivors) == len(list(sorted_partitions(40, 5))) == 1115
+        assert result.stats == SearchStats(nodes=2475, tested=1115)
 
 
 class TestDeterminism:
