@@ -164,17 +164,27 @@ def _complement_gcd(weights) -> tuple[int, int] | None:
 def _class_generators(weights) -> list[int]:
     """The gcds g > 1 of nonempty weight subsets, ascending.
 
-    This is the gcd closure of the weight values, built by one pass that
-    adds each weight and its gcd with every value seen so far; no weight
-    is factored.  Unit weights only contribute gcd 1 and are skipped.
+    This is the gcd closure of the weight values, built by one pass
+    (_close_over) that adds each weight and its gcd with every value seen
+    so far; no weight is factored.  Unit weights only contribute gcd 1
+    and are skipped.
     """
-    closure: set[int] = set()
+    closure = _close_over(set(), weights)
+    closure.discard(1)
+    return sorted(closure)
+
+
+def _close_over(closure: set[int], weights) -> set[int]:
+    """Extend a gcd closure by the weights, in place, and return it.
+
+    Each weight a > 1 joins the closure with its gcd with every value
+    already in it (possibly 1); a unit weight adds nothing.
+    """
     for a in weights:
         if a > 1:
             closure |= {gcd(a, g) for g in closure}
             closure.add(a)
-    closure.discard(1)
-    return sorted(closure)
+    return closure
 
 
 def gcd_classes(c: Candidate) -> list[GcdClass]:

@@ -12,8 +12,9 @@ tuple whose weights all lie within max_weight is decided.
 - stats.nodes counts entries placed: one node per weight or degree
   fixed, except that the forced unit prefix places none, an entry forced
   by a sum (the last degree; the last middle at k = 0) counts only when
-  it is admissible, and a degree the cuts skip is not placed, so not a
-  node.  stats.tested counts the tuples run through the profile.
+  it is admissible, and a tail weight or a degree the cuts skip is not
+  placed, so not a node.  stats.tested counts the tuples run through the
+  profile.
 
 Every profile runs one search shape (_Shape), derived once per query
 from the structural screens it holds.  UnitPrefix forces a prefix of
@@ -33,17 +34,21 @@ filters._WeightContext, shared by all of its degree tuples, so the
 screen work that depends on the weights alone (the complement gcd, the
 class gcds) is done once per vector, not per tuple.
 
-At k >= 2 the profile's GcdCover and LinearCone cut the degree search
-instead of screening its tuples.  GcdCover asks every class (gcd g,
-required members) for at least required degrees divisible by g, so a
-vector with required > k has no degree tuple, and while the degrees are
-placed no class may need more divisible degrees than there are slots
-left: a class that needs every slot left must divide the next degree,
-so the walk steps through multiples of the lcm of those classes.
-LinearCone skips every degree equal to a weight.  Every tuple the walk
-tests passes both screens, so they are not re-run.  At k <= 1 a vector
-has at most one degree tuple, so nothing is cut and both screens run
-per tuple.
+At k >= 2 the profile's GcdCover and LinearCone cut the search instead
+of screening its tuples.  GcdCover asks every class (gcd g, required
+members) for at least required degrees divisible by g, so a vector with
+required > k has no degree tuple.  The class gcds (the gcd closure of
+the weights) and their member counts only grow as weights are appended,
+so the walk keeps them along the weights it places: built once per
+middle tuple, then extended by one weight per tail.  A tail that gives
+some class more than k members is not placed, and its whole subtree is
+skipped.  While the degrees are placed no class may need more divisible
+degrees than there are slots left: a class that needs every slot left
+must divide the next degree, so the walk steps through multiples of the
+lcm of those classes.  LinearCone skips every degree equal to a weight.
+Every tuple the walk tests passes both screens, so they are not re-run.
+At k <= 1 a vector has at most one degree tuple, so nothing is cut and
+both screens run per tuple.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from itertools import repeat
 from math import lcm
 from typing import Callable
 
-from .core import Candidate, canonical_key
+from .core import Candidate, _close_over, canonical_key
 from .filters import FilterId, SMOOTH_FANO_PROFILE, _WeightContext, _fail_fast, _survives
 
 __all__ = [
@@ -219,8 +224,9 @@ def enumerate_streaming(
         keys = [None] if shape.middles == 0 else []
     if workers > 1 and len(keys) > 1:
         # pool.map yields in submission order, so the sink order stays
-        # canonical while later tasks still run.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # canonical while later tasks still run.  The pool forks all its
+        # workers at once, so it gets no more than there are tasks.
+        with ProcessPoolExecutor(max_workers=min(workers, len(keys))) as pool:
             return _collect(shape, pool.map(_task, repeat(shape), keys), sink)
     return _collect(shape, (_task(shape, m1) for m1 in keys), sink)
 
@@ -250,12 +256,14 @@ def _collect(shape: _Shape, walks, sink) -> EnumerationResult:
 class _Walk:
     """One search task: its shape's remaining predicates, counters and survivors.
 
-    At k >= 2 the profile's GcdCover and LinearCone cut the degree
-    search (cuts) instead of screening its tuples; at k <= 1 a vector has
-    at most one degree tuple, so there is nothing to cut.  test runs the
-    profile's other screens that the shape does not enforce, on one
-    weight context shared by the vector's degree tuples.  touched
-    records that the cap cut a structurally admissible range.
+    At k >= 2 the profile's GcdCover and LinearCone cut the search
+    (cuts) instead of screening its tuples: GcdCover by the class counts
+    carried along the tails, LinearCone by banning the weights as
+    degrees.  At k <= 1 a vector has at most one degree tuple, so there
+    is nothing to cut.  test runs the profile's other screens that the
+    shape does not enforce, on one weight context shared by the
+    vector's degree tuples.  touched records that the cap cut a
+    structurally admissible range.
     """
 
     def __init__(self, shape: _Shape) -> None:
@@ -268,16 +276,22 @@ class _Walk:
         self.touched = False
         self.survivors: list[Candidate] = []
 
-    def tuples(self, head: tuple[int, ...], length: int, lo: int, hi: int, total=None):
-        """Yield the non-decreasing extensions of head to length entries in lo..hi.
+    def tuples(
+        self, head: tuple[int, ...], length: int, lo: int, hi: int, total=None, classes=None
+    ):
+        """Yield each non-decreasing extension of head to length entries in lo..hi, with counts.
 
         With total, only the extensions summing to total: the last entry
         is forced (a node only when admissible), and each earlier one is
         at most an equal share of what the entries before it leave.
+        With classes, the class counts of head (_class_counts), the counts
+        are carried along: a value that gives some class more than k
+        members is not placed, so is not a node, and its subtree is
+        skipped.  Without, every extension comes with None.
         """
         if len(head) == length:
             if total is None or sum(head) == total:
-                yield head
+                yield head, classes
             return
         if total is None:
             values = range(head[-1] if head else lo, hi + 1)
@@ -285,23 +299,21 @@ class _Walk:
             slots, left = length - len(head), total - sum(head)
             start = head[-1] if head else lo
             values = range(max(start, left) if slots == 1 else start, min(hi, left // slots) + 1)
+        # A value in the last slot completes the tuple (with total it is the
+        # forced value, so the sum holds): it is yielded without a leaf call.
+        last = len(head) + 1 == length
         for value in values:
+            placed = head + (value,)
+            grown = None
+            if classes is not None:
+                grown = _grow_classes(classes, placed, self.shape.query.k)
+                if grown is None:
+                    continue
             self.nodes += 1
-            yield from self.tuples(head + (value,), length, lo, hi, total)
-
-    def cut_degrees(self, context: _WeightContext, floors, total: int, min_last: int):
-        """The degrees of one weight vector, cut by the walk's cut screens.
-
-        GcdCover's (g, required) pairs come from the vector's context; a
-        vector with a class that needs more divisible degrees than there
-        are degrees yields nothing.  LinearCone bans the weights as
-        degrees.
-        """
-        pending = context.cover() if FilterId.GCD_COVER in self.cuts else ()
-        if any(required > len(floors) for _, required in pending):
-            return ()
-        banned = context.weights if FilterId.LINEAR_CONE in self.cuts else ()
-        return self.degrees(floors, total, min_last, pending, banned)
+            if last:
+                yield placed, grown
+            else:
+                yield from self.tuples(placed, length, lo, hi, total, grown)
 
     def degrees(self, floors, total, min_last, pending=(), banned=(), head=()):
         """Yield the non-decreasing degrees d_j = floors[j] + e_j extending head.
@@ -350,29 +362,81 @@ class _Walk:
             self.survivors.append(Candidate(context.weights, ds))
 
 
+def _grow_classes(
+    classes: dict[int, int], placed: tuple[int, ...], k: int
+) -> dict[int, int] | None:
+    """The class counts of the weights placed, from those of placed[:-1].
+
+    The counts map every gcd g > 1 of the gcd closure of the weights to
+    the number of weights g divides, GcdCover's required count.  The new
+    weight a = placed[-1] raises the count of each g dividing it, and each
+    value it adds to the closure is counted by one scan of placed; a unit
+    weight changes nothing.  None when some count exceeds k: that class
+    needs more divisible degrees than there are, and neither the closure
+    nor a count shrinks as weights are appended.
+    """
+    a = placed[-1]
+    if a == 1:
+        return classes
+    grown = {}
+    for g, count in classes.items():
+        if a % g == 0:
+            count += 1
+            if count > k:
+                return None
+        grown[g] = count
+    for g in _close_over(set(classes), (a,)):
+        if g > 1 and g not in grown:
+            count = sum(1 for w in placed if w % g == 0)
+            if count > k:
+                return None
+            grown[g] = count
+    return grown
+
+
+def _class_counts(weights: tuple[int, ...], k: int) -> dict[int, int] | None:
+    """The class counts of weights (_grow_classes), built weight by weight."""
+    classes: dict[int, int] | None = {}
+    for p in range(1, len(weights) + 1):
+        classes = _grow_classes(classes, weights[:p], k)
+        if classes is None:
+            break
+    return classes
+
+
 def _task(shape: _Shape, first_middle: int | None) -> _Walk:
     """Walk the middles, tails and degrees of the shape under one fixed first middle weight."""
     index, k, cap = shape.query.index, shape.query.k, shape.query.max_weight
     walk = _Walk(shape)
+    counts_classes = FilterId.GCD_COVER in walk.cuts
+    bans_weights = FilterId.LINEAR_CONE in walk.cuts
     if first_middle is None:
-        middles = [()]
+        middles = [((), None)]
     else:
         walk.nodes += 1  # the fixed first middle weight
         middles = walk.tuples(
             (first_middle,), shape.middles, first_middle, shape.middle_hi, shape.middle_sum
         )
-    for ms in middles:
+    for ms, _ in middles:
         total = len(shape.prefix) + sum(ms) - index
         tail_struct = total - k + 1 if shape.last_weight else None
         if shape.tails and (tail_struct is None or tail_struct > cap):
             walk.touched = True
         tail_hi = cap if tail_struct is None else min(cap, tail_struct)
-        for ts in walk.tuples((), shape.tails, ms[-1] if ms else 1, tail_hi):
-            context = _WeightContext(shape.prefix + ms + ts)
-            floors = ts if shape.tails else (0,) * k
-            min_last = ts[-1] if shape.last_weight else 1
+        counts = None
+        if counts_classes:
+            # The unit prefix lies in no class, so the middles start the counts.
+            counts = _class_counts(ms, k)
+            if counts is None:
+                continue
+        for ws, classes in walk.tuples(ms, len(ms) + shape.tails, 1, tail_hi, classes=counts):
+            context = _WeightContext(shape.prefix + ws)
+            floors = ws[len(ms) :] if shape.tails else (0,) * k
+            min_last = ws[-1] if shape.last_weight else 1
             if walk.cuts:
-                degrees = walk.cut_degrees(context, floors, total, min_last)
+                pending = tuple(classes.items()) if classes else ()
+                banned = context.weights if bans_weights else ()
+                degrees = walk.degrees(floors, total, min_last, pending, banned)
             else:
                 degrees = walk.degrees(floors, total, min_last)
             for ds in degrees:

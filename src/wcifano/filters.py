@@ -15,12 +15,13 @@ Each screen has exactly one implementation: a private predicate
 on failure.  The context (_WeightContext) holds one weight vector, and
 computes each value that depends on the weights alone (their sum, the
 first weight inversion, the complement gcd, the class gcds) when a
-screen first asks for it, so at most once per vector; it also counts
-the members of each class, for GcdCover and for the enumerator's
-degree cuts alike.  The public verdict functions, run_all and
-passes_profile build one context per call; the enumerator builds one
-per weight vector and shares it by all of that vector's degree tuples,
-so the gcd work is not redone per tuple.
+screen first asks for it, so at most once per vector, and counts the
+members of a class when GcdCover reaches it.  The public verdict
+functions, run_all and passes_profile build one context per call; the
+enumerator builds one per weight vector and shares it by all of that
+vector's degree tuples, so the gcd work is not redone per tuple.  Where
+the enumerator cuts its walk by GcdCover it keeps the class counts
+itself, along the weights it places, and builds no class gcds here.
 
 The two ways of running a profile walk the same predicates in two
 orders: run_all evaluates every requested screen in FILTER_ORDER, the
@@ -330,15 +331,6 @@ class _WeightContext:
     def required(self, g: int) -> int:
         """The number of weights g divides: how many degrees GcdCover asks g to divide."""
         return sum(1 for a in self.weights if a % g == 0)
-
-    def cover(self) -> tuple[tuple[int, int], ...]:
-        """The (g, required) pair of every class, in class order.
-
-        For a reader that needs every class at once (the enumerator's
-        degree cuts); GcdCover itself counts a class only when it
-        reaches it.
-        """
-        return tuple((g, self.required(g)) for g in self.classes)
 
 
 # One predicate per screen: (context, degrees) -> witness dict, or None

@@ -3,22 +3,36 @@
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 import pytest
 from grid_oracle import naive_survivors, sorted_partitions
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wcifano.core
 import wcifano.enumerator
 import wcifano.filters
-from wcifano.core import Candidate, canonical_key, fano_index
+from wcifano.core import Candidate, _class_generators, canonical_key, fano_index
 from wcifano.enumerator import (
     CapTooSmall,
     EnumerationQuery,
     InvalidQuery,
     SearchStats,
+    _class_counts,
+    _grow_classes,
     enumerate_candidates,
     enumerate_streaming,
 )
-from wcifano.filters import CALABI_YAU_PROFILE, FILTER_ORDER, SMOOTH_FANO_PROFILE, FilterId, run_all
+from wcifano.filters import (
+    CALABI_YAU_PROFILE,
+    FILTER_ORDER,
+    SMOOTH_FANO_PROFILE,
+    FilterId,
+    _WeightContext,
+    gcd_cover_ok,
+    run_all,
+)
 
 ALL_PROFILES = [
     frozenset(c) for r in range(len(FILTER_ORDER) + 1) for c in itertools.combinations(FILTER_ORDER, r)
@@ -77,11 +91,11 @@ class TestFrozenSlices:
     @pytest.mark.parametrize(
         "n, index, k, cap, profile, expected",
         [
-            (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (3604, 3, 3, True)),
+            (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (2916, 3, 3, True)),
             (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (6423, 2804, 4, True)),
-            (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (15, 1, 1, False)),
+            (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (14, 1, 1, False)),
             (2, 3, 0, None, SMOOTH_FANO_PROFILE, (0, 1, 1, False)),
-            (2, 0, 2, 6, CALABI_YAU_PROFILE, (15, 1, 1, False)),
+            (2, 0, 2, 6, CALABI_YAU_PROFILE, (14, 1, 1, False)),
             (
                 2,
                 1,
@@ -114,13 +128,14 @@ class TestFrozenSlices:
 
 class TestSharedWeightContext:
     def test_gcd_closure_built_once_per_weight_vector(self, monkeypatch):
-        # one context per weight vector serves its degree cuts and all of
-        # its degree tuples, so GcdCover's class gcds are built at most
-        # once per vector; the cuts leave almost no tuple to test, so the
-        # vectors are recorded where the walk builds their contexts
+        # one context per weight vector serves all of its degree tuples;
+        # at k >= 2 with GcdCover among the cuts, the walk carries the class
+        # counts along the weights it places, so it builds the gcd closure
+        # of no complete vector.  The cuts leave almost no tuple to test,
+        # so the vectors are recorded where the walk builds their contexts.
         closures: list[tuple[int, ...]] = []
         contexts: list[tuple[int, ...]] = []
-        build = wcifano.filters._class_generators
+        build = wcifano.core._class_generators
         context_type = wcifano.enumerator._WeightContext
 
         def counting_build(weights):
@@ -131,12 +146,13 @@ class TestSharedWeightContext:
             contexts.append(weights)
             return context_type(weights)
 
+        monkeypatch.setattr(wcifano.core, "_class_generators", counting_build)
         monkeypatch.setattr(wcifano.filters, "_class_generators", counting_build)
         monkeypatch.setattr(wcifano.enumerator, "_WeightContext", recording_context)
         enumerate_candidates(EnumerationQuery(n=5, index=1, k=3, max_weight=12))
+        assert contexts
         assert len(contexts) == len(set(contexts))
-        assert len(closures) == len(set(closures)) <= len(contexts)
-        assert set(closures) <= set(contexts)
+        assert not set(closures) & set(contexts)
 
 
 class TestSearchShape:
@@ -236,6 +252,69 @@ class TestDegreeCuts:
         assert result.stats == SearchStats(nodes=2475, tested=1115)
 
 
+class TestWeightStageCut:
+    # At k >= 2 with GcdCover among the cuts, the walk carries each
+    # vector's class counts (gcd g -> weights g divides) along the weights
+    # it places, and places no weight that gives a class more than k
+    # members.
+
+    @staticmethod
+    def expected_counts(weights):
+        context = _WeightContext(weights)
+        return [(g, context.required(g)) for g in _class_generators(weights)]
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_built_weight_by_weight_equal_the_classes(self, weights):
+        weights = tuple(sorted(weights))
+        classes: dict[int, int] = {}
+        for p in range(1, len(weights) + 1):
+            # no class has more members than there are weights: no cut
+            classes = _grow_classes(classes, weights[:p], len(weights))
+            assert sorted(classes.items()) == self.expected_counts(weights[:p])
+
+    @given(
+        st.lists(st.integers(1, 60), min_size=1, max_size=10),
+        st.integers(2, 6),
+        st.lists(st.integers(1, 60), max_size=4),
+        st.lists(st.one_of(st.just(None), st.integers(1, 240)), min_size=6, max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_fired_cut_has_no_surviving_extension(self, weights, k, extension, degrees):
+        weights = tuple(sorted(weights))
+        for p in range(1, len(weights) + 1):
+            prefix = weights[:p]
+            fired = _class_counts(prefix, k) is None
+            assert fired == any(required > k for _, required in self.expected_counts(prefix))
+            if fired:
+                # None stands for the lcm of the weights, which every class
+                # gcd divides: the degree that serves the most classes
+                extended = tuple(sorted(prefix + tuple(extension)))
+                ds = sorted(lcm(*extended) if d is None else d for d in degrees[:k])
+                assert not gcd_cover_ok(Candidate(extended, tuple(ds))).passed
+
+    def test_cut_fires_and_the_walk_equals_the_grid_for_every_profile(self, monkeypatch):
+        grow = wcifano.enumerator._grow_classes
+        cut: list[tuple[int, ...]] = []
+
+        def recording_grow(classes, placed, k):
+            grown = grow(classes, placed, k)
+            if grown is None:
+                cut.append(placed)
+            return grown
+
+        monkeypatch.setattr(wcifano.enumerator, "_grow_classes", recording_grow)
+        n, index, k, cap = 2, 0, 2, 4
+        for profile in ALL_PROFILES:
+            q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
+            cut.clear()
+            assert enumerate_candidates(q).survivors == naive_survivors(n, index, k, cap, profile)
+            if profile == CALABI_YAU_PROFILE:
+                # its shape has one middle weight and two tails, so every
+                # cut falls on a tail
+                assert cut
+
+
 class TestDeterminism:
     def test_worker_counts_agree_exactly(self):
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=12)
@@ -248,6 +327,28 @@ class TestDeterminism:
         profile = SMOOTH_FANO_PROFILE - {FilterId.UNIT_PREFIX, FilterId.DELTAS}
         q = EnumerationQuery(n=3, index=1, k=1, max_weight=8, profile=profile)
         assert enumerate_candidates(q, workers=1) == enumerate_candidates(q, workers=2)
+
+    def test_pool_is_clamped_to_the_task_count(self, monkeypatch):
+        # a pool that maps inline and records its size starts no process
+        sizes: list[int] = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(wcifano.enumerator, "ProcessPoolExecutor", InlinePool)
+        q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
+        assert enumerate_candidates(q, workers=5000) == enumerate_candidates(q)
+        assert sizes == [10]
 
     def test_repeat_runs_agree(self):
         q = EnumerationQuery(n=4, index=1, k=2, max_weight=10)
