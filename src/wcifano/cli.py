@@ -21,7 +21,7 @@ import os
 import sys
 
 from .core import Candidate, CandidateError, NotNormalized, new_candidate, normalize
-from .enumerator import EnumerationQuery, InvalidQuery, _Shape, enumerate_candidates
+from .enumerator import EnumerationQuery, InvalidQuery, enumerate_candidates
 from .filters import (
     CALABI_YAU_PROFILE,
     FILTER_ORDER,
@@ -204,7 +204,9 @@ def _cmd_enumerate(args) -> int:
         f" max_weight={query.max_weight}"
     )
     if result.prefix_infeasible:
-        if _Shape(query).prefix_too_long:
+        # The unit prefix of k + index weights overflows the n + k + 1
+        # weights on its own, rather than with the tails.
+        if query.index > query.n + 1:
             reason = "index exceeds the admissible bound for this dimension"
         else:
             reason = "codimension exceeds the admissible bound for this index"

@@ -1,9 +1,9 @@
 """Bounded exhaustive search for normalized candidates of fixed (n, index, k).
 
 Candidates are generated in canonical order (lexicographic on weights,
-then degrees), deduplicated by construction, post-filtered through the
-query profile, and returned with search metadata.  Every normalized
-tuple whose weights all lie within max_weight is decided.
+then degrees), deduplicated by construction, and returned with search
+metadata.  Every normalized tuple whose weights all lie within
+max_weight is decided.
 
 - cap_touched is True iff some enumeration variable had a structurally
   admissible range reaching beyond max_weight, i.e. raising the cap
@@ -29,26 +29,23 @@ earlier ones leave and the last is forced.  One task walks the middles,
 tails and degrees under one fixed first middle weight, for any profile.
 The screens the shape enforces (Normalized and UnitPrefix always,
 FanoPositivity at index >= 1, Deltas and LastWeight with tails) are not
-re-run on its tuples.  Each weight vector gets one
-filters._WeightContext, shared by all of its degree tuples, so the
-screen work that depends on the weights alone (the complement gcd, the
-class gcds) is done once per vector, not per tuple.
+re-run on its tuples.
 
-At k >= 2 the profile's GcdCover and LinearCone cut the search instead
-of screening its tuples.  GcdCover asks every class (gcd g, required
-members) for at least required degrees divisible by g, so a vector with
-required > k has no degree tuple.  The class gcds (the gcd closure of
-the weights) and their member counts only grow as weights are appended,
-so the walk keeps them along the weights it places: built once per
-middle tuple, then extended by one weight per tail.  A tail that gives
+At every codimension the profile's GcdCover and LinearCone cut the
+search instead of screening its tuples.  GcdCover asks every class (gcd
+g, required members) for at least required degrees divisible by g, so a
+vector with required > k has no degree tuple.  The class gcds (the gcd
+closure of the weights) and their member counts only grow as weights
+are appended, so the walk keeps them along the weights it places: built
+once per middle tuple, then extended by one weight per tail.  A tail that gives
 some class more than k members is not placed, and its whole subtree is
 skipped.  While the degrees are placed no class may need more divisible
 degrees than there are slots left: a class that needs every slot left
 must divide the next degree, so the walk steps through multiples of the
 lcm of those classes.  LinearCone skips every degree equal to a weight.
 Every tuple the walk tests passes both screens, so they are not re-run.
-At k <= 1 a vector has at most one degree tuple, so nothing is cut and
-both screens run per tuple.
+The profile's other screens run per tuple, so each screen is decided in
+exactly one way: by the shape, by a cut, or on the tested tuples.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ from math import lcm
 from typing import Callable
 
 from .core import Candidate, _close_over, canonical_key
-from .filters import FilterId, SMOOTH_FANO_PROFILE, _WeightContext, _fail_fast, _survives
+from .filters import FilterId, SMOOTH_FANO_PROFILE, _fail_fast, _survives
 
 __all__ = [
     "CapTooSmall",
@@ -144,7 +141,7 @@ _CLOSURE_FILTERS = frozenset(
 )
 
 
-# The screens that cut the degree walk at k >= 2 instead of screening its tuples.
+# The screens that cut the walk instead of screening its tuples.
 _CUT_SCREENS = frozenset({FilterId.GCD_COVER, FilterId.LINEAR_CONE})
 
 
@@ -171,9 +168,6 @@ class _Shape:
         self.prefix = (1,) * (k + index) if FilterId.UNIT_PREFIX in profile else ()
         self.tails = k if FilterId.DELTAS in profile else 0
         self.middles = n + k + 1 - len(self.prefix) - self.tails
-        # Whether the prefix alone overflows the n + k + 1 weights (index >
-        # n + 1), as opposed to the prefix with the tails.
-        self.prefix_too_long = len(self.prefix) > n + k + 1
         # The index equation at k = 0 (no degrees): the middles sum to
         # what the prefix leaves of the index.
         self.middle_sum = index - len(self.prefix) if k == 0 else None
@@ -256,20 +250,17 @@ def _collect(shape: _Shape, walks, sink) -> EnumerationResult:
 class _Walk:
     """One search task: its shape's remaining predicates, counters and survivors.
 
-    At k >= 2 the profile's GcdCover and LinearCone cut the search
-    (cuts) instead of screening its tuples: GcdCover by the class counts
-    carried along the tails, LinearCone by banning the weights as
-    degrees.  At k <= 1 a vector has at most one degree tuple, so there
-    is nothing to cut.  test runs the profile's other screens that the
-    shape does not enforce, on one weight context shared by the
-    vector's degree tuples.  touched records that the cap cut a
-    structurally admissible range.
+    The profile's GcdCover and LinearCone cut the search (cuts) instead
+    of screening its tuples: GcdCover by the class counts carried along
+    the weights, LinearCone by banning the weights as degrees.  test runs
+    the profile's other screens that the shape does not enforce.  touched
+    records that the cap cut a structurally admissible range.
     """
 
     def __init__(self, shape: _Shape) -> None:
         self.shape = shape
         screens = shape.query.profile - shape.enforced
-        self.cuts = screens & _CUT_SCREENS if shape.query.k >= 2 else frozenset()
+        self.cuts = screens & _CUT_SCREENS
         self.predicates = _fail_fast(screens - self.cuts)
         self.nodes = 0
         self.tested = 0
@@ -315,7 +306,7 @@ class _Walk:
             else:
                 yield from self.tuples(placed, length, lo, hi, total, grown)
 
-    def degrees(self, floors, total, min_last, pending=(), banned=(), head=()):
+    def degrees(self, floors, total, min_last, pending, banned, head=()):
         """Yield the non-decreasing degrees d_j = floors[j] + e_j extending head.
 
         Every e_j >= 1, the e_j of the unplaced degrees sum to total, and
@@ -356,10 +347,10 @@ class _Walk:
             left = total + floors[j] - d
             yield from self.degrees(floors, left, min_last, rest, banned, head + (d,))
 
-    def test(self, context: _WeightContext, ds: tuple[int, ...]) -> None:
+    def test(self, weights: tuple[int, ...], ds: tuple[int, ...]) -> None:
         self.tested += 1
-        if _survives(context, ds, self.predicates):
-            self.survivors.append(Candidate(context.weights, ds))
+        if _survives(weights, ds, self.predicates):
+            self.survivors.append(Candidate(weights, ds))
 
 
 def _grow_classes(
@@ -430,15 +421,11 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
             if counts is None:
                 continue
         for ws, classes in walk.tuples(ms, len(ms) + shape.tails, 1, tail_hi, classes=counts):
-            context = _WeightContext(shape.prefix + ws)
+            weights = shape.prefix + ws
             floors = ws[len(ms) :] if shape.tails else (0,) * k
             min_last = ws[-1] if shape.last_weight else 1
-            if walk.cuts:
-                pending = tuple(classes.items()) if classes else ()
-                banned = context.weights if bans_weights else ()
-                degrees = walk.degrees(floors, total, min_last, pending, banned)
-            else:
-                degrees = walk.degrees(floors, total, min_last)
-            for ds in degrees:
-                walk.test(context, ds)
+            pending = tuple(classes.items()) if classes else ()
+            banned = weights if bans_weights else ()
+            for ds in walk.degrees(floors, total, min_last, pending, banned):
+                walk.test(weights, ds)
     return walk

@@ -11,17 +11,12 @@ follow the notation convention: weight positions 0-based, degree
 positions 1-based.
 
 Each screen has exactly one implementation: a private predicate
-(context, degrees) -> witness dict | None that builds the witness only
-on failure.  The context (_WeightContext) holds one weight vector, and
-computes each value that depends on the weights alone (their sum, the
-first weight inversion, the complement gcd, the class gcds) when a
-screen first asks for it, so at most once per vector, and counts the
-members of a class when GcdCover reaches it.  The public verdict
-functions, run_all and passes_profile build one context per call; the
-enumerator builds one per weight vector and shares it by all of that
-vector's degree tuples, so the gcd work is not redone per tuple.  Where
-the enumerator cuts its walk by GcdCover it keeps the class counts
-itself, along the weights it places, and builds no class gcds here.
+(weights, degrees) -> witness dict | None that builds the witness only
+on failure.  The public verdict functions, run_all and passes_profile
+call these predicates, and so does the enumerator for each screen that
+neither its search shape nor its cuts enforce.  It enforces GcdCover and
+LinearCone by cutting its walk, so no screen it runs per tuple reads the
+class gcds.
 
 The two ways of running a profile walk the same predicates in two
 orders: run_all evaluates every requested screen in FILTER_ORDER, the
@@ -234,10 +229,10 @@ def run_all(c: Candidate, profile: frozenset[FilterId] = SMOOTH_FANO_PROFILE) ->
     still raises.  Raises NotNormalized on unsorted tuples when the
     profile holds a screen that needs them sorted.
     """
-    context, degrees = _WeightContext(c.weights), c.degrees
-    _require_sorted(context, degrees, profile)
+    weights, degrees = c.weights, c.degrees
+    _require_sorted(weights, degrees, profile)
     verdicts = tuple(
-        _verdict(fid, _PREDICATES[fid](context, degrees)) for fid in FILTER_ORDER if fid in profile
+        _verdict(fid, _PREDICATES[fid](weights, degrees)) for fid in FILTER_ORDER if fid in profile
     )
     return FilterReport(candidate=c, verdicts=verdicts, profile=frozenset(profile))
 
@@ -249,11 +244,10 @@ def passes_profile(c: Candidate, profile: frozenset[FilterId]) -> bool:
     run_all(...).survives by construction, NotNormalized raise included;
     it only stops at the first witness, in the cheap-first order, and
     builds no verdicts.  The enumerator runs the same walk on its own
-    (always sorted) tuples, one context per weight vector.
+    (always sorted) tuples.
     """
-    context = _WeightContext(c.weights)
-    _require_sorted(context, c.degrees, profile)
-    return _survives(context, c.degrees, _fail_fast(frozenset(profile)))
+    _require_sorted(c.weights, c.degrees, profile)
+    return _survives(c.weights, c.degrees, _fail_fast(frozenset(profile)))
 
 
 def _verdict(fid: FilterId, witness: dict | None) -> FilterVerdict:
@@ -261,79 +255,27 @@ def _verdict(fid: FilterId, witness: dict | None) -> FilterVerdict:
 
 
 def _screen(fid: FilterId, c: Candidate, *args) -> FilterVerdict:
-    """One screen's verdict on c, through its predicate on a fresh context."""
-    return _verdict(fid, _PREDICATES[fid](_WeightContext(c.weights), c.degrees, *args))
+    """One screen's verdict on c, through its predicate."""
+    return _verdict(fid, _PREDICATES[fid](c.weights, c.degrees, *args))
 
 
-def _require_sorted(context, degrees, profile) -> None:
+def _require_sorted(weights, degrees, profile) -> None:
     if (
         FilterId.DELTAS in profile
         or FilterId.UNIT_PREFIX in profile
         or (FilterId.LAST_WEIGHT in profile and degrees)
-    ) and _normalized(context, degrees) is not None:
+    ) and _normalized(weights, degrees) is not None:
         raise NotNormalized("profile includes filters that need sorted tuples")
 
 
-def _survives(context, degrees, predicates) -> bool:
+def _survives(weights, degrees, predicates) -> bool:
     for predicate in predicates:
-        if predicate(context, degrees) is not None:
+        if predicate(weights, degrees) is not None:
             return False
     return True
 
 
-_UNSET = object()
-
-
-class _WeightContext:
-    """One weight vector with its weight-only screen values.
-
-    total (FanoPositivity, UnitPrefix), inversion (Normalized),
-    complement (AmbientWellFormed) and classes (GcdCover) are computed
-    when a screen first reads them and kept, so a context shared by many
-    degree tuples computes each at most once, and one read by a single
-    tuple computes only what its screens ask.
-    """
-
-    __slots__ = ("weights", "_total", "_inversion", "_complement", "_classes")
-
-    def __init__(self, weights: tuple[int, ...]) -> None:
-        self.weights = weights
-        self._total = self._inversion = self._complement = self._classes = _UNSET
-
-    @property
-    def total(self) -> int:
-        """The sum of the weights."""
-        if self._total is _UNSET:
-            self._total = sum(self.weights)
-        return self._total
-
-    @property
-    def inversion(self) -> dict | None:
-        """The Normalized witness of the first weight inversion, or None."""
-        if self._inversion is _UNSET:
-            self._inversion = _first_inversion("weights", self.weights)
-        return self._inversion
-
-    @property
-    def complement(self) -> tuple[int, int] | None:
-        """core._complement_gcd of the weights."""
-        if self._complement is _UNSET:
-            self._complement = _complement_gcd(self.weights)
-        return self._complement
-
-    @property
-    def classes(self) -> list[int]:
-        """The class gcds of core.gcd_classes, ascending (core._class_generators)."""
-        if self._classes is _UNSET:
-            self._classes = _class_generators(self.weights)
-        return self._classes
-
-    def required(self, g: int) -> int:
-        """The number of weights g divides: how many degrees GcdCover asks g to divide."""
-        return sum(1 for a in self.weights if a % g == 0)
-
-
-# One predicate per screen: (context, degrees) -> witness dict, or None
+# One predicate per screen: (weights, degrees) -> witness dict, or None
 # on a pass.  Deltas, LastWeight and UnitPrefix assume sorted tuples.
 
 
@@ -344,34 +286,30 @@ def _first_inversion(name, values):
     return None
 
 
-def _normalized(context, degrees):
-    found = context.inversion
-    return _first_inversion("degrees", degrees) if found is None else found
+def _normalized(weights, degrees):
+    return _first_inversion("weights", weights) or _first_inversion("degrees", degrees)
 
 
-def _ambient_well_formed(context, degrees):
-    weights = context.weights
+def _ambient_well_formed(weights, degrees):
     if len(weights) == 1:
         return None if weights[0] == 1 else {"omitted_index": 0, "gcd": weights[0]}
-    found = context.complement
+    found = _complement_gcd(weights)
     return None if found is None else {"omitted_index": found[0], "gcd": found[1]}
 
 
-def _fano_positive(context, degrees):
-    value = context.total - sum(degrees)
+def _fano_positive(weights, degrees):
+    value = sum(weights) - sum(degrees)
     return None if value > 0 else {"fano_index": value}
 
 
-def _linear_cone(context, degrees):
-    weights = context.weights
+def _linear_cone(weights, degrees):
     for j, d in enumerate(degrees, start=1):
         if d in weights:
             return {"weight_index": weights.index(d), "degree_index": j, "value": d}
     return None
 
 
-def _deltas(context, degrees):
-    weights = context.weights
+def _deltas(weights, degrees):
     n = len(weights) - 1 - len(degrees)
     for j, d in enumerate(degrees, start=1):
         if d <= weights[n + j]:
@@ -379,20 +317,20 @@ def _deltas(context, degrees):
     return None
 
 
-def _last_weight(context, degrees):
+def _last_weight(weights, degrees):
     # k = 0 passes vacuously here; last_weight_ok raises NoDegrees first.
-    if degrees and degrees[-1] < 2 * context.weights[-1]:
-        return {"d_k": degrees[-1], "a_N": context.weights[-1]}
+    if degrees and degrees[-1] < 2 * weights[-1]:
+        return {"d_k": degrees[-1], "a_N": weights[-1]}
     return None
 
 
-def _gcd_cover(context, degrees):
+def _gcd_cover(weights, degrees):
     # Walks the classes of core.gcd_classes in the same ascending order,
     # without building the class objects, and counts a class's members
-    # only when it is reached: in a search nearly every tuple fails at
-    # its first class.
-    for g in context.classes:
-        required = context.required(g)
+    # only when it is reached: nearly every failing tuple fails at its
+    # first class.
+    for g in _class_generators(weights):
+        required = sum(1 for a in weights if a % g == 0)
         available = 0
         for d in degrees:
             if d % g == 0:
@@ -404,10 +342,9 @@ def _gcd_cover(context, degrees):
     return None
 
 
-def _unit_prefix(context, degrees, index=None):
+def _unit_prefix(weights, degrees, index=None):
     if index is None:
-        index = context.total - sum(degrees)
-    weights = context.weights
+        index = sum(weights) - sum(degrees)
     prefix_len = len(degrees) + max(index, 0)
     if prefix_len == 0:
         return None

@@ -127,7 +127,7 @@ class TestEnumerate:
             ((1, 1, 1, 2, 3), (6,)),
         ]
         assert err.strip() == (
-            "survivors=3 nodes=10 tested=4 cap_touched=false"
+            "survivors=3 nodes=8 tested=3 cap_touched=false"
             " complete_within_cap=true max_weight=50"
         )
 

@@ -29,7 +29,6 @@ from wcifano.filters import (
     FILTER_ORDER,
     SMOOTH_FANO_PROFILE,
     FilterId,
-    _WeightContext,
     gcd_cover_ok,
     run_all,
 )
@@ -81,7 +80,7 @@ class TestFrozenSlices:
         )
         assert result.cap_touched is False
         assert result.prefix_infeasible is False
-        assert result.stats == SearchStats(nodes=10, tested=4)
+        assert result.stats == SearchStats(nodes=8, tested=3)
 
     def test_two_quadrics_slice(self):
         result = enumerate_candidates(EnumerationQuery(n=2, index=1, k=2))
@@ -92,7 +91,7 @@ class TestFrozenSlices:
         "n, index, k, cap, profile, expected",
         [
             (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (2916, 3, 3, True)),
-            (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (6423, 2804, 4, True)),
+            (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (1026, 4, 4, True)),
             (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (14, 1, 1, False)),
             (2, 3, 0, None, SMOOTH_FANO_PROFILE, (0, 1, 1, False)),
             (2, 0, 2, 6, CALABI_YAU_PROFILE, (14, 1, 1, False)),
@@ -102,7 +101,7 @@ class TestFrozenSlices:
                 1,
                 8,
                 SMOOTH_FANO_PROFILE - {FilterId.UNIT_PREFIX, FilterId.DELTAS},
-                (824, 330, 3, True),
+                (497, 3, 3, True),
             ),
             (2, 9, 0, 9, frozenset(), (17, 7, 7, False)),
             (3, 1, 2, 8, frozenset({FilterId.UNIT_PREFIX, FilterId.DELTAS}), (944, 330, 330, True)),
@@ -126,33 +125,24 @@ class TestFrozenSlices:
         assert result.stats == SearchStats(nodes=0, tested=0)
 
 
-class TestSharedWeightContext:
-    def test_gcd_closure_built_once_per_weight_vector(self, monkeypatch):
-        # one context per weight vector serves all of its degree tuples;
-        # at k >= 2 with GcdCover among the cuts, the walk carries the class
-        # counts along the weights it places, so it builds the gcd closure
-        # of no complete vector.  The cuts leave almost no tuple to test,
-        # so the vectors are recorded where the walk builds their contexts.
+class TestNoGcdClosure:
+    @pytest.mark.parametrize("n, index, k, cap", [(5, 1, 3, 12), (3, 2, 1, 50)])
+    def test_the_walk_builds_no_gcd_closure(self, monkeypatch, n, index, k, cap):
+        # GcdCover cuts the walk at every codimension: the walk carries the
+        # class counts along the weights it places, and no screen it runs
+        # per tuple reads the class gcds, so no gcd closure is built
         closures: list[tuple[int, ...]] = []
-        contexts: list[tuple[int, ...]] = []
         build = wcifano.core._class_generators
-        context_type = wcifano.enumerator._WeightContext
 
-        def counting_build(weights):
+        def recording_build(weights):
             closures.append(tuple(weights))
             return build(weights)
 
-        def recording_context(weights):
-            contexts.append(weights)
-            return context_type(weights)
-
-        monkeypatch.setattr(wcifano.core, "_class_generators", counting_build)
-        monkeypatch.setattr(wcifano.filters, "_class_generators", counting_build)
-        monkeypatch.setattr(wcifano.enumerator, "_WeightContext", recording_context)
-        enumerate_candidates(EnumerationQuery(n=5, index=1, k=3, max_weight=12))
-        assert contexts
-        assert len(contexts) == len(set(contexts))
-        assert not set(closures) & set(contexts)
+        monkeypatch.setattr(wcifano.core, "_class_generators", recording_build)
+        monkeypatch.setattr(wcifano.filters, "_class_generators", recording_build)
+        result = enumerate_candidates(EnumerationQuery(n=n, index=index, k=k, max_weight=cap))
+        assert result.survivors
+        assert closures == []
 
 
 class TestSearchShape:
@@ -175,10 +165,10 @@ class TestSearchShape:
         test = wcifano.enumerator._Walk.test
         checked: list[int] = []
 
-        def checking_test(walk, context, ds):
-            assert run_all(Candidate(context.weights, ds), walk.shape.enforced).survives
+        def checking_test(walk, weights, ds):
+            assert run_all(Candidate(weights, ds), walk.shape.enforced).survives
             checked.append(1)
-            test(walk, context, ds)
+            test(walk, weights, ds)
 
         monkeypatch.setattr(wcifano.enumerator._Walk, "test", checking_test)
         assert len(ALL_PROFILES) == 256
@@ -212,7 +202,7 @@ class TestDegreeCuts:
     # the pinned {UnitPrefix, Deltas} row of test_search_counts_are_pinned
     # (944 nodes, 330 tested) keeps its counts from before the cuts.
 
-    @pytest.mark.parametrize("n, index, k, cap", [(3, 1, 2, 4), (2, 1, 3, 4)])
+    @pytest.mark.parametrize("n, index, k, cap", [(3, 1, 2, 4), (2, 1, 3, 4), (2, 1, 1, 5)])
     def test_cut_search_equals_the_grid_for_every_profile(self, monkeypatch, n, index, k, cap):
         # GcdCover and LinearCone cut the degree search when the profile
         # holds them and are then not re-run, so every tested tuple must
@@ -220,10 +210,10 @@ class TestDegreeCuts:
         test = wcifano.enumerator._Walk.test
         checked: list[int] = []
 
-        def checking_test(walk, context, ds):
-            assert run_all(Candidate(context.weights, ds), walk.cuts).survives
+        def checking_test(walk, weights, ds):
+            assert run_all(Candidate(weights, ds), walk.cuts).survives
             checked.append(len(walk.cuts))
-            test(walk, context, ds)
+            test(walk, weights, ds)
 
         monkeypatch.setattr(wcifano.enumerator._Walk, "test", checking_test)
         tested = {}
@@ -253,15 +243,14 @@ class TestDegreeCuts:
 
 
 class TestWeightStageCut:
-    # At k >= 2 with GcdCover among the cuts, the walk carries each
+    # With GcdCover among the cuts, the walk carries each
     # vector's class counts (gcd g -> weights g divides) along the weights
     # it places, and places no weight that gives a class more than k
     # members.
 
     @staticmethod
     def expected_counts(weights):
-        context = _WeightContext(weights)
-        return [(g, context.required(g)) for g in _class_generators(weights)]
+        return [(g, sum(1 for a in weights if a % g == 0)) for g in _class_generators(weights)]
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=10))
     @settings(max_examples=300, deadline=None)
@@ -275,7 +264,7 @@ class TestWeightStageCut:
 
     @given(
         st.lists(st.integers(1, 60), min_size=1, max_size=10),
-        st.integers(2, 6),
+        st.integers(0, 6),
         st.lists(st.integers(1, 60), max_size=4),
         st.lists(st.one_of(st.just(None), st.integers(1, 240)), min_size=6, max_size=6),
     )

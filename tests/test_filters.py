@@ -19,7 +19,6 @@ from wcifano.filters import (
     SMOOTH_FANO_PROFILE,
     TooLarge,
     _PREDICATES,
-    _WeightContext,
     _fail_fast,
     _survives,
     _verdict,
@@ -415,14 +414,11 @@ class TestPassesProfile:
         assert passes_profile(Candidate((7, 3), (5,)), frozenset())
 
 
-class TestSharedContext:
-    """One weight context shared by many degree tuples answers as a fresh one.
+class TestPredicates:
+    """The predicates on (weights, degrees) give run_all's verdicts, in either order.
 
-    The context fills its weight-only values on first use, so the checks
-    run in a random order: whichever screen fills a value first, every
-    later screen must read the same answer.  Some degree tuples are left
-    unsorted, so the Normalized witness must not leak from one degree
-    tuple to the next.
+    Some degree tuples are left unsorted, so the Normalized witness must
+    come from the degrees when the weights are sorted.
     """
 
     all_profiles = [
@@ -439,28 +435,19 @@ class TestSharedContext:
             min_size=1,
             max_size=6,
         ),
-        st.randoms(use_true_random=False),
     )
     @settings(max_examples=40, deadline=None)
-    def test_matches_fresh_candidates(self, weights, degree_lists, rng):
+    def test_match_run_all(self, weights, degree_lists):
         weights = tuple(sorted(weights))
-        context = _WeightContext(weights)
-        degree_tuples = [
-            tuple(sorted(ds) if keep_sorted else ds)[: len(weights) - 1]
-            for ds, keep_sorted in degree_lists
-        ]
-        # None stands for the run_all check of that degree tuple
-        checks = [(ds, p) for ds in degree_tuples for p in [None, *self.all_profiles]]
-        rng.shuffle(checks)
-        for degrees, profile in checks:
+        for ds, keep_sorted in degree_lists:
+            degrees = tuple(sorted(ds) if keep_sorted else ds)[: len(weights) - 1]
             c = Candidate(weights, degrees)
-            if profile is None:
-                report = run_all(c, SMOOTH_FANO_PROFILE if c.is_normalized else self.order_free)
-                for v in report.verdicts:
-                    assert _verdict(v.filter_id, _PREDICATES[v.filter_id](context, degrees)) == v
-                continue
-            try:
-                fresh = passes_profile(c, profile)
-            except NotNormalized:
-                continue
-            assert _survives(context, degrees, _fail_fast(profile)) == fresh
+            report = run_all(c, SMOOTH_FANO_PROFILE if c.is_normalized else self.order_free)
+            for v in report.verdicts:
+                assert _verdict(v.filter_id, _PREDICATES[v.filter_id](weights, degrees)) == v
+            for profile in self.all_profiles:
+                try:
+                    survives = run_all(c, profile).survives
+                except NotNormalized:
+                    continue
+                assert _survives(weights, degrees, _fail_fast(profile)) == survives
