@@ -12,9 +12,10 @@ max_weight is decided.
 - stats.nodes counts entries placed: one node per weight or degree
   fixed, except that the forced unit prefix places none, an entry forced
   by a sum (the last degree; the last middle at k = 0) counts only when
-  it is admissible, and a tail weight or a degree the cuts skip is not
-  placed, so not a node.  stats.tested counts the tuples run through the
-  profile.
+  it is admissible, and a weight or a degree the cuts skip is not
+  placed, so not a node; nor is any degree of a vector that the
+  degree-sum bound skips.  stats.tested counts the tuples run through
+  the profile.
 
 Every profile runs one search shape (_Shape), derived once per query
 from the structural screens it holds.  UnitPrefix forces a prefix of
@@ -36,13 +37,18 @@ search instead of screening its tuples.  GcdCover asks every class (gcd
 g, required members) for at least required degrees divisible by g, so a
 vector with required > k has no degree tuple.  The class gcds (the gcd
 closure of the weights) and their member counts only grow as weights
-are appended, so the walk keeps them along the weights it places: built
-once per middle tuple, then extended by one weight per tail.  A tail that gives
-some class more than k members is not placed, and its whole subtree is
-skipped.  While the degrees are placed no class may need more divisible
-degrees than there are slots left: a class that needs every slot left
-must divide the next degree, so the walk steps through multiples of the
-lcm of those classes.  LinearCone skips every degree equal to a weight.
+are appended, so the walk keeps them along the weights it places,
+extended by one weight per middle and per tail from the first middle
+on.  A weight that gives some class more than k members is not placed,
+and its whole subtree is skipped.  At k >= 2 a complete vector is then
+skipped whole when its degrees cannot fit the degree sum the index
+equation fixes (_degrees_fit): the least degree each slot can hold,
+plus the least raise to an admissible multiple that each class needs
+in as many slots as it has members, must not exceed that sum.  While
+the degrees are placed no class may need more divisible degrees than
+there are slots left: a class that needs every slot left must divide
+the next degree, so the walk steps through multiples of the lcm of
+those classes.  LinearCone skips every degree equal to a weight.
 Every tuple the walk tests passes both screens, so they are not re-run.
 The profile's other screens run per tuple, so each screen is decided in
 exactly one way: by the shape, by a cut, or on the tested tuples.
@@ -50,9 +56,8 @@ exactly one way: by the shape, by a cut, or on the tested tuples.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import lcm
 from typing import Callable
 
@@ -217,6 +222,10 @@ def enumerate_streaming(
     else:
         keys = [None] if shape.middles == 0 else []
     if workers > 1 and len(keys) > 1:
+        # Imported here: concurrent.futures.process costs a one-worker run
+        # tens of milliseconds at start.
+        from concurrent.futures import ProcessPoolExecutor
+
         # pool.map yields in submission order, so the sink order stays
         # canonical while later tasks still run.  The pool forks all its
         # workers at once, so it gets no more than there are tasks.
@@ -275,7 +284,7 @@ class _Walk:
         With total, only the extensions summing to total: the last entry
         is forced (a node only when admissible), and each earlier one is
         at most an equal share of what the entries before it leave.
-        With classes, the class counts of head (_class_counts), the counts
+        With classes, the class counts of head (_grow_classes), the counts
         are carried along: a value that gives some class more than k
         members is not placed, so is not a node, and its subtree is
         skipped.  Without, every extension comes with None.
@@ -385,47 +394,72 @@ def _grow_classes(
     return grown
 
 
-def _class_counts(weights: tuple[int, ...], k: int) -> dict[int, int] | None:
-    """The class counts of weights (_grow_classes), built weight by weight."""
-    classes: dict[int, int] | None = {}
-    for p in range(1, len(weights) + 1):
-        classes = _grow_classes(classes, weights[:p], k)
-        if classes is None:
-            break
-    return classes
+def _degrees_fit(floors, total, min_last, pending, banned) -> bool:
+    """False only when _Walk.degrees(floors, total, min_last, pending, banned) yields nothing.
+
+    In any tuple it yields the degrees are non-decreasing, every e_j >= 1
+    and the last e_j >= min_last, so slot j holds at least lo_j, the
+    running max of floors[j] + 1 (floors[-1] + min_last in the last
+    slot).  The degrees sum to S = sum(floors) + total, which leaves
+    slack = S - sum(lo) above those least values; negative slack leaves
+    no tuple.  Each (g, c) in pending asks c degrees divisible by g, none
+    of them in banned, and the least such degree in slot j is lo_j +
+    inc_j.  c slots hold one and no slot lies below its lo_j, so the
+    slack is at least the sum of the c smallest inc_j.  A vector that
+    fails either test has no degree tuple: skipping it before its degree
+    walk loses no survivor.
+    """
+    lo = [f + 1 for f in floors]
+    lo[-1] += min_last - 1
+    lo = list(accumulate(lo, max))
+    slack = sum(floors) + total - sum(lo)
+    if slack < 0:
+        return False
+    for g, c in pending:
+        incs = []
+        for x in lo:
+            d = x + (-x) % g
+            while d in banned:
+                d += g
+            incs.append(d - x)
+        if sum(sorted(incs)[:c]) > slack:
+            return False
+    return True
 
 
 def _task(shape: _Shape, first_middle: int | None) -> _Walk:
     """Walk the middles, tails and degrees of the shape under one fixed first middle weight."""
     index, k, cap = shape.query.index, shape.query.k, shape.query.max_weight
     walk = _Walk(shape)
-    counts_classes = FilterId.GCD_COVER in walk.cuts
+    # The unit prefix lies in no class, so the middles start the class counts.
+    counts = {} if FilterId.GCD_COVER in walk.cuts else None
     bans_weights = FilterId.LINEAR_CONE in walk.cuts
     if first_middle is None:
-        middles = [((), None)]
+        middles = [((), counts)]
     else:
+        if counts is not None:
+            counts = _grow_classes(counts, (first_middle,), k)
+            if counts is None:
+                return walk
         walk.nodes += 1  # the fixed first middle weight
         middles = walk.tuples(
-            (first_middle,), shape.middles, first_middle, shape.middle_hi, shape.middle_sum
+            (first_middle,), shape.middles, first_middle, shape.middle_hi, shape.middle_sum, counts
         )
-    for ms, _ in middles:
+    for ms, counts in middles:
         total = len(shape.prefix) + sum(ms) - index
         tail_struct = total - k + 1 if shape.last_weight else None
         if shape.tails and (tail_struct is None or tail_struct > cap):
             walk.touched = True
         tail_hi = cap if tail_struct is None else min(cap, tail_struct)
-        counts = None
-        if counts_classes:
-            # The unit prefix lies in no class, so the middles start the counts.
-            counts = _class_counts(ms, k)
-            if counts is None:
-                continue
         for ws, classes in walk.tuples(ms, len(ms) + shape.tails, 1, tail_hi, classes=counts):
             weights = shape.prefix + ws
             floors = ws[len(ms) :] if shape.tails else (0,) * k
             min_last = ws[-1] if shape.last_weight else 1
             pending = tuple(classes.items()) if classes else ()
             banned = weights if bans_weights else ()
+            # At k = 1 the one degree is forced and checked directly.
+            if k >= 2 and not _degrees_fit(floors, total, min_last, pending, banned):
+                continue
             for ds in walk.degrees(floors, total, min_last, pending, banned):
                 walk.test(weights, ds)
     return walk

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +131,14 @@ class TestEnumerate:
             "survivors=3 nodes=8 tested=3 cap_touched=false"
             " complete_within_cap=true max_weight=50"
         )
+
+    def test_readme_summary_line_matches_the_cli(self, capsys):
+        # the README shows this slice's summary under its first example
+        argv = ("enumerate", "--dim", "3", "--index", "2", "--codim", "1", "--max-weight", "50")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert "wcifano " + " ".join(argv) in readme
+        [line] = [line for line in readme.splitlines() if line.startswith("survivors=")]
+        assert run_cli(capsys, *argv)[2].strip() == line
 
     def test_stdout_lines_reparse_to_the_same_verdicts(self, capsys):
         code, out, _ = run_cli(
@@ -351,6 +360,17 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         record = json.loads(proc.stdout)
         assert record["weights"] == [1, 1, 1]
+
+    def test_one_worker_run_imports_no_process_pool(self):
+        # the pool module costs every process start tens of milliseconds,
+        # so only a run with several workers imports it
+        script = (
+            "import sys; from wcifano.cli import main;"
+            " main(['enumerate', '--dim', '3', '--index', '2', '--codim', '1']);"
+            " sys.exit('concurrent.futures.process' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_documented_survey_invocation(self):
         proc = subprocess.run(

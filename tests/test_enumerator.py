@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 from math import lcm
 
@@ -19,8 +20,10 @@ from wcifano.enumerator import (
     EnumerationQuery,
     InvalidQuery,
     SearchStats,
-    _class_counts,
+    _degrees_fit,
     _grow_classes,
+    _Shape,
+    _Walk,
     enumerate_candidates,
     enumerate_streaming,
 )
@@ -90,8 +93,8 @@ class TestFrozenSlices:
     @pytest.mark.parametrize(
         "n, index, k, cap, profile, expected",
         [
-            (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (2916, 3, 3, True)),
-            (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (1026, 4, 4, True)),
+            (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (1966, 3, 3, True)),
+            (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (472, 4, 4, True)),
             (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (14, 1, 1, False)),
             (2, 3, 0, None, SMOOTH_FANO_PROFILE, (0, 1, 1, False)),
             (2, 0, 2, 6, CALABI_YAU_PROFILE, (14, 1, 1, False)),
@@ -101,7 +104,7 @@ class TestFrozenSlices:
                 1,
                 8,
                 SMOOTH_FANO_PROFILE - {FilterId.UNIT_PREFIX, FilterId.DELTAS},
-                (497, 3, 3, True),
+                (102, 3, 3, True),
             ),
             (2, 9, 0, 9, frozenset(), (17, 7, 7, False)),
             (3, 1, 2, 8, frozenset({FilterId.UNIT_PREFIX, FilterId.DELTAS}), (944, 330, 330, True)),
@@ -202,20 +205,31 @@ class TestDegreeCuts:
     # the pinned {UnitPrefix, Deltas} row of test_search_counts_are_pinned
     # (944 nodes, 330 tested) keeps its counts from before the cuts.
 
-    @pytest.mark.parametrize("n, index, k, cap", [(3, 1, 2, 4), (2, 1, 3, 4), (2, 1, 1, 5)])
+    @pytest.mark.parametrize(
+        "n, index, k, cap", [(3, 1, 2, 4), (2, 1, 3, 4), (2, 1, 1, 5), (2, 1, 2, 5)]
+    )
     def test_cut_search_equals_the_grid_for_every_profile(self, monkeypatch, n, index, k, cap):
         # GcdCover and LinearCone cut the degree search when the profile
         # holds them and are then not re-run, so every tested tuple must
-        # pass them; no profile may lose or gain a survivor by the cuts
+        # pass them; no profile may lose or gain a survivor by the cuts or
+        # by the degree-sum bound, which skips vectors at every k >= 2 row
         test = wcifano.enumerator._Walk.test
+        fit = wcifano.enumerator._degrees_fit
         checked: list[int] = []
+        skipped: list[bool] = []
 
         def checking_test(walk, weights, ds):
             assert run_all(Candidate(weights, ds), walk.cuts).survives
             checked.append(len(walk.cuts))
             test(walk, weights, ds)
 
+        def recording_fit(*args):
+            fits = fit(*args)
+            skipped.append(not fits)
+            return fits
+
         monkeypatch.setattr(wcifano.enumerator._Walk, "test", checking_test)
+        monkeypatch.setattr(wcifano.enumerator, "_degrees_fit", recording_fit)
         tested = {}
         for profile in ALL_PROFILES:
             q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
@@ -228,6 +242,7 @@ class TestDegreeCuts:
         bitten = [p for p in ALL_PROFILES if tested[p] < tested[p - cut_screens]]
         assert len(bitten) >= 128
         assert any(checked)
+        assert any(skipped) is (k >= 2)
 
     def test_every_tested_tuple_survives_the_smooth_fano_profile(self):
         result = enumerate_candidates(EnumerationQuery(n=5, index=1, k=3, max_weight=12))
@@ -242,6 +257,55 @@ class TestDegreeCuts:
         assert result.stats == SearchStats(nodes=2475, tested=1115)
 
 
+class TestDegreeSumBound:
+    # _degrees_fit skips a weight vector before its degree walk when the
+    # slot floors, or the least unbanned multiples its GcdCover classes
+    # need, exceed the fixed degree sum.
+
+    @staticmethod
+    def degree_walk(floors, total, min_last, pending, banned):
+        walk = _Walk(_Shape(EnumerationQuery(n=1, index=0, k=1)))
+        return list(walk.degrees(floors, total, min_last, pending, banned))
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_a_skipped_vector_has_no_degree_tuple(self, data):
+        k = data.draw(st.integers(2, 4))
+        floors = tuple(data.draw(st.lists(st.integers(0, 8), min_size=k, max_size=k)))
+        total = data.draw(st.integers(0, 24))
+        min_last = data.draw(st.integers(1, 6))
+        pending = tuple(
+            data.draw(st.dictionaries(st.integers(2, 7), st.integers(1, k), max_size=3)).items()
+        )
+        banned = tuple(data.draw(st.lists(st.integers(1, 30), max_size=6)))
+        if not _degrees_fit(floors, total, min_last, pending, banned):
+            assert self.degree_walk(floors, total, min_last, pending, banned) == []
+
+    def test_the_bound_skips_vectors_and_only_saves_nodes(self, monkeypatch):
+        # at (5, 1, 3, 12) the bound skips vectors whose classes fit the
+        # slots but not the degree sum; without it the walk places 2,916
+        # nodes for the same tested tuples, survivors and cap flag
+        q = EnumerationQuery(n=5, index=1, k=3, max_weight=12)
+        fit = wcifano.enumerator._degrees_fit
+        skipped = []
+
+        def recording_fit(floors, total, min_last, pending, banned):
+            fits = fit(floors, total, min_last, pending, banned)
+            if not fits and fit(floors, total, min_last, (), banned):
+                skipped.append(floors)
+            return fits
+
+        monkeypatch.setattr(wcifano.enumerator, "_degrees_fit", recording_fit)
+        bounded = enumerate_candidates(q)
+        assert skipped
+        monkeypatch.setattr(wcifano.enumerator, "_degrees_fit", lambda *args: True)
+        unbounded = enumerate_candidates(q)
+        assert unbounded.survivors == bounded.survivors
+        assert unbounded.cap_touched is bounded.cap_touched is True
+        assert bounded.stats == SearchStats(nodes=1966, tested=3)
+        assert unbounded.stats == SearchStats(nodes=2916, tested=3)
+
+
 class TestWeightStageCut:
     # With GcdCover among the cuts, the walk carries each
     # vector's class counts (gcd g -> weights g divides) along the weights
@@ -251,6 +315,15 @@ class TestWeightStageCut:
     @staticmethod
     def expected_counts(weights):
         return [(g, sum(1 for a in weights if a % g == 0)) for g in _class_generators(weights)]
+
+    @staticmethod
+    def class_counts(weights, k):
+        classes = {}
+        for p in range(1, len(weights) + 1):
+            classes = _grow_classes(classes, weights[:p], k)
+            if classes is None:
+                break
+        return classes
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=10))
     @settings(max_examples=300, deadline=None)
@@ -273,7 +346,7 @@ class TestWeightStageCut:
         weights = tuple(sorted(weights))
         for p in range(1, len(weights) + 1):
             prefix = weights[:p]
-            fired = _class_counts(prefix, k) is None
+            fired = self.class_counts(prefix, k) is None
             assert fired == any(required > k for _, required in self.expected_counts(prefix))
             if fired:
                 # None stands for the lcm of the weights, which every class
@@ -334,7 +407,8 @@ class TestDeterminism:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(wcifano.enumerator, "ProcessPoolExecutor", InlinePool)
+        # enumerate_streaming imports the pool only when it uses one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
         assert enumerate_candidates(q, workers=5000) == enumerate_candidates(q)
         assert sizes == [10]
