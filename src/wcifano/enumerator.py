@@ -13,8 +13,9 @@ max_weight is decided.
   fixed, except that the forced unit prefix places none, an entry forced
   by a sum (the last degree; the last middle at k = 0) counts only when
   it is admissible, and a weight or a degree the cuts skip is not
-  placed, so not a node; nor is any degree of a vector that the
-  degree-sum bound skips.  stats.tested counts the tuples run through
+  placed, so not a node: nor is a tail that the degree-sum bound
+  rejects on the tail prefix it ends, nor any degree of a vector that
+  the bound skips whole.  stats.tested counts the tuples run through
   the profile.
 
 Every profile runs one search shape (_Shape), derived once per query
@@ -40,15 +41,20 @@ closure of the weights) and their member counts only grow as weights
 are appended, so the walk keeps them along the weights it places,
 extended by one weight per middle and per tail from the first middle
 on.  A weight that gives some class more than k members is not placed,
-and its whole subtree is skipped.  At k >= 2 a complete vector is then
-skipped whole when its degrees cannot fit the degree sum the index
-equation fixes (_degrees_fit): the least degree each slot can hold,
-plus the least raise to an admissible multiple that each class needs
-in as many slots as it has members, must not exceed that sum.  While
-the degrees are placed no class may need more divisible degrees than
-there are slots left: a class that needs every slot left must divide
-the next degree, so the walk steps through multiples of the lcm of
-those classes.  LinearCone skips every degree equal to a weight.
+and its whole subtree is skipped.  At k >= 2 the degree sum the index
+equation fixes bounds the degrees (_degrees_fit).  Under LastWeight,
+every tail placed must leave each class a degree outside the last slot
+or a share of the last degree: a class that only the last degree can
+serve may have one member, and all such classes must divide one degree
+in the last slot's window, or the tail is not placed.  A complete
+vector is then skipped whole when its degrees cannot fit that sum: the
+least degree each slot can hold, plus the least raise to an admissible
+multiple that each class needs in as many slots as it has members, must
+not exceed it.  While the degrees are placed no class may need more
+divisible degrees than there are slots left: a class that needs every
+slot left must divide the next degree, so the walk steps through
+multiples of the lcm of those classes.  LinearCone skips every degree
+equal to a weight.
 Every tuple the walk tests passes both screens, so they are not re-run.
 The profile's other screens run per tuple, so each screen is decided in
 exactly one way: by the shape, by a cut, or on the tested tuples.
@@ -114,7 +120,12 @@ class EnumerationQuery:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """nodes: partial assignments tried; tested: candidates run through the profile."""
+    """nodes: entries placed; tested: candidates run through the profile.
+
+    A weight, tail or degree that a cut or the degree-sum bound rejects
+    is not placed, so it is not a node (the module docstring has the
+    full rule).
+    """
 
     nodes: int
     tested: int
@@ -277,7 +288,14 @@ class _Walk:
         self.survivors: list[Candidate] = []
 
     def tuples(
-        self, head: tuple[int, ...], length: int, lo: int, hi: int, total=None, classes=None
+        self,
+        head: tuple[int, ...],
+        length: int,
+        lo: int,
+        hi: int,
+        total=None,
+        classes=None,
+        fits=None,
     ):
         """Yield each non-decreasing extension of head to length entries in lo..hi, with counts.
 
@@ -287,7 +305,9 @@ class _Walk:
         With classes, the class counts of head (_grow_classes), the counts
         are carried along: a value that gives some class more than k
         members is not placed, so is not a node, and its subtree is
-        skipped.  Without, every extension comes with None.
+        skipped.  Without, every extension comes with None.  With fits (a
+        predicate on the entries placed and their counts), a value it
+        rejects is not placed either.
         """
         if len(head) == length:
             if total is None or sum(head) == total:
@@ -309,11 +329,13 @@ class _Walk:
                 grown = _grow_classes(classes, placed, self.shape.query.k)
                 if grown is None:
                     continue
+            if fits is not None and not fits(placed, grown):
+                continue
             self.nodes += 1
             if last:
                 yield placed, grown
             else:
-                yield from self.tuples(placed, length, lo, hi, total, grown)
+                yield from self.tuples(placed, length, lo, hi, total, grown, fits)
 
     def degrees(self, floors, total, min_last, pending, banned, head=()):
         """Yield the non-decreasing degrees d_j = floors[j] + e_j extending head.
@@ -394,21 +416,51 @@ def _grow_classes(
     return grown
 
 
-def _degrees_fit(floors, total, min_last, pending, banned) -> bool:
-    """False only when _Walk.degrees(floors, total, min_last, pending, banned) yields nothing.
+def _degrees_fit(floors, total, min_last, pending, banned, k=None, tail_hi=None) -> bool:
+    """False only when no degree tuple completes the weights placed so far.
 
-    In any tuple it yields the degrees are non-decreasing, every e_j >= 1
-    and the last e_j >= min_last, so slot j holds at least lo_j, the
-    running max of floors[j] + 1 (floors[-1] + min_last in the last
-    slot).  The degrees sum to S = sum(floors) + total, which leaves
+    Complete vector (no k): False only when
+    _Walk.degrees(floors, total, min_last, pending, banned) yields
+    nothing.  In any tuple it yields the degrees are non-decreasing,
+    every e_j >= 1 and the last e_j >= min_last, so slot j holds at least
+    lo_j, the running max of floors[j] + 1 (floors[-1] + min_last in the
+    last slot).  The degrees sum to S = sum(floors) + total, which leaves
     slack = S - sum(lo) above those least values; negative slack leaves
     no tuple.  Each (g, c) in pending asks c degrees divisible by g, none
     of them in banned, and the least such degree in slot j is lo_j +
     inc_j.  c slots hold one and no slot lies below its lo_j, so the
-    slack is at least the sum of the c smallest inc_j.  A vector that
-    fails either test has no degree tuple: skipping it before its degree
-    walk loses no survivor.
+    slack is at least the sum of the c smallest inc_j.
+
+    Tail prefix (k given, with LastWeight, so min_last is the last tail
+    and is not passed): floors are the tails t_1 <= ... <= t_cur placed
+    so far, all k of them at the last depth, and pending and banned the
+    class counts and the weights so far; the other tails lie in
+    t_cur..tail_hi.  In any completion the slack above is total - (k -
+    1) - t_k >= 0 and every degree lies in [lo_j, lo_j + slack], so every
+    degree but the last lies in [t_1 + 1, total - k + 2] and the last in
+    [2 t_cur, tail_hi + total - k + 1].  A class with no multiple of g
+    outside banned in the first window is last-only: the class counts,
+    the gcd closure and banned only grow as weights are appended, so it
+    stays last-only in every completion.  A last-only class with c >= 2
+    has no completion, and every last-only class divides the last
+    degree, so their lcm needs a multiple outside banned in the last
+    window.
+
+    A vector or prefix that fails has no degree tuple: skipping it
+    before its degree walk, or not placing the tail that ends the
+    prefix, loses no survivor.
     """
+    if k is not None:
+        top = total - k + 2
+        last_only = 1
+        for g, c in pending:
+            if _least_multiple(floors[0] + 1, g, banned) > top:
+                if c >= 2:
+                    return False
+                last_only = lcm(last_only, g)
+        if last_only == 1:
+            return True
+        return _least_multiple(2 * floors[-1], last_only, banned) <= tail_hi + top - 1
     lo = [f + 1 for f in floors]
     lo[-1] += min_last - 1
     lo = list(accumulate(lo, max))
@@ -416,15 +468,18 @@ def _degrees_fit(floors, total, min_last, pending, banned) -> bool:
     if slack < 0:
         return False
     for g, c in pending:
-        incs = []
-        for x in lo:
-            d = x + (-x) % g
-            while d in banned:
-                d += g
-            incs.append(d - x)
+        incs = [_least_multiple(x, g, banned) - x for x in lo]
         if sum(sorted(incs)[:c]) > slack:
             return False
     return True
+
+
+def _least_multiple(x: int, g: int, banned) -> int:
+    """The least multiple of g that is at least x and not in banned."""
+    d = x + (-x) % g
+    while d in banned:
+        d += g
+    return d
 
 
 def _task(shape: _Shape, first_middle: int | None) -> _Walk:
@@ -451,7 +506,17 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
         if shape.tails and (tail_struct is None or tail_struct > cap):
             walk.touched = True
         tail_hi = cap if tail_struct is None else min(cap, tail_struct)
-        for ws, classes in walk.tuples(ms, len(ms) + shape.tails, 1, tail_hi, classes=counts):
+        fits = None
+        if k >= 2 and shape.last_weight and counts is not None:
+            # Each tail placed, the last one included, must leave the
+            # degrees room (_degrees_fit on the tails so far).  The unit
+            # prefix needs no ban: every degree exceeds a tail.
+            def fits(placed, classes, m=len(ms)):
+                banned = placed if bans_weights else ()
+                return _degrees_fit(placed[m:], total, None, classes.items(), banned, k, tail_hi)
+
+        vectors = walk.tuples(ms, len(ms) + shape.tails, 1, tail_hi, classes=counts, fits=fits)
+        for ws, classes in vectors:
             weights = shape.prefix + ws
             floors = ws[len(ms) :] if shape.tails else (0,) * k
             min_last = ws[-1] if shape.last_weight else 1

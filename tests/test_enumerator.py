@@ -7,8 +7,8 @@ import itertools
 from math import lcm
 
 import pytest
-from grid_oracle import naive_survivors, sorted_partitions
-from hypothesis import given, settings
+from grid_oracle import naive_survivors, sorted_partitions, sorted_tuples
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wcifano.core
@@ -93,11 +93,11 @@ class TestFrozenSlices:
     @pytest.mark.parametrize(
         "n, index, k, cap, profile, expected",
         [
-            (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (1966, 3, 3, True)),
+            (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (453, 3, 3, True)),
             (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (472, 4, 4, True)),
-            (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (14, 1, 1, False)),
+            (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (12, 1, 1, False)),
             (2, 3, 0, None, SMOOTH_FANO_PROFILE, (0, 1, 1, False)),
-            (2, 0, 2, 6, CALABI_YAU_PROFILE, (14, 1, 1, False)),
+            (2, 0, 2, 6, CALABI_YAU_PROFILE, (12, 1, 1, False)),
             (
                 2,
                 1,
@@ -260,7 +260,8 @@ class TestDegreeCuts:
 class TestDegreeSumBound:
     # _degrees_fit skips a weight vector before its degree walk when the
     # slot floors, or the least unbanned multiples its GcdCover classes
-    # need, exceed the fixed degree sum.
+    # need, exceed the fixed degree sum; on a tail prefix it asks the
+    # classes that only the last degree can serve to share that degree.
 
     @staticmethod
     def degree_walk(floors, total, min_last, pending, banned):
@@ -281,29 +282,115 @@ class TestDegreeSumBound:
         if not _degrees_fit(floors, total, min_last, pending, banned):
             assert self.degree_walk(floors, total, min_last, pending, banned) == []
 
+    @staticmethod
+    def prefix_fits(k, middles, tails, total, tail_hi, bans):
+        """The bound on the walk's tail prefix middles + tails (None: the weight cut skips it)."""
+        weights = middles + tails
+        classes = TestWeightStageCut.class_counts(weights, k)
+        if classes is None:
+            return None
+        banned = weights if bans else ()
+        return _degrees_fit(tails, total, None, classes.items(), banned, k, tail_hi)
+
+    @classmethod
+    def live_completions(cls, k, middles, tails, total, tail_hi, bans):
+        """The non-decreasing completions of tails up to tail_hi that have a degree tuple."""
+        live = []
+        for rest in sorted_tuples(k - len(tails), tails[-1], tail_hi):
+            weights = middles + tails + rest
+            classes = TestWeightStageCut.class_counts(weights, k)
+            if classes is None:
+                continue  # the weight cut skips it before its degrees
+            floors = tails + rest
+            banned = weights if bans else ()
+            if cls.degree_walk(floors, total, floors[-1], tuple(classes.items()), banned):
+                live.append(rest)
+        return live
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_a_skipped_tail_prefix_has_no_completion(self, data):
+        # the walk's tail prefixes under LastWeight: middles, then the
+        # first tails, with the class counts and the bans of the weights
+        # so far; when the bound rejects the prefix, no completion of its
+        # tails has a degree tuple
+        k = data.draw(st.integers(2, 4))
+        middles = tuple(sorted(data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))))
+        # LastWeight bounds the tails by total - k + 1, the cap may cut lower
+        tail_hi = data.draw(st.integers(middles[-1], 10))
+        total = data.draw(st.integers(tail_hi + k - 1, tail_hi + k + 4))
+        placed = data.draw(st.integers(1, k))
+        tail = st.integers(middles[-1], tail_hi)
+        tails = tuple(sorted(data.draw(st.lists(tail, min_size=placed, max_size=placed))))
+        bans = data.draw(st.booleans())
+        fits = self.prefix_fits(k, middles, tails, total, tail_hi, bans)
+        assume(fits is not None)
+        if not fits:
+            assert self.live_completions(k, middles, tails, total, tail_hi, bans) == []
+
+    def test_no_small_tail_prefix_is_skipped_wrongly(self):
+        # every tail prefix at k 2..3 after one middle up to 5, tails up
+        # to 7 and the total up to 3 above its least: an off-by-one in
+        # either window or a first window that starts at the last tail
+        # placed would skip a live prefix here
+        rejected = 0
+        for k, middle, bans in itertools.product((2, 3), range(1, 6), (False, True)):
+            for tail_hi, placed in itertools.product(range(middle, 8), range(1, k + 1)):
+                for total, tails in itertools.product(
+                    range(tail_hi + k - 1, tail_hi + k + 3), sorted_tuples(placed, middle, tail_hi)
+                ):
+                    case = (k, (middle,), tails, total, tail_hi, bans)
+                    if self.prefix_fits(*case) is False:
+                        rejected += 1
+                        assert self.live_completions(*case) == [], case
+        assert rejected > 1000
+
     def test_the_bound_skips_vectors_and_only_saves_nodes(self, monkeypatch):
-        # at (5, 1, 3, 12) the bound skips vectors whose classes fit the
-        # slots but not the degree sum; without it the walk places 2,916
-        # nodes for the same tested tuples, survivors and cap flag
+        # at (5, 1, 3, 12) the bound rejects tail prefixes and skips
+        # complete vectors whose classes fit the slots but not the degree
+        # sum: the walk places 453 nodes, 542 with the prefix part alone
+        # and 2,916 with neither, for the same tested tuples, survivors
+        # and cap flag
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=12)
         fit = wcifano.enumerator._degrees_fit
-        skipped = []
+        prefixes, skipped = [], []
 
-        def recording_fit(floors, total, min_last, pending, banned):
-            fits = fit(floors, total, min_last, pending, banned)
-            if not fits and fit(floors, total, min_last, (), banned):
+        def recording_fit(floors, total, min_last, pending, banned, k=None, tail_hi=None):
+            fits = fit(floors, total, min_last, pending, banned, k, tail_hi)
+            if not fits and k is not None:
+                prefixes.append(floors)
+            elif not fits and fit(floors, total, min_last, (), banned):
                 skipped.append(floors)
             return fits
+
+        def prefix_fit(floors, total, min_last, pending, banned, k=None, tail_hi=None):
+            return k is None or fit(floors, total, min_last, pending, banned, k, tail_hi)
 
         monkeypatch.setattr(wcifano.enumerator, "_degrees_fit", recording_fit)
         bounded = enumerate_candidates(q)
         assert skipped
+        assert any(len(floors) < q.k for floors in prefixes)
+        monkeypatch.setattr(wcifano.enumerator, "_degrees_fit", prefix_fit)
+        prefix_only = enumerate_candidates(q)
         monkeypatch.setattr(wcifano.enumerator, "_degrees_fit", lambda *args: True)
         unbounded = enumerate_candidates(q)
-        assert unbounded.survivors == bounded.survivors
-        assert unbounded.cap_touched is bounded.cap_touched is True
-        assert bounded.stats == SearchStats(nodes=1966, tested=3)
+        assert unbounded.survivors == prefix_only.survivors == bounded.survivors
+        assert unbounded.cap_touched is prefix_only.cap_touched is bounded.cap_touched is True
+        assert bounded.stats == SearchStats(nodes=453, tested=3)
+        assert prefix_only.stats == SearchStats(nodes=542, tested=3)
         assert unbounded.stats == SearchStats(nodes=2916, tested=3)
+
+    @pytest.mark.parametrize(
+        "n, index, k, cap, nodes",
+        [(5, 1, 3, 20, 1167), (6, 1, 4, 20, 1800)],
+    )
+    def test_survey_slices_keep_the_cut(self, n, index, k, cap, nodes):
+        # the survey slices place few nodes once the bound cuts tail
+        # prefixes; a search that loses the cut places many times more
+        result = enumerate_candidates(EnumerationQuery(n=n, index=index, k=k, max_weight=cap))
+        assert result.stats == SearchStats(nodes=nodes, tested=3)
+        assert len(result.survivors) == 3
+        assert result.cap_touched is True
 
 
 class TestWeightStageCut:
@@ -490,6 +577,27 @@ class TestAgainstNaiveGrid:
     def test_matches_reference_enumeration(self, n, index, k, cap, profile):
         q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
         assert enumerate_candidates(q).survivors == naive_survivors(n, index, k, cap, profile)
+
+    @pytest.mark.parametrize("n, index, k, cap", [(3, 0, 2, 6), (3, 0, 3, 5), (4, 0, 2, 5)])
+    def test_matches_reference_where_the_tail_prefix_bound_fires(
+        self, monkeypatch, n, index, k, cap
+    ):
+        # k >= 2 slices where the degree-sum bound rejects tail prefixes
+        # short of the last tail
+        fit = wcifano.enumerator._degrees_fit
+        rejected: list[tuple[int, ...]] = []
+
+        def recording_fit(floors, total, min_last, pending, banned, k=None, tail_hi=None):
+            fits = fit(floors, total, min_last, pending, banned, k, tail_hi)
+            if not fits and k is not None and len(floors) < k:
+                rejected.append(floors)
+            return fits
+
+        monkeypatch.setattr(wcifano.enumerator, "_degrees_fit", recording_fit)
+        q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=CALABI_YAU_PROFILE)
+        survivors = enumerate_candidates(q).survivors
+        assert rejected
+        assert survivors == naive_survivors(n, index, k, cap, CALABI_YAU_PROFILE)
 
 
 class TestPruningHonesty:
