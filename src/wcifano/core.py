@@ -96,7 +96,7 @@ class Candidate:
     @property
     def is_normalized(self) -> bool:
         """True when both tuples are sorted non-decreasing."""
-        return _is_sorted(self.weights) and _is_sorted(self.degrees)
+        return _first_inversion(self.weights, self.degrees) is None
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,17 @@ def fano_index(c: Candidate) -> int:
     return sum(c.weights) - sum(c.degrees)
 
 
-def _is_sorted(values: tuple[int, ...]) -> bool:
-    return all(values[p] <= values[p + 1] for p in range(len(values) - 1))
+def _first_inversion(weights, degrees) -> dict | None:
+    """The first adjacent pair out of order, weights before degrees, or None when both are sorted.
+
+    This is the Normalized screen's witness: {"list": "weights" or
+    "degrees", "position": p} with values[p] > values[p + 1].
+    """
+    for name, values in (("weights", weights), ("degrees", degrees)):
+        for p in range(len(values) - 1):
+            if values[p] > values[p + 1]:
+                return {"list": name, "position": p}
+    return None
 
 
 def _complement_gcd(weights) -> tuple[int, int] | None:

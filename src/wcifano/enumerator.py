@@ -58,6 +58,25 @@ equal to a weight.
 Every tuple the walk tests passes both screens, so they are not re-run.
 The profile's other screens run per tuple, so each screen is decided in
 exactly one way: by the shape, by a cut, or on the tested tuples.
+
+Index reduction.  Under a profile that holds UnitPrefix, with index >= 2
+and k <= n, prepending a unit weight maps the survivors of (n - 1,
+index - 1, k) one to one onto those of (n, index, k), and
+transforms.hyperplane_section is the inverse; this is the arithmetic
+side of the remark that a general element of |O_X(1)| is smooth.  The
+two queries build the same _Shape but for one more unit in the prefix:
+the middle count, the middle sum at k = 0 (zero), the excess total k +
+sum(middles), the middle bound, the enforced screens (FanoPositivity at
+both indices), the cuts and the predicates all agree.  The prefix
+places no node, so both walks place the same middles, tails and
+degrees, and the tested tuples answer every predicate alike: a unit
+lies in no gcd class, 1 is banned as a degree in both (each prefix
+holds a unit), LastWeight reads the top weight only, and
+AmbientWellFormed passes both, since at k >= 1 each prefix holds two
+units or more and at k = 0 both slices are empty unless every weight is
+a unit.  So stats, cap_touched and prefix_infeasible agree too.  Index
+1 is left out: it maps to index 0, where FanoPositivity is not
+enforced.  So is k = n + 1, which maps to an invalid query.
 """
 
 from __future__ import annotations
@@ -67,8 +86,8 @@ from itertools import accumulate, repeat
 from math import lcm
 from typing import Callable
 
-from .core import Candidate, _close_over, canonical_key
-from .filters import FilterId, SMOOTH_FANO_PROFILE, _fail_fast, _survives
+from .core import Candidate, _close_over
+from .filters import FilterId, SMOOTH_FANO_PROFILE, _predicates, _survives
 
 __all__ = [
     "CapTooSmall",
@@ -93,9 +112,11 @@ class CapTooSmall(InvalidQuery):
 class EnumerationQuery:
     """Target dimension n, Fano index, codimension k, weight cap, profile.
 
-    max_weight defaults to 4 * (n + k + index), enough to contain every
-    survivor in the regimes the verification harness exercises.  k may
-    be 0 (ambient spaces); k <= n + 1 is enforced.
+    max_weight defaults to 4 * (n + k + index).  That default is not
+    proved to contain every survivor: (5, 1, 3) at its default 36 and
+    (6, 1, 4) at 44 report cap_touched, so only cap_touched False says a
+    listing is complete.  k may be 0 (ambient spaces); k <= n + 1 is
+    enforced.
     """
 
     n: int
@@ -157,10 +178,6 @@ _CLOSURE_FILTERS = frozenset(
 )
 
 
-# The screens that cut the walk instead of screening its tuples.
-_CUT_SCREENS = frozenset({FilterId.GCD_COVER, FilterId.LINEAR_CONE})
-
-
 def _middle_bound(middle_count: int, profile: frozenset[FilterId]) -> int | None:
     if middle_count == 1 and _CLOSURE_FILTERS <= profile:
         return 2
@@ -175,7 +192,10 @@ class _Shape:
     in 1..middle_hi (negative when the prefix cannot fit).  last_weight:
     the top tail bounds the last excess from below.  touched: the cap
     cut the middle range.  enforced: the profile's screens that every
-    tuple of the shape passes by construction.
+    tuple of the shape passes by construction.  cuts: the profile's
+    GcdCover and LinearCone, which cut the walk instead of screening its
+    tuples.  predicates: the profile's other screens, run on each tuple
+    tested, in FILTER_ORDER.
     """
 
     def __init__(self, query: EnumerationQuery) -> None:
@@ -205,6 +225,8 @@ class _Shape:
         if self.tails:
             enforced |= {FilterId.DELTAS, FilterId.LAST_WEIGHT}
         self.enforced = profile & enforced
+        self.cuts = profile & {FilterId.GCD_COVER, FilterId.LINEAR_CONE}
+        self.predicates = _predicates(profile - self.enforced - self.cuts)
 
 
 def enumerate_candidates(query: EnumerationQuery, workers: int = 1) -> EnumerationResult:
@@ -246,7 +268,12 @@ def enumerate_streaming(
 
 
 def _collect(shape: _Shape, walks, sink) -> EnumerationResult:
-    """Merge task walks in order, feeding survivors to sink as each walk arrives."""
+    """Merge task walks in order, feeding survivors to sink as each walk arrives.
+
+    Nothing sorts the survivors: the walks come in ascending first middle
+    weight, and each yields its weight vectors in lexicographic order and
+    the degrees of a vector in order, so they arrive canonical.
+    """
     survivors: list[Candidate] = []
     nodes = tested = 0
     touched = shape.touched
@@ -257,7 +284,6 @@ def _collect(shape: _Shape, walks, sink) -> EnumerationResult:
         nodes += walk.nodes
         tested += walk.tested
         touched = touched or walk.touched
-    survivors.sort(key=canonical_key)
     return EnumerationResult(
         query=shape.query,
         survivors=tuple(survivors),
@@ -268,20 +294,16 @@ def _collect(shape: _Shape, walks, sink) -> EnumerationResult:
 
 
 class _Walk:
-    """One search task: its shape's remaining predicates, counters and survivors.
+    """One search task: its counters, its survivors and its two generators.
 
-    The profile's GcdCover and LinearCone cut the search (cuts) instead
-    of screening its tuples: GcdCover by the class counts carried along
-    the weights, LinearCone by banning the weights as degrees.  test runs
-    the profile's other screens that the shape does not enforce.  touched
+    The shape's cuts act in the generators: GcdCover by the class counts
+    carried along the weights, LinearCone by banning the weights as
+    degrees.  test runs the shape's predicates on a tuple.  touched
     records that the cap cut a structurally admissible range.
     """
 
     def __init__(self, shape: _Shape) -> None:
         self.shape = shape
-        screens = shape.query.profile - shape.enforced
-        self.cuts = screens & _CUT_SCREENS
-        self.predicates = _fail_fast(screens - self.cuts)
         self.nodes = 0
         self.tested = 0
         self.touched = False
@@ -380,7 +402,7 @@ class _Walk:
 
     def test(self, weights: tuple[int, ...], ds: tuple[int, ...]) -> None:
         self.tested += 1
-        if _survives(weights, ds, self.predicates):
+        if _survives(weights, ds, self.shape.predicates):
             self.survivors.append(Candidate(weights, ds))
 
 
@@ -487,8 +509,8 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
     index, k, cap = shape.query.index, shape.query.k, shape.query.max_weight
     walk = _Walk(shape)
     # The unit prefix lies in no class, so the middles start the class counts.
-    counts = {} if FilterId.GCD_COVER in walk.cuts else None
-    bans_weights = FilterId.LINEAR_CONE in walk.cuts
+    counts = {} if FilterId.GCD_COVER in shape.cuts else None
+    bans_weights = FilterId.LINEAR_CONE in shape.cuts
     if first_middle is None:
         middles = [((), counts)]
     else:

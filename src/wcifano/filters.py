@@ -18,24 +18,26 @@ neither its search shape nor its cuts enforce.  It enforces GcdCover and
 LinearCone by cutting its walk, so no screen it runs per tuple reads the
 class gcds.
 
-The two ways of running a profile walk the same predicates in two
-orders: run_all evaluates every requested screen in FILTER_ORDER, the
-order a report lists them in, while passes_profile and the enumerator
-stop at the first witness in a cheap-first order, because in a search
-nearly every tuple fails and the gcd screens cost the most.  Both raise
-NotNormalized on unsorted tuples when the profile holds a screen that
-reads positions (Deltas, UnitPrefix, LastWeight with k >= 1).
+Every way of running a profile walks its predicates in FILTER_ORDER,
+the order a report lists them in: run_all evaluates each of them, while
+passes_profile and the enumerator stop at the first witness.  So the
+first predicate that fails a tuple is also the first failing verdict of
+its run_all report.  Both raise NotNormalized on unsorted tuples when
+the profile holds a screen that reads positions (Deltas, UnitPrefix,
+LastWeight with k >= 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import combinations
-from math import gcd
-
-from .core import Candidate, NotNormalized, _class_generators, _complement_gcd
+from .core import (
+    Candidate,
+    NotNormalized,
+    _class_generators,
+    _complement_gcd,
+    _first_inversion,
+)
 
 __all__ = [
     "CALABI_YAU_PROFILE",
@@ -45,11 +47,9 @@ __all__ = [
     "FilterVerdict",
     "NoDegrees",
     "SMOOTH_FANO_PROFILE",
-    "TooLarge",
     "ambient_well_formed",
     "deltas_ok",
     "fano_positive",
-    "gcd_cover_bruteforce",
     "gcd_cover_ok",
     "is_linear_cone",
     "is_normalized",
@@ -62,10 +62,6 @@ __all__ = [
 
 class NoDegrees(ValueError):
     """The filter needs at least one degree (k >= 1)."""
-
-
-class TooLarge(ValueError):
-    """Instance too big for the brute-force oracle (N > 12)."""
 
 
 class FilterId(str, Enum):
@@ -177,36 +173,6 @@ def gcd_cover_ok(c: Candidate) -> FilterVerdict:
     return _screen(FilterId.GCD_COVER, c)
 
 
-def gcd_cover_bruteforce(c: Candidate) -> FilterVerdict:
-    """Literal quantifier form of the count condition, for cross-checking.
-
-    For every subset of weight positions with gcd delta > 1, searches for
-    as many degrees with gcd divisible by delta as the subset has
-    members.  Exponential in N; guarded to N <= 12.  The verdict always
-    matches gcd_cover_ok; witnesses may differ in shape.
-    """
-    if c.ambient_dim > 12:
-        raise TooLarge(f"brute-force oracle capped at N <= 12, got N = {c.ambient_dim}")
-    positions = range(len(c.weights))
-    searched: dict[tuple[int, int], bool] = {}
-    for r in range(1, len(c.weights) + 1):
-        for subset in combinations(positions, r):
-            delta = gcd(*(c.weights[p] for p in subset))
-            if delta == 1:
-                continue
-            key = (delta, r)
-            if key not in searched:
-                searched[key] = any(
-                    gcd(*combo) % delta == 0 for combo in combinations(c.degrees, r)
-                )
-            if not searched[key]:
-                return _verdict(
-                    FilterId.GCD_COVER,
-                    {"delta": delta, "weight_positions": list(subset), "required": r},
-                )
-    return _verdict(FilterId.GCD_COVER, None)
-
-
 def unit_prefix_ok(c: Candidate, index: int) -> FilterVerdict:
     """a_0 = ... = a_{k+i-1} = 1 where i = max(index, 0).
 
@@ -240,14 +206,13 @@ def run_all(c: Candidate, profile: frozenset[FilterId] = SMOOTH_FANO_PROFILE) ->
 def passes_profile(c: Candidate, profile: frozenset[FilterId]) -> bool:
     """True iff every filter in the profile passes.
 
-    Walks the same predicates as run_all, so it equals
+    Walks the same predicates as run_all, in the same order, so it equals
     run_all(...).survives by construction, NotNormalized raise included;
-    it only stops at the first witness, in the cheap-first order, and
-    builds no verdicts.  The enumerator runs the same walk on its own
-    (always sorted) tuples.
+    it only stops at the first witness and builds no verdicts.  The
+    enumerator runs the same walk on its own (always sorted) tuples.
     """
     _require_sorted(c.weights, c.degrees, profile)
-    return _survives(c.weights, c.degrees, _fail_fast(frozenset(profile)))
+    return _survives(c.weights, c.degrees, _predicates(profile))
 
 
 def _verdict(fid: FilterId, witness: dict | None) -> FilterVerdict:
@@ -264,8 +229,13 @@ def _require_sorted(weights, degrees, profile) -> None:
         FilterId.DELTAS in profile
         or FilterId.UNIT_PREFIX in profile
         or (FilterId.LAST_WEIGHT in profile and degrees)
-    ) and _normalized(weights, degrees) is not None:
+    ) and _first_inversion(weights, degrees) is not None:
         raise NotNormalized("profile includes filters that need sorted tuples")
+
+
+def _predicates(profile) -> tuple:
+    """The profile's predicates, in FILTER_ORDER."""
+    return tuple(_PREDICATES[fid] for fid in FILTER_ORDER if fid in profile)
 
 
 def _survives(weights, degrees, predicates) -> bool:
@@ -277,17 +247,8 @@ def _survives(weights, degrees, predicates) -> bool:
 
 # One predicate per screen: (weights, degrees) -> witness dict, or None
 # on a pass.  Deltas, LastWeight and UnitPrefix assume sorted tuples.
-
-
-def _first_inversion(name, values):
-    for p in range(len(values) - 1):
-        if values[p] > values[p + 1]:
-            return {"list": name, "position": p}
-    return None
-
-
-def _normalized(weights, degrees):
-    return _first_inversion("weights", weights) or _first_inversion("degrees", degrees)
+# Normalized's is core._first_inversion, which Candidate.is_normalized
+# walks too.
 
 
 def _ambient_well_formed(weights, degrees):
@@ -358,7 +319,7 @@ def _unit_prefix(weights, degrees, index=None):
 
 
 _PREDICATES = {
-    FilterId.NORMALIZED: _normalized,
+    FilterId.NORMALIZED: _first_inversion,
     FilterId.AMBIENT_WELL_FORMED: _ambient_well_formed,
     FilterId.FANO_POSITIVITY: _fano_positive,
     FilterId.LINEAR_CONE: _linear_cone,
@@ -367,22 +328,3 @@ _PREDICATES = {
     FilterId.GCD_COVER: _gcd_cover,
     FilterId.UNIT_PREFIX: _unit_prefix,
 }
-
-# Fail-fast order: the O(N) arithmetic screens first, the gcd screens
-# last.  Any order gives the same pass/fail answer.
-_FAIL_FAST_ORDER = (
-    FilterId.NORMALIZED,
-    FilterId.FANO_POSITIVITY,
-    FilterId.UNIT_PREFIX,
-    FilterId.LAST_WEIGHT,
-    FilterId.DELTAS,
-    FilterId.LINEAR_CONE,
-    FilterId.AMBIENT_WELL_FORMED,
-    FilterId.GCD_COVER,
-)
-
-
-@lru_cache(maxsize=256)
-def _fail_fast(profile: frozenset[FilterId]) -> tuple:
-    """The profile's predicates in fail-fast order, resolved once per profile (2^8 at most)."""
-    return tuple(_PREDICATES[fid] for fid in _FAIL_FAST_ORDER if fid in profile)

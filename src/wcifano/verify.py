@@ -17,9 +17,16 @@ classification predicts:
               The screens are necessary conditions only, so a count
               mismatch is flagged in the notes, never failed.
 
-Verdicts: Verified (exact match, cap untouched), Refuted (an extra
-survivor, or a missing family the cap cannot excuse; carries the
-counterexample), InconclusiveCapTouched (the cap may hide the answer).
+Verdicts of cases i-iii and hypersurface: Verified (exact match, cap
+untouched), Refuted (an extra survivor, or a missing family the cap
+cannot excuse; carries the counterexample), InconclusiveCapTouched (the
+cap may hide the answer).
+
+The survey's Verified is weaker: every named family was found, whatever
+the cap and the other survivors.  Where no family is named, as at
+(5, 1), it is Verified with nothing checked, the cap touched or not.
+Its slices at the other indices carry status Verified and expected ()
+without any check; they only feed the count.
 """
 
 from __future__ import annotations
@@ -172,7 +179,8 @@ def survey_codim(n: int, index: int, cap: int = 20) -> VerificationResult:
     it in slices, and their summed survivor count is compared against
     the reference count in the notes only: the screens are necessary
     conditions, so extra tuples need not carry smooth families and a
-    count mismatch is not a failure.
+    count mismatch is not a failure.  So Verified only says that every
+    named family was found (the module docstring has the details).
     """
     if n < 2:
         raise ValueError(f"survey needs n >= 2, got {n}")

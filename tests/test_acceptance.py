@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 
+from gcd_oracle import gcd_cover_bruteforce
 from grid_oracle import naive_survivors
 
 from wcifano.core import Candidate, fano_index, normalize
@@ -22,7 +23,6 @@ from wcifano.filters import (
     SMOOTH_FANO_PROFILE,
     FilterId,
     ambient_well_formed,
-    gcd_cover_bruteforce,
     gcd_cover_ok,
     is_linear_cone,
 )

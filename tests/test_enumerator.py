@@ -28,6 +28,7 @@ from wcifano.enumerator import (
     enumerate_streaming,
 )
 from wcifano.filters import (
+    _PREDICATES,
     CALABI_YAU_PROFILE,
     FILTER_ORDER,
     SMOOTH_FANO_PROFILE,
@@ -35,6 +36,7 @@ from wcifano.filters import (
     gcd_cover_ok,
     run_all,
 )
+from wcifano.transforms import hyperplane_section
 
 ALL_PROFILES = [
     frozenset(c) for r in range(len(FILTER_ORDER) + 1) for c in itertools.combinations(FILTER_ORDER, r)
@@ -199,6 +201,46 @@ class TestSearchShape:
         assert result.survivors == ()
         assert result.stats == SearchStats(nodes=0, tested=0)
 
+    @pytest.mark.parametrize("n, index, k", [(3, 1, 2), (2, 0, 1), (2, 3, 0), (1, 2, 2)])
+    def test_the_shape_runs_its_predicates_in_filter_order(self, n, index, k):
+        # one screen order: a tested tuple's first failing predicate is the
+        # first failing verdict of its run_all report
+        for profile in ALL_PROFILES:
+            shape = _Shape(EnumerationQuery(n=n, index=index, k=k, profile=profile))
+            screens = profile - shape.enforced - shape.cuts
+            assert shape.predicates == tuple(_PREDICATES[f] for f in FILTER_ORDER if f in screens)
+
+
+class TestIndexReduction:
+    # Under UnitPrefix, with index >= 2 and k <= n, (n, index, k) and
+    # (n - 1, index - 1, k) build the same shape but for one more unit in
+    # the prefix, so prepending a unit weight maps the survivors of the
+    # second one to one onto those of the first, and the walks agree.
+    # index 1 would map to index 0, where FanoPositivity is not enforced,
+    # and k = n + 1 to an invalid query.
+
+    def test_a_unit_weight_maps_the_survivors_one_to_one(self):
+        profiles = [p for p in ALL_PROFILES if FilterId.UNIT_PREFIX in p]
+        slices = [
+            (n, index, k) for n in range(2, 5) for k in range(n + 1) for index in range(2, n + 3)
+        ]
+        assert (len(profiles), len(slices)) == (128, 50)
+        mapped = 0
+        # every other pair of the 6,400, so each profile and each slice is
+        # sampled
+        for p, profile in enumerate(profiles):
+            for n, index, k in slices[p % 2 :: 2]:
+                high, low = (
+                    enumerate_candidates(EnumerationQuery(m, i, k, max_weight=5, profile=profile))
+                    for m, i in ((n, index), (n - 1, index - 1))
+                )
+                assert tuple(hyperplane_section(c).after for c in high.survivors) == low.survivors
+                assert high.stats == low.stats
+                assert high.cap_touched is low.cap_touched
+                assert high.prefix_infeasible is low.prefix_infeasible
+                mapped += len(high.survivors)
+        assert mapped > 10_000
+
 
 class TestDegreeCuts:
     # A profile without GcdCover and LinearCone walks the uncut search:
@@ -219,8 +261,8 @@ class TestDegreeCuts:
         skipped: list[bool] = []
 
         def checking_test(walk, weights, ds):
-            assert run_all(Candidate(weights, ds), walk.cuts).survives
-            checked.append(len(walk.cuts))
+            assert run_all(Candidate(weights, ds), walk.shape.cuts).survives
+            checked.append(len(walk.shape.cuts))
             test(walk, weights, ds)
 
         def recording_fit(*args):
@@ -519,6 +561,20 @@ class TestStreaming:
         seen: list[Candidate] = []
         result = enumerate_streaming(q, seen.append, workers=3)
         assert tuple(seen) == result.survivors
+        # nothing sorts the merged survivors: the tasks and the walks find
+        # them in canonical order
+        assert seen == sorted(seen, key=canonical_key)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_survivors_are_canonical_without_the_unit_prefix_structure(self, workers):
+        # without UnitPrefix and Deltas every weight is a middle; here the
+        # survivors come from five tasks, one per first weight
+        profile = SMOOTH_FANO_PROFILE - {FilterId.UNIT_PREFIX, FilterId.DELTAS, FilterId.GCD_COVER}
+        q = EnumerationQuery(n=2, index=1, k=2, max_weight=6, profile=profile)
+        survivors = list(enumerate_candidates(q, workers=workers).survivors)
+        assert len(survivors) == 451
+        assert {c.weights[0] for c in survivors} == {1, 2, 3, 4, 5}
+        assert survivors == sorted(survivors, key=canonical_key)
 
     def test_sink_runs_before_the_last_task(self, monkeypatch):
         # (5, 1, 3) has two middle weights, so cap 10 gives ten tasks, one

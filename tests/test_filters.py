@@ -6,9 +6,11 @@ import random
 from math import gcd
 
 import pytest
+from gcd_oracle import TooLarge, gcd_cover_bruteforce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wcifano.filters
 from wcifano.core import Candidate, NotNormalized, fano_index, gcd_classes, normalize
 from wcifano.filters import (
     CALABI_YAU_PROFILE,
@@ -17,15 +19,13 @@ from wcifano.filters import (
     FilterVerdict,
     NoDegrees,
     SMOOTH_FANO_PROFILE,
-    TooLarge,
     _PREDICATES,
-    _fail_fast,
+    _predicates,
     _survives,
     _verdict,
     ambient_well_formed,
     deltas_ok,
     fano_positive,
-    gcd_cover_bruteforce,
     gcd_cover_ok,
     is_linear_cone,
     is_normalized,
@@ -415,7 +415,7 @@ class TestPassesProfile:
 
 
 class TestPredicates:
-    """The predicates on (weights, degrees) give run_all's verdicts, in either order.
+    """The predicates on (weights, degrees) give run_all's verdicts, in its order.
 
     Some degree tuples are left unsorted, so the Normalized witness must
     come from the degrees when the weights are sorted.
@@ -450,4 +450,31 @@ class TestPredicates:
                     survives = run_all(c, profile).survives
                 except NotNormalized:
                     continue
-                assert _survives(weights, degrees, _fail_fast(profile)) == survives
+                assert _survives(weights, degrees, _predicates(profile)) == survives
+
+    def test_passes_profile_walks_filter_order(self, monkeypatch):
+        seen: list[tuple] = []
+        survives = wcifano.filters._survives
+
+        def recording_survives(weights, degrees, predicates):
+            seen.append(predicates)
+            return survives(weights, degrees, predicates)
+
+        monkeypatch.setattr(wcifano.filters, "_survives", recording_survives)
+        assert len(self.all_profiles) == 256
+        for profile in self.all_profiles:
+            passes_profile(Candidate((1, 1, 2), (3,)), profile)
+            assert seen.pop() == tuple(_PREDICATES[f] for f in FILTER_ORDER if f in profile)
+
+    @given(normalized_candidates, profiles)
+    @settings(max_examples=400, deadline=None)
+    def test_first_failing_predicate_is_the_first_failing_verdict(self, c, profile):
+        # passes_profile and the enumerator stop at the first predicate
+        # that fails, which is the first failing verdict of the report
+        failing = run_all(c, profile).failing()
+        first = next((p for p in _predicates(profile) if p(c.weights, c.degrees) is not None), None)
+        if not failing:
+            assert first is None
+        else:
+            assert first is _PREDICATES[failing[0].filter_id]
+            assert first(c.weights, c.degrees) == failing[0].witness
