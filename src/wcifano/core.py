@@ -174,26 +174,21 @@ def _class_generators(weights) -> list[int]:
     """The gcds g > 1 of nonempty weight subsets, ascending.
 
     This is the gcd closure of the weight values, built by one pass
-    (_close_over) that adds each weight and its gcd with every value seen
+    (_gcds_added) that adds each weight and its gcd with every value seen
     so far; no weight is factored.  Unit weights only contribute gcd 1
     and are skipped.
     """
-    closure = _close_over(set(), weights)
+    closure: set[int] = set()
+    for a in weights:
+        if a > 1:
+            closure |= _gcds_added(closure, a)
     closure.discard(1)
     return sorted(closure)
 
 
-def _close_over(closure: set[int], weights) -> set[int]:
-    """Extend a gcd closure by the weights, in place, and return it.
-
-    Each weight a > 1 joins the closure with its gcd with every value
-    already in it (possibly 1); a unit weight adds nothing.
-    """
-    for a in weights:
-        if a > 1:
-            closure |= {gcd(a, g) for g in closure}
-            closure.add(a)
-    return closure
+def _gcds_added(closure, a: int) -> set[int]:
+    """What a weight a > 1 adds to a gcd closure: a and its gcd (possibly 1) with each value."""
+    return {a, *(gcd(a, g) for g in closure)}
 
 
 def gcd_classes(c: Candidate) -> list[GcdClass]:

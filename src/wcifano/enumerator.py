@@ -14,8 +14,8 @@ max_weight is decided.
   by a sum (the last degree; the last middle at k = 0) counts only when
   it is admissible, and a weight or a degree the cuts skip is not
   placed, so not a node: nor is a tail that the degree-sum bound
-  rejects on the tail prefix it ends, nor any degree of a vector that
-  the bound skips whole.  stats.tested counts the tuples run through
+  rejects on the tail prefix it ends, nor any degree of the slots left
+  that the bound rejects.  stats.tested counts the tuples run through
   the profile.
 
 Every profile runs one search shape (_Shape), derived once per query
@@ -42,15 +42,15 @@ are appended, so the walk keeps them along the weights it places,
 extended by one weight per middle and per tail from the first middle
 on.  A weight that gives some class more than k members is not placed,
 and its whole subtree is skipped.  At k >= 2 the degree sum the index
-equation fixes bounds the degrees (_degrees_fit).  Under LastWeight,
-every tail placed must leave each class a degree outside the last slot
-or a share of the last degree: a class that only the last degree can
-serve may have one member, and all such classes must divide one degree
-in the last slot's window, or the tail is not placed.  A complete
-vector is then skipped whole when its degrees cannot fit that sum: the
-least degree each slot can hold, plus the least raise to an admissible
-multiple that each class needs in as many slots as it has members, must
-not exceed it.  While the degrees are placed no class may need more
+equation fixes bounds each stage.  Under LastWeight, every tail placed
+must leave each class a degree outside the last slot or a share of the
+last degree: a class that only the last degree can serve may have one
+member, and all such classes must divide one degree in the last slot's
+window, or the tail is not placed (_tails_fit).  While a class is
+pending, the degree walk fills a slot only when the slots left fit what
+is left of that sum (_slots_fit): the least degree each can hold, plus
+the least raise to an admissible multiple that each class needs in as
+many slots as it still needs, must not exceed it.  No class may need more
 divisible degrees than there are slots left: a class that needs every
 slot left must divide the next degree, so the walk steps through
 multiples of the lcm of those classes.  LinearCone skips every degree
@@ -81,12 +81,13 @@ enforced.  So is k = n + 1, which maps to an invalid query.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import lcm
 from typing import Callable
 
-from .core import Candidate, _close_over
+from .core import Candidate, _gcds_added
 from .filters import FilterId, SMOOTH_FANO_PROFILE, _predicates, _survives
 
 __all__ = [
@@ -254,17 +255,27 @@ def enumerate_streaming(
         keys = range(1, shape.first_hi + 1)
     else:
         keys = [None] if shape.middles == 0 else []
-    if workers > 1 and len(keys) > 1:
+    # The pool forks all its workers at once, so it gets no more than
+    # there are tasks or usable CPUs, and one worker runs inline.
+    size = min(workers, len(keys), _usable_cpus())
+    if size > 1:
         # Imported here: concurrent.futures.process costs a one-worker run
         # tens of milliseconds at start.
         from concurrent.futures import ProcessPoolExecutor
 
         # pool.map yields in submission order, so the sink order stays
-        # canonical while later tasks still run.  The pool forks all its
-        # workers at once, so it gets no more than there are tasks.
-        with ProcessPoolExecutor(max_workers=min(workers, len(keys))) as pool:
+        # canonical while later tasks still run.
+        with ProcessPoolExecutor(max_workers=size) as pool:
             return _collect(shape, pool.map(_task, repeat(shape), keys), sink)
     return _collect(shape, (_task(shape, m1) for m1 in keys), sink)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _collect(shape: _Shape, walks, sink) -> EnumerationResult:
@@ -313,13 +324,12 @@ class _Walk:
         self,
         head: tuple[int, ...],
         length: int,
-        lo: int,
         hi: int,
         total=None,
         classes=None,
         fits=None,
     ):
-        """Yield each non-decreasing extension of head to length entries in lo..hi, with counts.
+        """Yield each non-decreasing extension of head to length entries in 1..hi, with counts.
 
         With total, only the extensions summing to total: the last entry
         is forced (a node only when admissible), and each earlier one is
@@ -336,10 +346,10 @@ class _Walk:
                 yield head, classes
             return
         if total is None:
-            values = range(head[-1] if head else lo, hi + 1)
+            values = range(head[-1] if head else 1, hi + 1)
         else:
             slots, left = length - len(head), total - sum(head)
-            start = head[-1] if head else lo
+            start = head[-1] if head else 1
             values = range(max(start, left) if slots == 1 else start, min(hi, left // slots) + 1)
         # A value in the last slot completes the tuple (with total it is the
         # forced value, so the sum holds): it is yielded without a leaf call.
@@ -357,7 +367,7 @@ class _Walk:
             if last:
                 yield placed, grown
             else:
-                yield from self.tuples(placed, length, lo, hi, total, grown, fits)
+                yield from self.tuples(placed, length, hi, total, grown, fits)
 
     def degrees(self, floors, total, min_last, pending, banned, head=()):
         """Yield the non-decreasing degrees d_j = floors[j] + e_j extending head.
@@ -365,7 +375,9 @@ class _Walk:
         Every e_j >= 1, the e_j of the unplaced degrees sum to total, and
         the last e_j >= min_last >= 1.  Each (g, c) in pending asks c > 0
         more degrees divisible by g (GcdCover), with c at most the number
-        of unplaced degrees.  A class whose c equals that number must
+        of unplaced degrees; while one is, a free slot is filled only when
+        the unplaced degrees fit their sum (_slots_fit; with none, the slot
+        ranges hold the slack).  A class whose c equals that number must
         divide the next degree, so only multiples of the lcm of those
         classes are placed, and the bound holds again after each degree.
         No degree is in banned (LinearCone).  The last degree is forced by
@@ -388,6 +400,8 @@ class _Walk:
             ):
                 self.nodes += 1
                 yield head + (d,)
+            return
+        if pending and not _slots_fit(floors[j:], total, min_last, pending, banned, prev):
             return
         step = lcm(*(g for g, c in pending if c == last + 1 - j))
         lo = max(floors[j] + 1, prev)
@@ -429,7 +443,7 @@ def _grow_classes(
             if count > k:
                 return None
         grown[g] = count
-    for g in _close_over(set(classes), (a,)):
+    for g in _gcds_added(classes, a):
         if g > 1 and g not in grown:
             count = sum(1 for w in placed if w % g == 0)
             if count > k:
@@ -438,54 +452,57 @@ def _grow_classes(
     return grown
 
 
-def _degrees_fit(floors, total, min_last, pending, banned, k=None, tail_hi=None) -> bool:
-    """False only when no degree tuple completes the weights placed so far.
+def _tails_fit(tails, total, classes, banned, k, tail_hi) -> bool:
+    """False only when no completion of a tail prefix has a degree tuple.
 
-    Complete vector (no k): False only when
-    _Walk.degrees(floors, total, min_last, pending, banned) yields
-    nothing.  In any tuple it yields the degrees are non-decreasing,
-    every e_j >= 1 and the last e_j >= min_last, so slot j holds at least
-    lo_j, the running max of floors[j] + 1 (floors[-1] + min_last in the
-    last slot).  The degrees sum to S = sum(floors) + total, which leaves
-    slack = S - sum(lo) above those least values; negative slack leaves
-    no tuple.  Each (g, c) in pending asks c degrees divisible by g, none
-    of them in banned, and the least such degree in slot j is lo_j +
-    inc_j.  c slots hold one and no slot lies below its lo_j, so the
-    slack is at least the sum of the c smallest inc_j.
-
-    Tail prefix (k given, with LastWeight, so min_last is the last tail
-    and is not passed): floors are the tails t_1 <= ... <= t_cur placed
-    so far, all k of them at the last depth, and pending and banned the
-    class counts and the weights so far; the other tails lie in
-    t_cur..tail_hi.  In any completion the slack above is total - (k -
-    1) - t_k >= 0 and every degree lies in [lo_j, lo_j + slack], so every
-    degree but the last lies in [t_1 + 1, total - k + 2] and the last in
+    Under LastWeight (the last excess is at least the last tail): tails
+    are t_1 <= ... <= t_cur placed so far, all k of them at the last
+    depth, and classes and banned the class counts and the weights so
+    far; the other tails lie in t_cur..tail_hi.  In any completion slot j
+    holds at least t_j + 1, the last slot 2 t_k, with slack total - (k -
+    1) - t_k >= 0 above those least values, so every degree but the last
+    lies in [t_1 + 1, total - k + 2] and the last in
     [2 t_cur, tail_hi + total - k + 1].  A class with no multiple of g
     outside banned in the first window is last-only: the class counts,
     the gcd closure and banned only grow as weights are appended, so it
     stays last-only in every completion.  A last-only class with c >= 2
     has no completion, and every last-only class divides the last
     degree, so their lcm needs a multiple outside banned in the last
-    window.
-
-    A vector or prefix that fails has no degree tuple: skipping it
-    before its degree walk, or not placing the tail that ends the
-    prefix, loses no survivor.
+    window.  So not placing the tail that ends a failing prefix loses no
+    survivor.
     """
-    if k is not None:
-        top = total - k + 2
-        last_only = 1
-        for g, c in pending:
-            if _least_multiple(floors[0] + 1, g, banned) > top:
-                if c >= 2:
-                    return False
-                last_only = lcm(last_only, g)
-        if last_only == 1:
-            return True
-        return _least_multiple(2 * floors[-1], last_only, banned) <= tail_hi + top - 1
+    top = total - k + 2
+    last_only = 1
+    for g, c in classes:
+        if _least_multiple(tails[0] + 1, g, banned) > top:
+            if c >= 2:
+                return False
+            last_only = lcm(last_only, g)
+    if last_only == 1:
+        return True
+    return _least_multiple(2 * tails[-1], last_only, banned) <= tail_hi + top - 1
+
+
+def _slots_fit(floors, total, min_last, pending, banned, prev) -> bool:
+    """False only when _Walk.degrees fills no slots left after the degree prev.
+
+    floors are the floors of the unplaced slots, total the sum of their
+    excesses, and prev the degree placed last (0 before the first).  In
+    any completion the degrees are non-decreasing and at least prev,
+    every e_j >= 1 and the last e_j >= min_last, so slot j holds at least
+    lo_j, the running max from prev of floors[j] + 1 (floors[-1] +
+    min_last in the last slot).  The degrees sum to S = sum(floors) +
+    total, which leaves slack = S - sum(lo) above those least values;
+    negative slack leaves no completion.  Each (g, c) in pending asks c
+    degrees divisible by g, none of them in banned, and the least such
+    degree in slot j is lo_j + inc_j.  c slots hold one and no slot lies
+    below its lo_j, so the slack is at least the sum of the c smallest
+    inc_j.  Before the first degree this is the test of a whole vector.
+    So not filling slots that fail loses no survivor.
+    """
     lo = [f + 1 for f in floors]
     lo[-1] += min_last - 1
-    lo = list(accumulate(lo, max))
+    lo = list(accumulate(lo, max, initial=prev))[1:]
     slack = sum(floors) + total - sum(lo)
     if slack < 0:
         return False
@@ -520,7 +537,7 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
                 return walk
         walk.nodes += 1  # the fixed first middle weight
         middles = walk.tuples(
-            (first_middle,), shape.middles, first_middle, shape.middle_hi, shape.middle_sum, counts
+            (first_middle,), shape.middles, shape.middle_hi, shape.middle_sum, counts
         )
     for ms, counts in middles:
         total = len(shape.prefix) + sum(ms) - index
@@ -531,22 +548,19 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
         fits = None
         if k >= 2 and shape.last_weight and counts is not None:
             # Each tail placed, the last one included, must leave the
-            # degrees room (_degrees_fit on the tails so far).  The unit
+            # degrees room (_tails_fit on the tails so far).  The unit
             # prefix needs no ban: every degree exceeds a tail.
             def fits(placed, classes, m=len(ms)):
                 banned = placed if bans_weights else ()
-                return _degrees_fit(placed[m:], total, None, classes.items(), banned, k, tail_hi)
+                return _tails_fit(placed[m:], total, classes.items(), banned, k, tail_hi)
 
-        vectors = walk.tuples(ms, len(ms) + shape.tails, 1, tail_hi, classes=counts, fits=fits)
+        vectors = walk.tuples(ms, len(ms) + shape.tails, tail_hi, classes=counts, fits=fits)
         for ws, classes in vectors:
             weights = shape.prefix + ws
             floors = ws[len(ms) :] if shape.tails else (0,) * k
             min_last = ws[-1] if shape.last_weight else 1
             pending = tuple(classes.items()) if classes else ()
             banned = weights if bans_weights else ()
-            # At k = 1 the one degree is forced and checked directly.
-            if k >= 2 and not _degrees_fit(floors, total, min_last, pending, banned):
-                continue
             for ds in walk.degrees(floors, total, min_last, pending, banned):
                 walk.test(weights, ds)
     return walk

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from .core import (
     Candidate,
     NotNormalized,
@@ -212,7 +213,7 @@ def passes_profile(c: Candidate, profile: frozenset[FilterId]) -> bool:
     enumerator runs the same walk on its own (always sorted) tuples.
     """
     _require_sorted(c.weights, c.degrees, profile)
-    return _survives(c.weights, c.degrees, _predicates(profile))
+    return _survives(c.weights, c.degrees, _predicates(frozenset(profile)))
 
 
 def _verdict(fid: FilterId, witness: dict | None) -> FilterVerdict:
@@ -233,8 +234,9 @@ def _require_sorted(weights, degrees, profile) -> None:
         raise NotNormalized("profile includes filters that need sorted tuples")
 
 
-def _predicates(profile) -> tuple:
-    """The profile's predicates, in FILTER_ORDER."""
+@cache
+def _predicates(profile: frozenset[FilterId]) -> tuple:
+    """The profile's predicates, in FILTER_ORDER, built once per profile (256 at most)."""
     return tuple(_PREDICATES[fid] for fid in FILTER_ORDER if fid in profile)
 
 

@@ -184,6 +184,8 @@ def survey_codim(n: int, index: int, cap: int = 20) -> VerificationResult:
     """
     if n < 2:
         raise ValueError(f"survey needs n >= 2, got {n}")
+    if index < 1:
+        raise ValueError(f"survey needs index >= 1, got {index}")
     k = n - index - 1
     if k < 1:
         raise ValueError(f"survey needs k = n - index - 1 >= 1, got k = {k}")

@@ -7,7 +7,6 @@ exactly; runtime bounds are asserted where the claim includes one.
 
 from __future__ import annotations
 
-import os
 import random
 import subprocess
 import sys
@@ -251,10 +250,9 @@ def test_criterion_8_transform_invariants(capsys):
         c.detail = f"3 transform families x {trials} inputs"
 
 
-def test_criterion_9_cli_byte_determinism(capsys):
+def test_criterion_9_cli_byte_determinism(capsys, checkout_env):
     with Criterion(capsys, 9, "enumerate output byte-identical across runs and workers") as c:
-        env = dict(os.environ)
-        env.pop("WCI_DEFAULT_MAX_WEIGHT", None)
+        checkout_env.pop("WCI_DEFAULT_MAX_WEIGHT", None)
         outputs = []
         for workers in ("1", "4"):
             for _ in range(3):
@@ -265,7 +263,7 @@ def test_criterion_9_cli_byte_determinism(capsys):
                         "--max-weight", "20", "--workers", workers,
                     ],
                     capture_output=True,
-                    env=env,
+                    env=checkout_env,
                 )
                 assert proc.returncode == 0
                 outputs.append((proc.stdout, proc.stderr))

@@ -268,6 +268,9 @@ class TestVerify:
 
     def test_survey_needs_dim_and_index(self, capsys):
         assert run_cli(capsys, "verify", "--case", "survey", "--dim", "5")[0] == 2
+        # index 0 lies outside the indices 1..n-k+1 the survey sums
+        code, out, err = run_cli(capsys, "verify", "--case", "survey", "--dim", "2", "--index", "0")
+        assert (code, out, err) == (2, "", "error: survey needs index >= 1, got 0\n")
 
     def test_unknown_case_exits_two(self, capsys):
         assert run_cli(capsys, "verify", "--case", "nonsense")[0] == 2
@@ -351,17 +354,18 @@ class TestArgparseBehavior:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_invocation(self):
+    def test_python_dash_m_invocation(self, checkout_env):
         proc = subprocess.run(
             [sys.executable, "-m", "wcifano", "check", "--weights", "1,1,1", "--degrees", "2"],
             capture_output=True,
             text=True,
+            env=checkout_env,
         )
         assert proc.returncode == 0
         record = json.loads(proc.stdout)
         assert record["weights"] == [1, 1, 1]
 
-    def test_one_worker_run_imports_no_process_pool(self):
+    def test_one_worker_run_imports_no_process_pool(self, checkout_env):
         # the pool module costs every process start tens of milliseconds,
         # so only a run with several workers imports it
         script = (
@@ -369,10 +373,12 @@ class TestModuleEntryPoint:
             " main(['enumerate', '--dim', '3', '--index', '2', '--codim', '1']);"
             " sys.exit('concurrent.futures.process' in sys.modules)"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=checkout_env
+        )
         assert proc.returncode == 0, proc.stderr
 
-    def test_documented_survey_invocation(self):
+    def test_documented_survey_invocation(self, checkout_env):
         proc = subprocess.run(
             [
                 sys.executable, "-m", "wcifano",
@@ -380,6 +386,7 @@ class TestModuleEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env=checkout_env,
         )
         assert proc.returncode == 0
         assert "verdict: Verified" in proc.stdout

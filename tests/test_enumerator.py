@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import os
 from math import lcm
+from unittest import mock
 
 import pytest
 from grid_oracle import naive_survivors, sorted_partitions, sorted_tuples
@@ -20,9 +22,10 @@ from wcifano.enumerator import (
     EnumerationQuery,
     InvalidQuery,
     SearchStats,
-    _degrees_fit,
     _grow_classes,
     _Shape,
+    _slots_fit,
+    _tails_fit,
     _Walk,
     enumerate_candidates,
     enumerate_streaming,
@@ -254,9 +257,10 @@ class TestDegreeCuts:
         # GcdCover and LinearCone cut the degree search when the profile
         # holds them and are then not re-run, so every tested tuple must
         # pass them; no profile may lose or gain a survivor by the cuts or
-        # by the degree-sum bound, which skips vectors at every k >= 2 row
+        # by the degree-sum bound, which stops the degree walk at every
+        # k >= 2 row
         test = wcifano.enumerator._Walk.test
-        fit = wcifano.enumerator._degrees_fit
+        fit = wcifano.enumerator._slots_fit
         checked: list[int] = []
         skipped: list[bool] = []
 
@@ -271,7 +275,7 @@ class TestDegreeCuts:
             return fits
 
         monkeypatch.setattr(wcifano.enumerator._Walk, "test", checking_test)
-        monkeypatch.setattr(wcifano.enumerator, "_degrees_fit", recording_fit)
+        monkeypatch.setattr(wcifano.enumerator, "_slots_fit", recording_fit)
         tested = {}
         for profile in ALL_PROFILES:
             q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
@@ -300,19 +304,26 @@ class TestDegreeCuts:
 
 
 class TestDegreeSumBound:
-    # _degrees_fit skips a weight vector before its degree walk when the
-    # slot floors, or the least unbanned multiples its GcdCover classes
-    # need, exceed the fixed degree sum; on a tail prefix it asks the
-    # classes that only the last degree can serve to share that degree.
+    # _slots_fit stops the degree walk before a slot when the floors of
+    # the slots left, or the least unbanned multiples their GcdCover
+    # classes need, exceed the degree sum left; _tails_fit asks the
+    # classes of a tail prefix that only the last degree can serve to
+    # share that degree.
 
     @staticmethod
-    def degree_walk(floors, total, min_last, pending, banned):
+    def degree_walk(floors, total, min_last, pending, banned, pruned=False):
+        """The walk's degree tuples; unless pruned, with _slots_fit off, as a reference."""
         walk = _Walk(_Shape(EnumerationQuery(n=1, index=0, k=1)))
-        return list(walk.degrees(floors, total, min_last, pending, banned))
+        if pruned:
+            return list(walk.degrees(floors, total, min_last, pending, banned))
+        with mock.patch.object(wcifano.enumerator, "_slots_fit", lambda *args: True):
+            return list(walk.degrees(floors, total, min_last, pending, banned))
 
     @given(st.data())
     @settings(max_examples=500, deadline=None)
     def test_a_skipped_vector_has_no_degree_tuple(self, data):
+        # the reference walk never calls _slots_fit, so a bound that
+        # rejects too much cannot empty it as well
         k = data.draw(st.integers(2, 4))
         floors = tuple(data.draw(st.lists(st.integers(0, 8), min_size=k, max_size=k)))
         total = data.draw(st.integers(0, 24))
@@ -321,8 +332,13 @@ class TestDegreeSumBound:
             data.draw(st.dictionaries(st.integers(2, 7), st.integers(1, k), max_size=3)).items()
         )
         banned = tuple(data.draw(st.lists(st.integers(1, 30), max_size=6)))
-        if not _degrees_fit(floors, total, min_last, pending, banned):
-            assert self.degree_walk(floors, total, min_last, pending, banned) == []
+        # the degree placed before these slots, 0 before the first
+        prev = data.draw(st.integers(0, 34))
+        ds = self.degree_walk(floors, total, min_last, pending, banned)
+        if not _slots_fit(floors, total, min_last, pending, banned, prev):
+            assert [d for d in ds if d[0] >= prev] == []
+        # the walk's own pruning keeps every tuple of the reference
+        assert self.degree_walk(floors, total, min_last, pending, banned, pruned=True) == ds
 
     @staticmethod
     def prefix_fits(k, middles, tails, total, tail_hi, bans):
@@ -332,7 +348,7 @@ class TestDegreeSumBound:
         if classes is None:
             return None
         banned = weights if bans else ()
-        return _degrees_fit(tails, total, None, classes.items(), banned, k, tail_hi)
+        return _tails_fit(tails, total, classes.items(), banned, k, tail_hi)
 
     @classmethod
     def live_completions(cls, k, middles, tails, total, tail_hi, bans):
@@ -388,33 +404,35 @@ class TestDegreeSumBound:
         assert rejected > 1000
 
     def test_the_bound_skips_vectors_and_only_saves_nodes(self, monkeypatch):
-        # at (5, 1, 3, 12) the bound rejects tail prefixes and skips
-        # complete vectors whose classes fit the slots but not the degree
-        # sum: the walk places 453 nodes, 542 with the prefix part alone
-        # and 2,916 with neither, for the same tested tuples, survivors
-        # and cap flag
+        # at (5, 1, 3, 12) the bound rejects tail prefixes and stops the
+        # degree walk where the classes fit the slots left but not the
+        # degree sum: the walk places 453 nodes, 542 with the prefix part
+        # alone and 2,916 with neither, for the same tested tuples,
+        # survivors and cap flag
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=12)
-        fit = wcifano.enumerator._degrees_fit
+        tails_fit, slots_fit = wcifano.enumerator._tails_fit, wcifano.enumerator._slots_fit
         prefixes, skipped = [], []
 
-        def recording_fit(floors, total, min_last, pending, banned, k=None, tail_hi=None):
-            fits = fit(floors, total, min_last, pending, banned, k, tail_hi)
-            if not fits and k is not None:
-                prefixes.append(floors)
-            elif not fits and fit(floors, total, min_last, (), banned):
+        def recording_tails_fit(tails, total, classes, banned, k, tail_hi):
+            fits = tails_fit(tails, total, classes, banned, k, tail_hi)
+            if not fits:
+                prefixes.append(tails)
+            return fits
+
+        def recording_slots_fit(floors, total, min_last, pending, banned, prev):
+            fits = slots_fit(floors, total, min_last, pending, banned, prev)
+            if not fits and slots_fit(floors, total, min_last, (), banned, prev):
                 skipped.append(floors)
             return fits
 
-        def prefix_fit(floors, total, min_last, pending, banned, k=None, tail_hi=None):
-            return k is None or fit(floors, total, min_last, pending, banned, k, tail_hi)
-
-        monkeypatch.setattr(wcifano.enumerator, "_degrees_fit", recording_fit)
+        monkeypatch.setattr(wcifano.enumerator, "_tails_fit", recording_tails_fit)
+        monkeypatch.setattr(wcifano.enumerator, "_slots_fit", recording_slots_fit)
         bounded = enumerate_candidates(q)
         assert skipped
-        assert any(len(floors) < q.k for floors in prefixes)
-        monkeypatch.setattr(wcifano.enumerator, "_degrees_fit", prefix_fit)
+        assert any(len(tails) < q.k for tails in prefixes)
+        monkeypatch.setattr(wcifano.enumerator, "_slots_fit", lambda *args: True)
         prefix_only = enumerate_candidates(q)
-        monkeypatch.setattr(wcifano.enumerator, "_degrees_fit", lambda *args: True)
+        monkeypatch.setattr(wcifano.enumerator, "_tails_fit", lambda *args: True)
         unbounded = enumerate_candidates(q)
         assert unbounded.survivors == prefix_only.survivors == bounded.survivors
         assert unbounded.cap_touched is prefix_only.cap_touched is bounded.cap_touched is True
@@ -424,7 +442,7 @@ class TestDegreeSumBound:
 
     @pytest.mark.parametrize(
         "n, index, k, cap, nodes",
-        [(5, 1, 3, 20, 1167), (6, 1, 4, 20, 1800)],
+        [(5, 1, 3, 20, 1167), (6, 1, 4, 20, 1799)],
     )
     def test_survey_slices_keep_the_cut(self, n, index, k, cap, nodes):
         # the survey slices place few nodes once the bound cuts tail
@@ -519,7 +537,8 @@ class TestDeterminism:
         q = EnumerationQuery(n=3, index=1, k=1, max_weight=8, profile=profile)
         assert enumerate_candidates(q, workers=1) == enumerate_candidates(q, workers=2)
 
-    def test_pool_is_clamped_to_the_task_count(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         # a pool that maps inline and records its size starts no process
         sizes: list[int] = []
 
@@ -538,9 +557,29 @@ class TestDeterminism:
 
         # enumerate_streaming imports the pool only when it uses one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    def test_pool_is_clamped_to_the_task_count(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
         assert enumerate_candidates(q, workers=5000) == enumerate_candidates(q)
-        assert sizes == [10]
+        assert pool_sizes == [10]
+
+    @pytest.mark.parametrize("cpus, sizes", [(3, [3]), (1, [])])
+    def test_pool_is_clamped_to_the_usable_cpus(self, monkeypatch, pool_sizes, cpus, sizes):
+        # ten tasks on three usable CPUs get three workers; on one CPU the
+        # tasks run inline, with no pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
+        assert enumerate_candidates(q, workers=5000) == enumerate_candidates(q)
+        assert pool_sizes == sizes
+
+    def test_the_cpu_count_stands_in_without_an_affinity_mask(self, monkeypatch, pool_sizes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
+        assert enumerate_candidates(q, workers=5000) == enumerate_candidates(q)
+        assert pool_sizes == [3]
 
     def test_repeat_runs_agree(self):
         q = EnumerationQuery(n=4, index=1, k=2, max_weight=10)
@@ -640,16 +679,16 @@ class TestAgainstNaiveGrid:
     ):
         # k >= 2 slices where the degree-sum bound rejects tail prefixes
         # short of the last tail
-        fit = wcifano.enumerator._degrees_fit
+        fit = wcifano.enumerator._tails_fit
         rejected: list[tuple[int, ...]] = []
 
-        def recording_fit(floors, total, min_last, pending, banned, k=None, tail_hi=None):
-            fits = fit(floors, total, min_last, pending, banned, k, tail_hi)
-            if not fits and k is not None and len(floors) < k:
-                rejected.append(floors)
+        def recording_fit(tails, total, classes, banned, k, tail_hi):
+            fits = fit(tails, total, classes, banned, k, tail_hi)
+            if not fits and len(tails) < k:
+                rejected.append(tails)
             return fits
 
-        monkeypatch.setattr(wcifano.enumerator, "_degrees_fit", recording_fit)
+        monkeypatch.setattr(wcifano.enumerator, "_tails_fit", recording_fit)
         q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=CALABI_YAU_PROFILE)
         survivors = enumerate_candidates(q).survivors
         assert rejected

@@ -162,6 +162,8 @@ class TestSurvey:
             survey_codim(1, 1)
         with pytest.raises(ValueError):
             survey_codim(3, 2)  # k = 0
+        with pytest.raises(ValueError):
+            survey_codim(2, 0)  # index 0 lies outside the summed indices 1..n-k+1
 
     def test_index_one_hypersurface_slice_count(self):
         # dimension-3 regression value: the k = 1 slice at index 1 holds
