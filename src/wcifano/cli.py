@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a classification case against the enumeration")
     p_verify.add_argument("--case", required=True, choices=[c.value for c in VerifyCase])
     p_verify.add_argument("--dim", default=None, help="dimension or range A..B (case-specific default)")
-    p_verify.add_argument("--index", default=None, help="index or range A..B (survey: single value)")
+    p_verify.add_argument("--index", default=None, help="index or range A..B (cases i and survey only; survey: single value)")
     p_verify.add_argument("--max-weight", type=int, default=None)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -224,6 +224,8 @@ def _cmd_verify(args) -> int:
     cap = args.max_weight
     dims = None if args.dim is None else _parse_span(args.dim, "dim")
     case = VerifyCase(args.case)
+    if args.index is not None and case not in (VerifyCase.CASE_I, VerifyCase.SURVEY):
+        raise ValueError("--index applies only to cases i and survey")
     if case is VerifyCase.CASE_I:
         indices = None if args.index is None else _parse_span(args.index, "index")
         result = verify_case_i(**_given(n_range=dims, i_range=indices, cap=cap))

@@ -427,25 +427,21 @@ def _grow_classes(
 
     The counts map every gcd g > 1 of the gcd closure of the weights to
     the number of weights g divides, GcdCover's required count.  The new
-    weight a = placed[-1] raises the count of each g dividing it, and each
-    value it adds to the closure is counted by one scan of placed; a unit
-    weight changes nothing.  None when some count exceeds k: that class
-    needs more divisible degrees than there are, and neither the closure
-    nor a count shrinks as weights are appended.
+    weight a = placed[-1] changes exactly the counts of _gcds_added(classes,
+    a): a class g joins it iff gcd(a, g) == g, so each such g already a
+    class gains a member, and each other value above 1 is a new class,
+    counted by one scan of placed.  A unit weight changes nothing.  None
+    when some count exceeds k: that class needs more divisible degrees
+    than there are, and neither the closure nor a count shrinks as
+    weights are appended.
     """
     a = placed[-1]
     if a == 1:
         return classes
-    grown = {}
-    for g, count in classes.items():
-        if a % g == 0:
-            count += 1
-            if count > k:
-                return None
-        grown[g] = count
+    grown = dict(classes)
     for g in _gcds_added(classes, a):
-        if g > 1 and g not in grown:
-            count = sum(1 for w in placed if w % g == 0)
+        if g > 1:
+            count = classes[g] + 1 if g in classes else sum(1 for w in placed if w % g == 0)
             if count > k:
                 return None
             grown[g] = count

@@ -66,6 +66,8 @@ class NoDegrees(ValueError):
 
 
 class FilterId(str, Enum):
+    """The screens, declared in their canonical evaluation and reporting order."""
+
     NORMALIZED = "Normalized"
     AMBIENT_WELL_FORMED = "AmbientWellFormed"
     FANO_POSITIVITY = "FanoPositivity"
@@ -76,17 +78,7 @@ class FilterId(str, Enum):
     UNIT_PREFIX = "UnitPrefix"
 
 
-# Canonical evaluation and reporting order.
-FILTER_ORDER: tuple[FilterId, ...] = (
-    FilterId.NORMALIZED,
-    FilterId.AMBIENT_WELL_FORMED,
-    FilterId.FANO_POSITIVITY,
-    FilterId.LINEAR_CONE,
-    FilterId.DELTAS,
-    FilterId.LAST_WEIGHT,
-    FilterId.GCD_COVER,
-    FilterId.UNIT_PREFIX,
-)
+FILTER_ORDER: tuple[FilterId, ...] = tuple(FilterId)
 
 SMOOTH_FANO_PROFILE: frozenset[FilterId] = frozenset(FILTER_ORDER)
 

@@ -2,14 +2,14 @@
 
 A record is self-contained: re-parsing a JSON line and re-running the
 filters on its (weights, degrees) reproduces its verdict map.  Field
-names and order are fixed by RECORD_FIELDS.  Witnesses appear for
-failing filters only.
+names and order are OutputRecord's, listed in RECORD_FIELDS.  Witnesses
+appear for failing filters only.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import Candidate
 from .filters import FILTER_ORDER, FilterId, FilterReport
@@ -22,9 +22,6 @@ __all__ = [
     "parse_jsonl_line",
     "profile_columns",
 ]
-
-RECORD_FIELDS = ("weights", "degrees", "dim", "codim", "fano_index", "verdicts", "witnesses")
-
 
 @dataclass(frozen=True)
 class OutputRecord:
@@ -64,17 +61,14 @@ class OutputRecord:
         return json.dumps(payload, separators=(",", ":"))
 
 
+RECORD_FIELDS = tuple(f.name for f in fields(OutputRecord))
+
+
 def parse_jsonl_line(line: str) -> OutputRecord:
+    """The record of one JSON line; its lists (the weights and degrees) become tuples."""
     data = json.loads(line)
-    return OutputRecord(
-        weights=tuple(data["weights"]),
-        degrees=tuple(data["degrees"]),
-        dim=data["dim"],
-        codim=data["codim"],
-        fano_index=data["fano_index"],
-        verdicts=data["verdicts"],
-        witnesses=data["witnesses"],
-    )
+    values = (data[f] for f in RECORD_FIELDS)
+    return OutputRecord(*(tuple(v) if isinstance(v, list) else v for v in values))
 
 
 def profile_columns(profile: frozenset[FilterId]) -> list[str]:

@@ -20,7 +20,8 @@ classification predicts:
 Verdicts of cases i-iii and hypersurface: Verified (exact match, cap
 untouched), Refuted (an extra survivor, or a missing family the cap
 cannot excuse; carries the counterexample), InconclusiveCapTouched (the
-cap may hide the answer).
+cap may hide the answer).  Ranges that select no slice raise
+ValueError: nothing checked verifies nothing.
 
 The survey's Verified is weaker: every named family was found, whatever
 the cap and the other survivors.  Where no family is named, as at
@@ -277,6 +278,8 @@ def _aggregate(
     slices: list[SliceOutcome],
     notes: tuple[str, ...],
 ) -> VerificationResult:
+    if not slices:
+        raise ValueError(f"case {case_id.value}: the given ranges select no slice")
     verdict = Verdict.VERIFIED
     counterexample = None
     for outcome in slices:

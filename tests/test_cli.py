@@ -278,6 +278,24 @@ class TestVerify:
     def test_bad_range_exits_two(self, capsys):
         assert run_cli(capsys, "verify", "--case", "ii", "--dim", "4..2")[0] == 2
 
+    @pytest.mark.parametrize("dim, index", [("2", "0"), ("3", "7")])
+    def test_empty_selection_exits_two(self, capsys, dim, index):
+        code, out, err = run_cli(capsys, "verify", "--case", "i", "--dim", dim, "--index", index)
+        assert (code, out) == (2, "")
+        assert err == "error: case i: the given ranges select no slice\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--case", "ii", "--dim", "2..3", "--index", "3"),
+            ("--case", "iii", "--index", "1"),
+            ("--case", "hypersurface", "--dim", "3", "--index", "9"),
+        ],
+    )
+    def test_index_outside_cases_i_and_survey_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", "error: --index applies only to cases i and survey\n")
+
     @pytest.mark.parametrize(
         "argv, flag, text",
         [

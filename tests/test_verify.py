@@ -78,6 +78,15 @@ class TestVerifiedRanges:
             verify_case_i((1, 4))
         with pytest.raises(ValueError):
             verify_case_iii((2, 4))
+        # A selection of no slice checks nothing, so it must not verify.
+        for empty, case in [
+            (lambda: verify_case_ii(n_range=(7, 6)), "ii"),
+            (lambda: verify_case_iii((5, 4)), "iii"),
+            (lambda: verify_hypersurface_remark((9, 3)), "hypersurface"),
+            (lambda: verify_case_i((2, 2), i_range=(0, 0)), "i"),
+        ]:
+            with pytest.raises(ValueError, match=f"^case {case}: "):
+                empty()
 
 
 class TestSliceComparator:
