@@ -21,7 +21,7 @@ import os
 import sys
 
 from .core import Candidate, CandidateError, NotNormalized, new_candidate, normalize
-from .enumerator import EnumerationQuery, InvalidQuery, enumerate_candidates
+from .enumerator import EnumerationQuery, enumerate_candidates
 from .filters import (
     CALABI_YAU_PROFILE,
     FILTER_ORDER,
@@ -58,6 +58,8 @@ _PROFILE_NAMES = {
     "calabi-yau": CALABI_YAU_PROFILE,
 }
 
+_TRANSFORMS = {"wellformize": wellformize, "unconize": unconize, "section": hyperplane_section}
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -68,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (CandidateError, InvalidQuery, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (TransformError, NotNormalized)) else 2
 
@@ -109,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_tr = sub.add_parser("transform", help="apply a tuple surgery and print its trace")
-    p_tr.add_argument("kind", choices=("wellformize", "unconize", "section"))
+    p_tr.add_argument("kind", choices=_TRANSFORMS)
     p_tr.add_argument("--weights", required=True)
     p_tr.add_argument("--degrees", default="")
     p_tr.set_defaults(handler=_cmd_transform)
@@ -275,14 +277,7 @@ def _print_verification(result: VerificationResult) -> None:
 def _cmd_transform(args) -> int:
     weights = _parse_int_list(args.weights, "weights")
     degrees = _parse_int_list(args.degrees, "degrees")
-    candidate = new_candidate(weights, degrees)
-    if args.kind == "wellformize":
-        trace = wellformize(candidate)
-    elif args.kind == "unconize":
-        trace = unconize(candidate)
-    else:
-        trace = hyperplane_section(candidate)
-    _print_trace(trace)
+    _print_trace(_TRANSFORMS[args.kind](new_candidate(weights, degrees)))
     return 0
 
 

@@ -104,9 +104,9 @@ class GcdClass:
     """Weight positions sharing a common divisor delta > 1.
 
     member_indices holds every position whose weight delta divides;
-    class_gcd is the gcd of those weights.  Classes with identical member
-    sets are merged, keeping the largest generator, so after merging
-    delta == class_gcd.
+    class_gcd is the gcd of those weights.  gcd_classes takes each delta
+    from the gcd closure of the weights, so delta == class_gcd by
+    construction.
     """
 
     delta: int

@@ -212,13 +212,8 @@ class _Shape:
             bound = self.middle_sum - self.middles + 1
         else:
             bound = _middle_bound(self.middles, profile)
-        self.middle_hi = cap if bound is None else min(cap, bound)
-        # The first middle (the task key) is the smallest, so at most an
-        # equal share of the middle sum.
-        self.first_hi = self.middle_hi
-        if k == 0 and self.middles > 0:
-            self.first_hi = min(self.middle_hi, self.middle_sum // self.middles)
-        self.touched = self.middles > 0 and (bound is None or bound > cap)
+        self.middle_hi, touched = _capped(bound, cap)
+        self.touched = self.middles > 0 and touched
         self.last_weight = self.tails > 0 and FilterId.LAST_WEIGHT in profile
         enforced = {FilterId.NORMALIZED, FilterId.UNIT_PREFIX}
         if index >= 1:
@@ -228,6 +223,13 @@ class _Shape:
         self.enforced = profile & enforced
         self.cuts = profile & {FilterId.GCD_COVER, FilterId.LINEAR_CONE}
         self.predicates = _predicates(profile - self.enforced - self.cuts)
+
+
+def _capped(bound: int | None, cap: int) -> tuple[int, bool]:
+    """The top of a range under the cap, and whether the cap cut it (always, with no bound)."""
+    if bound is None:
+        return cap, True
+    return min(cap, bound), bound > cap
 
 
 def enumerate_candidates(query: EnumerationQuery, workers: int = 1) -> EnumerationResult:
@@ -252,7 +254,7 @@ def enumerate_streaming(
         raise InvalidQuery(f"workers must be >= 1, got {workers}")
     shape = _Shape(query)
     if shape.middles > 0:
-        keys = range(1, shape.first_hi + 1)
+        keys = range(1, shape.middle_hi + 1)
     else:
         keys = [None] if shape.middles == 0 else []
     # The pool forks all its workers at once, so it gets no more than
@@ -328,6 +330,7 @@ class _Walk:
         total=None,
         classes=None,
         fits=None,
+        first=None,
     ):
         """Yield each non-decreasing extension of head to length entries in 1..hi, with counts.
 
@@ -339,7 +342,8 @@ class _Walk:
         members is not placed, so is not a node, and its subtree is
         skipped.  Without, every extension comes with None.  With fits (a
         predicate on the entries placed and their counts), a value it
-        rejects is not placed either.
+        rejects is not placed either.  With first, the next slot takes only
+        that value, and only if it lies in the slot's range.
         """
         if len(head) == length:
             if total is None or sum(head) == total:
@@ -351,6 +355,8 @@ class _Walk:
             slots, left = length - len(head), total - sum(head)
             start = head[-1] if head else 1
             values = range(max(start, left) if slots == 1 else start, min(hi, left // slots) + 1)
+        if first is not None:
+            values = (first,) if first in values else ()
         # A value in the last slot completes the tuple (with total it is the
         # forced value, so the sum holds): it is yielded without a leaf call.
         last = len(head) + 1 == length
@@ -524,23 +530,14 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
     # The unit prefix lies in no class, so the middles start the class counts.
     counts = {} if FilterId.GCD_COVER in shape.cuts else None
     bans_weights = FilterId.LINEAR_CONE in shape.cuts
-    if first_middle is None:
-        middles = [((), counts)]
-    else:
-        if counts is not None:
-            counts = _grow_classes(counts, (first_middle,), k)
-            if counts is None:
-                return walk
-        walk.nodes += 1  # the fixed first middle weight
-        middles = walk.tuples(
-            (first_middle,), shape.middles, shape.middle_hi, shape.middle_sum, counts
-        )
+    middles = walk.tuples(
+        (), shape.middles, shape.middle_hi, shape.middle_sum, counts, first=first_middle
+    )
     for ms, counts in middles:
         total = len(shape.prefix) + sum(ms) - index
-        tail_struct = total - k + 1 if shape.last_weight else None
-        if shape.tails and (tail_struct is None or tail_struct > cap):
+        tail_hi, touched = _capped(total - k + 1 if shape.last_weight else None, cap)
+        if shape.tails and touched:
             walk.touched = True
-        tail_hi = cap if tail_struct is None else min(cap, tail_struct)
         fits = None
         if k >= 2 and shape.last_weight and counts is not None:
             # Each tail placed, the last one included, must leave the

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .core import Candidate
+from .core import Candidate, fano_index
 from .filters import FILTER_ORDER, FilterId, FilterReport
 
 __all__ = [
@@ -47,7 +47,7 @@ class OutputRecord:
             degrees=c.degrees,
             dim=c.dim,
             codim=c.codim,
-            fano_index=sum(c.weights) - sum(c.degrees),
+            fano_index=fano_index(c),
             verdicts=verdicts,
             witnesses=witnesses,
         )

@@ -21,7 +21,8 @@ Verdicts of cases i-iii and hypersurface: Verified (exact match, cap
 untouched), Refuted (an extra survivor, or a missing family the cap
 cannot excuse; carries the counterexample), InconclusiveCapTouched (the
 cap may hide the answer).  Ranges that select no slice raise
-ValueError: nothing checked verifies nothing.
+ValueError: nothing checked verifies nothing.  So does a case i index
+range reaching an index that no dimension of the range admits.
 
 The survey's Verified is weaker: every named family was found, whatever
 the cap and the other survivors.  Where no family is named, as at
@@ -35,9 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Candidate
+from .core import Candidate, canonical_key
 from .enumerator import EnumerationQuery, EnumerationResult, enumerate_candidates
-from .filters import SMOOTH_FANO_PROFILE
 
 __all__ = [
     "NAMED_SURVEY_FAMILIES",
@@ -125,14 +125,28 @@ def verify_case_i(
     i_range: tuple[int, int] | None = None,
     cap: int = 15,
 ) -> VerificationResult:
-    """Every slice with k in n-index+2 .. n+1 must be empty."""
+    """Every slice with k in n-index+2 .. n+1 must be empty.
+
+    Dimension n admits the indices 1..n-1.  An i_range that selects
+    slices but reaches an index no dimension of n_range admits raises
+    ValueError, since that index is not checked.
+    """
     slices = []
-    for n in _span(n_range, minimum=2, what="case i dimension"):
+    dims = _span(n_range, minimum=2, what="case i dimension")
+    for n in dims:
         lo, hi = i_range if i_range is not None else (1, n - 1)
         for index in range(max(lo, 1), min(hi, n - 1) + 1):
             for k in range(n - index + 2, n + 2):
                 slices.append(_check_slice(n, index, k, expected=(), cap=cap))
-    return _aggregate(VerifyCase.CASE_I, cap, slices, notes=())
+    if slices and i_range is not None:
+        top = dims[-1] - 1
+        for index in i_range:
+            if not 1 <= index <= top:
+                raise ValueError(
+                    f"case i: index {index} is admitted by no dimension in"
+                    f" {dims[0]}..{dims[-1]}; the admissible indices are 1..{top}"
+                )
+    return _aggregate(VerifyCase.CASE_I, cap, slices)
 
 
 def verify_case_ii(n_range: tuple[int, int] = (2, 6), cap: int = 15) -> VerificationResult:
@@ -144,7 +158,7 @@ def verify_case_ii(n_range: tuple[int, int] = (2, 6), cap: int = 15) -> Verifica
             slices.append(
                 _check_slice(n, index, k, expected=(all_quadrics_family(n, k),), cap=cap)
             )
-    return _aggregate(VerifyCase.CASE_II, cap, slices, notes=())
+    return _aggregate(VerifyCase.CASE_II, cap, slices)
 
 
 def verify_case_iii(n_range: tuple[int, int] = (3, 6), cap: int = 15) -> VerificationResult:
@@ -156,7 +170,7 @@ def verify_case_iii(n_range: tuple[int, int] = (3, 6), cap: int = 15) -> Verific
             slices.append(
                 _check_slice(n, index, k, expected=(quadrics_cubic_family(n, k),), cap=cap)
             )
-    return _aggregate(VerifyCase.CASE_III, cap, slices, notes=())
+    return _aggregate(VerifyCase.CASE_III, cap, slices)
 
 
 def verify_hypersurface_remark(
@@ -168,7 +182,7 @@ def verify_hypersurface_remark(
         slices.append(
             _check_slice(n, n - 1, 1, expected=index_hypersurface_families(n), cap=cap)
         )
-    return _aggregate(VerifyCase.HYPERSURFACE, cap, slices, notes=())
+    return _aggregate(VerifyCase.HYPERSURFACE, cap, slices)
 
 
 def survey_codim(n: int, index: int, cap: int = 20) -> VerificationResult:
@@ -192,17 +206,12 @@ def survey_codim(n: int, index: int, cap: int = 20) -> VerificationResult:
         raise ValueError(f"survey needs k = n - index - 1 >= 1, got k = {k}")
     indices = [index] + [i for i in range(1, n - k + 2) if i != index]
     results = [
-        enumerate_candidates(
-            EnumerationQuery(n=n, index=i, k=k, max_weight=cap, profile=SMOOTH_FANO_PROFILE)
-        )
-        for i in indices
+        enumerate_candidates(EnumerationQuery(n=n, index=i, k=k, max_weight=cap)) for i in indices
     ]
     result = results[0]
     named = NAMED_SURVEY_FAMILIES.get((n, index), ())
-    status = Verdict.VERIFIED
     counterexample = next((f for f in named if f not in result.survivors), None)
-    if counterexample is not None:
-        status = Verdict.INCONCLUSIVE_CAP_TOUCHED if result.cap_touched else Verdict.REFUTED
+    status = Verdict.VERIFIED if counterexample is None else _missing(result)
     slices = [SliceOutcome(n, index, k, tuple(named), result, status, counterexample)]
     slices += [SliceOutcome(n, i, k, (), r, Verdict.VERIFIED) for i, r in zip(indices[1:], results[1:])]
     total = sum(len(r.survivors) for r in results)
@@ -243,21 +252,17 @@ def _span(n_range: tuple[int, int], minimum: int, what: str) -> range:
 def _check_slice(
     n: int, index: int, k: int, expected: tuple[Candidate, ...], cap: int
 ) -> SliceOutcome:
-    query = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=SMOOTH_FANO_PROFILE)
-    result = enumerate_candidates(query)
+    result = enumerate_candidates(EnumerationQuery(n=n, index=index, k=k, max_weight=cap))
     survivors = set(result.survivors)
     expected_set = set(expected)
     status = Verdict.VERIFIED
     counterexample = None
-    extras = sorted(survivors - expected_set, key=lambda c: (c.weights, c.degrees))
-    missing = sorted(expected_set - survivors, key=lambda c: (c.weights, c.degrees))
+    extras = sorted(survivors - expected_set, key=canonical_key)
+    missing = sorted(expected_set - survivors, key=canonical_key)
     if extras:
         status, counterexample = Verdict.REFUTED, extras[0]
     elif missing:
-        if result.cap_touched:
-            status, counterexample = Verdict.INCONCLUSIVE_CAP_TOUCHED, missing[0]
-        else:
-            status, counterexample = Verdict.REFUTED, missing[0]
+        status, counterexample = _missing(result), missing[0]
     elif result.cap_touched:
         # Exact match so far, but the cap may hide extra survivors.
         status = Verdict.INCONCLUSIVE_CAP_TOUCHED
@@ -272,12 +277,12 @@ def _check_slice(
     )
 
 
-def _aggregate(
-    case_id: VerifyCase,
-    cap: int,
-    slices: list[SliceOutcome],
-    notes: tuple[str, ...],
-) -> VerificationResult:
+def _missing(result: EnumerationResult) -> Verdict:
+    """The status of a slice missing an expected family: a touched cap may hide it."""
+    return Verdict.INCONCLUSIVE_CAP_TOUCHED if result.cap_touched else Verdict.REFUTED
+
+
+def _aggregate(case_id: VerifyCase, cap: int, slices: list[SliceOutcome]) -> VerificationResult:
     if not slices:
         raise ValueError(f"case {case_id.value}: the given ranges select no slice")
     verdict = Verdict.VERIFIED
@@ -294,5 +299,5 @@ def _aggregate(
         slices=tuple(slices),
         verdict=verdict,
         counterexample=counterexample,
-        notes=notes,
+        notes=(),
     )

@@ -284,6 +284,15 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: case i: the given ranges select no slice\n"
 
+    def test_case_i_index_outside_the_dimensions_exits_two(self, capsys):
+        # dimension 3 admits indices 1 and 2 only, so 0..9 is not verified
+        code, out, err = run_cli(capsys, "verify", "--case", "i", "--dim", "3", "--index", "0..9")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: case i: index 0 is admitted by no dimension in 3..3;"
+            " the admissible indices are 1..2\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -26,6 +26,7 @@ from wcifano.enumerator import (
     _Shape,
     _slots_fit,
     _tails_fit,
+    _capped,
     _Walk,
     enumerate_candidates,
     enumerate_streaming,
@@ -185,6 +186,14 @@ class TestSearchShape:
             result = enumerate_candidates(q)
             assert result.survivors == naive_survivors(n, index, k, cap, profile)
         assert checked
+
+    @pytest.mark.parametrize(
+        "bound, expected",
+        [(None, (5, True)), (3, (3, False)), (5, (5, False)), (7, (5, True))],
+    )
+    def test_the_cap_rule(self, bound, expected):
+        # a range with no structural bound always counts the cap as touched
+        assert _capped(bound, 5) == expected
 
     def test_forced_unit_weights_are_cap_independent(self):
         # UnitPrefix alone at (1, 2, 1) forces every weight to 1, so no
@@ -750,6 +759,18 @@ class TestAmbientOnlySlices:
         result = enumerate_candidates(q)
         expected = len(list(sorted_partitions(9, 3)))
         assert len(result.survivors) == expected == 7
+        assert result.cap_touched is False
+
+    def test_first_middles_the_class_counts_reject_place_nothing(self):
+        # without UnitPrefix every weight is a middle; at k = 0 GcdCover
+        # admits no class, so the tasks of first middles 2..4 place
+        # nothing, and 5..10 lie above the equal share 12 // 3; only
+        # 1, 1 is placed, and the forced 10 is not
+        profile = frozenset({FilterId.GCD_COVER})
+        q = EnumerationQuery(n=2, index=12, k=0, max_weight=20, profile=profile)
+        result = enumerate_candidates(q)
+        assert result.survivors == naive_survivors(2, 12, 0, 20, profile) == ()
+        assert result.stats == SearchStats(nodes=2, tested=0)
         assert result.cap_touched is False
 
     def test_unstructured_ambient_cap_flag(self):

@@ -88,6 +88,24 @@ class TestVerifiedRanges:
             with pytest.raises(ValueError, match=f"^case {case}: "):
                 empty()
 
+    @pytest.mark.parametrize(
+        "n_range, i_range, index, top",
+        [((3, 3), (0, 9), 0, 2), ((2, 6), (1, 6), 6, 5)],
+    )
+    def test_case_i_index_range_outside_every_dimension_raises(self, n_range, i_range, index, top):
+        # dimension n admits the indices 1..n-1; an index that no
+        # dimension of the range admits is not checked, so the range
+        # must not read as verified
+        message = f"^case i: index {index} is admitted by no dimension in .*; "
+        with pytest.raises(ValueError, match=message + f"the admissible indices are 1..{top}$"):
+            verify_case_i(n_range, i_range=i_range)
+
+    def test_case_i_index_admitted_by_some_dimension_verifies(self):
+        # index 5 is admitted by n = 6 only, which checks it
+        result = verify_case_i((2, 6), i_range=(1, 5))
+        assert result.verdict is Verdict.VERIFIED
+        assert {s.index for s in result.slices} == {1, 2, 3, 4, 5}
+
 
 class TestSliceComparator:
     def test_extra_survivor_refutes(self):
@@ -131,12 +149,12 @@ class TestSliceComparator:
             ).survivors,
             cap=8,
         )
-        both = _aggregate(VerifyCase.CASE_I, 8, [inconclusive, refuted], notes=())
+        both = _aggregate(VerifyCase.CASE_I, 8, [inconclusive, refuted])
         assert both.verdict is Verdict.REFUTED
         assert both.counterexample == refuted.counterexample
-        soft = _aggregate(VerifyCase.CASE_I, 8, [verified, inconclusive], notes=())
+        soft = _aggregate(VerifyCase.CASE_I, 8, [verified, inconclusive])
         assert soft.verdict is Verdict.INCONCLUSIVE_CAP_TOUCHED
-        clean = _aggregate(VerifyCase.CASE_I, 8, [verified, verified], notes=())
+        clean = _aggregate(VerifyCase.CASE_I, 8, [verified, verified])
         assert clean.verdict is Verdict.VERIFIED
 
 
