@@ -59,6 +59,7 @@ _PROFILE_NAMES = {
 }
 
 _TRANSFORMS = {"wellformize": wellformize, "unconize": unconize, "section": hyperplane_section}
+_VERDICT_EXIT = {Verdict.VERIFIED: 0, Verdict.REFUTED: 1, Verdict.INCONCLUSIVE_CAP_TOUCHED: 3}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -246,11 +247,7 @@ def _cmd_verify(args) -> int:
             raise ValueError("survey takes a single dimension and a single index")
         result = survey_codim(n_lo, i_lo, **_given(cap=cap))
     _print_verification(result)
-    if result.verdict is Verdict.VERIFIED:
-        return 0
-    if result.verdict is Verdict.REFUTED:
-        return 1
-    return 3
+    return _VERDICT_EXIT[result.verdict]
 
 
 def _print_verification(result: VerificationResult) -> None:

@@ -71,7 +71,7 @@ class Candidate:
         if not self.weights:
             raise EmptyWeights("candidate needs at least one weight")
         for value in self.weights + self.degrees:
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise NonPositiveEntry(f"entries must be positive integers, got {value!r}")
         if len(self.degrees) > len(self.weights) - 1:
             raise TooManyDegrees(

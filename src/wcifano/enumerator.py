@@ -28,7 +28,9 @@ sum(prefix + middles) - index.  With tails, LastWeight asks e_k >= a_N,
 which bounds the tails by that total - k + 1; at k = 0 the weights sum
 to the index, so each middle is at most an equal share of what the
 earlier ones leave and the last is forced.  One task walks the middles,
-tails and degrees under one fixed first middle weight, for any profile.
+tails and degrees under one fixed first middle weight, for any profile;
+the tasks are exactly the values the first middle's slot admits
+(_slot_values), so at k = 0 none lies above the equal share.
 The screens the shape enforces (Normalized and UnitPrefix always,
 FanoPositivity at index >= 1, Deltas and LastWeight with tails) are not
 re-run on its tuples.
@@ -244,17 +246,18 @@ def enumerate_streaming(
 ) -> EnumerationResult:
     """Run the search, feeding each survivor to sink in canonical order.
 
-    The returned result is identical for any worker count; with several
-    workers the search is partitioned over the first middle weight and
-    partial results are merged in ascending task order.  The sink sees
-    each task's survivors as soon as that task and every earlier one
-    have finished, not after the whole search.
+    The returned result is identical for any worker count.  The search
+    is split into one task per value of the first middle weight, exactly
+    the values its slot admits (_slot_values), and the partial results
+    are merged in ascending task order.  The sink sees each task's
+    survivors as soon as that task and every earlier one have finished,
+    not after the whole search.
     """
     if workers < 1:
         raise InvalidQuery(f"workers must be >= 1, got {workers}")
     shape = _Shape(query)
     if shape.middles > 0:
-        keys = range(1, shape.middle_hi + 1)
+        keys = _slot_values((), shape.middles, shape.middle_hi, shape.middle_sum)
     else:
         keys = [None] if shape.middles == 0 else []
     # The pool forks all its workers at once, so it gets no more than
@@ -343,20 +346,14 @@ class _Walk:
         skipped.  Without, every extension comes with None.  With fits (a
         predicate on the entries placed and their counts), a value it
         rejects is not placed either.  With first, the next slot takes only
-        that value, and only if it lies in the slot's range.
+        that value, which must be one of its _slot_values: the tasks are
+        exactly the first slot's values.
         """
         if len(head) == length:
             if total is None or sum(head) == total:
                 yield head, classes
             return
-        if total is None:
-            values = range(head[-1] if head else 1, hi + 1)
-        else:
-            slots, left = length - len(head), total - sum(head)
-            start = head[-1] if head else 1
-            values = range(max(start, left) if slots == 1 else start, min(hi, left // slots) + 1)
-        if first is not None:
-            values = (first,) if first in values else ()
+        values = _slot_values(head, length, hi, total) if first is None else (first,)
         # A value in the last slot completes the tuple (with total it is the
         # forced value, so the sum holds): it is yielded without a leaf call.
         last = len(head) + 1 == length
@@ -424,6 +421,19 @@ class _Walk:
         self.tested += 1
         if _survives(weights, ds, self.shape.predicates):
             self.survivors.append(Candidate(weights, ds))
+
+
+def _slot_values(head: tuple[int, ...], length: int, hi: int, total: int | None) -> range:
+    """The values of the slot after head: from head[-1] (or 1) up to hi.
+
+    With total, the entries must sum to total: each is at most an equal
+    share of what head leaves over the slots left, and the last is forced.
+    """
+    start = head[-1] if head else 1
+    if total is None:
+        return range(start, hi + 1)
+    slots, left = length - len(head), total - sum(head)
+    return range(max(start, left) if slots == 1 else start, min(hi, left // slots) + 1)
 
 
 def _grow_classes(

@@ -19,21 +19,23 @@ classification predicts:
 
 Verdicts of cases i-iii and hypersurface: Verified (exact match, cap
 untouched), Refuted (an extra survivor, or a missing family the cap
-cannot excuse; carries the counterexample), InconclusiveCapTouched (the
-cap may hide the answer).  Ranges that select no slice raise
-ValueError: nothing checked verifies nothing.  So does a case i index
-range reaching an index that no dimension of the range admits.
+cannot excuse; carries the canonical-least extra, else missing family),
+InconclusiveCapTouched (the cap may hide the answer).  Ranges that
+select no slice raise ValueError: nothing checked verifies nothing.  So
+does a case i index range reaching an index that no dimension of the
+range admits.
 
-The survey's Verified is weaker: every named family was found, whatever
-the cap and the other survivors.  Where no family is named, as at
-(5, 1), it is Verified with nothing checked, the cap touched or not.
-Its slices at the other indices carry status Verified and expected ()
-without any check; they only feed the count.
+The survey's verdict follows the same _aggregate precedence, but its
+Verified is weaker: every named family was found, whatever the cap and
+the other survivors.  Where no family is named, as at (5, 1), it is
+Verified with nothing checked, the cap touched or not.  Its slices at
+the other indices carry status Verified and expected () without any
+check; they only feed the count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .core import Candidate, canonical_key
@@ -232,14 +234,7 @@ def survey_codim(n: int, index: int, cap: int = 20) -> VerificationResult:
             )
     if any(r.cap_touched for r in results):
         notes.append("cap touched: raising max_weight could reveal further tuples")
-    return VerificationResult(
-        case_id=VerifyCase.SURVEY,
-        cap=cap,
-        slices=tuple(slices),
-        verdict=status,
-        counterexample=counterexample,
-        notes=tuple(notes),
-    )
+    return replace(_aggregate(VerifyCase.SURVEY, cap, slices), notes=tuple(notes))
 
 
 def _span(n_range: tuple[int, int], minimum: int, what: str) -> range:
@@ -257,12 +252,12 @@ def _check_slice(
     expected_set = set(expected)
     status = Verdict.VERIFIED
     counterexample = None
-    extras = sorted(survivors - expected_set, key=canonical_key)
-    missing = sorted(expected_set - survivors, key=canonical_key)
-    if extras:
-        status, counterexample = Verdict.REFUTED, extras[0]
-    elif missing:
-        status, counterexample = _missing(result), missing[0]
+    extra = min(survivors - expected_set, key=canonical_key, default=None)
+    missing = min(expected_set - survivors, key=canonical_key, default=None)
+    if extra is not None:
+        status, counterexample = Verdict.REFUTED, extra
+    elif missing is not None:
+        status, counterexample = _missing(result), missing
     elif result.cap_touched:
         # Exact match so far, but the cap may hide extra survivors.
         status = Verdict.INCONCLUSIVE_CAP_TOUCHED

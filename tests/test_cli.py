@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import wcifano.verify
 from wcifano.cli import main
 from wcifano.core import Candidate
 from wcifano.filters import FILTER_ORDER, FilterId, run_all
@@ -265,6 +266,36 @@ class TestVerify:
         assert code == 0
         assert "note: screens are necessary conditions only" in out
         assert "note: survivors at cap 12: 3" in out
+
+    def test_refuted_case_exits_one_with_the_counterexample(self, capsys, monkeypatch):
+        # with a wrong family each slice's one true survivor is an extra
+        def wrong(n, k):
+            return Candidate((1,) * (n + k + 1), (3,) * k)
+
+        monkeypatch.setattr(wcifano.verify, "all_quadrics_family", wrong)
+        code, out, _ = run_cli(capsys, "verify", "--case", "ii", "--dim", "2..3")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1] == (
+            "slice n=2 i=1 k=2: survivors=1 expected=1 cap_touched=false"
+            " status=Refuted counterexample=(1,1,1,1,1;2,2)"
+        )
+        assert lines[-1] == "verdict: Refuted"
+
+    def test_inconclusive_survey_exits_three_with_the_counterexample(self, capsys, monkeypatch):
+        bogus = Candidate((1,) * 8 + (7,), (2, 2, 10))
+        monkeypatch.setitem(wcifano.verify.NAMED_SURVEY_FAMILIES, (5, 1), (bogus,))
+        code, out, _ = run_cli(
+            capsys, "verify", "--case", "survey", "--dim", "5", "--index", "1", "--max-weight", "10"
+        )
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[1].startswith("slice n=5 i=1 k=3: ")
+        assert lines[1].endswith(
+            " cap_touched=true status=InconclusiveCapTouched"
+            " counterexample=(1,1,1,1,1,1,1,1,7;2,2,10)"
+        )
+        assert lines[-1] == "verdict: InconclusiveCapTouched"
 
     def test_survey_needs_dim_and_index(self, capsys):
         assert run_cli(capsys, "verify", "--case", "survey", "--dim", "5")[0] == 2

@@ -62,6 +62,8 @@ class TestConstruction:
             new_candidate([1, 2], [-3])
         with pytest.raises(NonPositiveEntry):
             new_candidate([1, 2.5], [2])
+        with pytest.raises(NonPositiveEntry):
+            Candidate((True, True, True), (2,))
 
     def test_too_many_degrees(self):
         with pytest.raises(TooManyDegrees):

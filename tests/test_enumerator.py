@@ -763,15 +763,44 @@ class TestAmbientOnlySlices:
 
     def test_first_middles_the_class_counts_reject_place_nothing(self):
         # without UnitPrefix every weight is a middle; at k = 0 GcdCover
-        # admits no class, so the tasks of first middles 2..4 place
-        # nothing, and 5..10 lie above the equal share 12 // 3; only
-        # 1, 1 is placed, and the forced 10 is not
+        # admits no class, so the tasks of first middles 2..4 (the equal
+        # share 12 // 3) place nothing; only 1, 1 is placed, and the
+        # forced 10 is not
         profile = frozenset({FilterId.GCD_COVER})
         q = EnumerationQuery(n=2, index=12, k=0, max_weight=20, profile=profile)
         result = enumerate_candidates(q)
         assert result.survivors == naive_survivors(2, 12, 0, 20, profile) == ()
         assert result.stats == SearchStats(nodes=2, tested=0)
         assert result.cap_touched is False
+
+    @pytest.mark.parametrize(
+        "n, index, cap, profile, tasks, survivors",
+        [
+            (2, 12, 20, frozenset({FilterId.GCD_COVER}), 4, 0),
+            (3, 15, None, frozenset(), 3, 27),
+            (4, 40, 40, frozenset(), 8, 1115),
+        ],
+    )
+    def test_the_tasks_are_the_first_middles_up_to_the_equal_share(
+        self, monkeypatch, n, index, cap, profile, tasks, survivors
+    ):
+        # at k = 0 without UnitPrefix every weight is a middle, and the
+        # first is at most index // (n + 1), so a task above it would place
+        # nothing; with no screens every partition of the index survives
+        keys = []
+        run_task = wcifano.enumerator._task
+
+        def task(shape, first_middle):
+            keys.append(first_middle)
+            return run_task(shape, first_middle)
+
+        monkeypatch.setattr(wcifano.enumerator, "_task", task)
+        q = EnumerationQuery(n=n, index=index, k=0, max_weight=cap, profile=profile)
+        result = enumerate_candidates(q)
+        assert keys == list(range(1, index // (n + 1) + 1)) and len(keys) == tasks
+        assert len(result.survivors) == survivors
+        if not profile:
+            assert survivors == len(list(sorted_partitions(index, n + 1)))
 
     def test_unstructured_ambient_cap_flag(self):
         q = EnumerationQuery(n=2, index=9, k=0, max_weight=2, profile=frozenset())

@@ -113,6 +113,12 @@ class TestSliceComparator:
         assert outcome.status is Verdict.REFUTED
         assert outcome.counterexample == Candidate((1, 1, 1, 1, 1), (3,))
 
+    def test_the_counterexample_is_the_least_extra(self):
+        outcome = _check_slice(3, 1, 1, (), 20)
+        assert len(outcome.result.survivors) > 1
+        assert outcome.status is Verdict.REFUTED
+        assert outcome.counterexample == Candidate((1, 1, 1, 1, 1), (4,))
+
     def test_missing_family_with_cap_untouched_refutes(self):
         bogus = Candidate((1, 1, 1, 7), (8,))
         actual = Candidate((1, 1, 1, 1), (2,))
