@@ -24,7 +24,6 @@ from .core import Candidate, CandidateError, NotNormalized, new_candidate, norma
 from .enumerator import EnumerationQuery, enumerate_candidates
 from .filters import (
     CALABI_YAU_PROFILE,
-    FILTER_ORDER,
     FilterId,
     SMOOTH_FANO_PROFILE,
     run_all,
@@ -59,6 +58,12 @@ _PROFILE_NAMES = {
 }
 
 _TRANSFORMS = {"wellformize": wellformize, "unconize": unconize, "section": hyperplane_section}
+_VERIFY = {
+    VerifyCase.CASE_I: verify_case_i,
+    VerifyCase.CASE_II: verify_case_ii,
+    VerifyCase.CASE_III: verify_case_iii,
+    VerifyCase.HYPERSURFACE: verify_hypersurface_remark,
+}
 _VERDICT_EXIT = {Verdict.VERIFIED: 0, Verdict.REFUTED: 1, Verdict.INCONCLUSIVE_CAP_TOUCHED: 3}
 
 
@@ -138,12 +143,12 @@ def _parse_profile(text: str) -> frozenset[FilterId]:
     if text in _PROFILE_NAMES:
         return _PROFILE_NAMES[text]
     ids = []
-    by_value = {fid.value: fid for fid in FILTER_ORDER}
     for part in text.split(","):
         part = part.strip()
-        if part not in by_value:
-            raise ValueError(f"unknown filter id {part!r}")
-        ids.append(by_value[part])
+        try:
+            ids.append(FilterId(part))
+        except ValueError:
+            raise ValueError(f"unknown filter id {part!r}") from None
     return frozenset(ids)
 
 
@@ -229,23 +234,16 @@ def _cmd_verify(args) -> int:
     case = VerifyCase(args.case)
     if args.index is not None and case not in (VerifyCase.CASE_I, VerifyCase.SURVEY):
         raise ValueError("--index applies only to cases i and survey")
-    if case is VerifyCase.CASE_I:
-        indices = None if args.index is None else _parse_span(args.index, "index")
-        result = verify_case_i(**_given(n_range=dims, i_range=indices, cap=cap))
-    elif case is VerifyCase.CASE_II:
-        result = verify_case_ii(**_given(n_range=dims, cap=cap))
-    elif case is VerifyCase.CASE_III:
-        result = verify_case_iii(**_given(n_range=dims, cap=cap))
-    elif case is VerifyCase.HYPERSURFACE:
-        result = verify_hypersurface_remark(**_given(n_range=dims, cap=cap))
-    else:
-        if dims is None or args.index is None:
-            raise ValueError("survey needs --dim and --index")
-        n_lo, n_hi = dims
-        i_lo, i_hi = _parse_span(args.index, "index")
+    if case is VerifyCase.SURVEY and (dims is None or args.index is None):
+        raise ValueError("survey needs --dim and --index")
+    indices = None if args.index is None else _parse_span(args.index, "index")
+    if case is VerifyCase.SURVEY:
+        (n_lo, n_hi), (i_lo, i_hi) = dims, indices
         if n_lo != n_hi or i_lo != i_hi:
             raise ValueError("survey takes a single dimension and a single index")
         result = survey_codim(n_lo, i_lo, **_given(cap=cap))
+    else:
+        result = _VERIFY[case](**_given(n_range=dims, i_range=indices, cap=cap))
     _print_verification(result)
     return _VERDICT_EXIT[result.verdict]
 

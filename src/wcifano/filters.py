@@ -23,8 +23,8 @@ the order a report lists them in: run_all evaluates each of them, while
 passes_profile and the enumerator stop at the first witness.  So the
 first predicate that fails a tuple is also the first failing verdict of
 its run_all report.  Both raise NotNormalized on unsorted tuples when
-the profile holds a screen that reads positions (Deltas, UnitPrefix,
-LastWeight with k >= 1).
+the profile holds a screen of _READS_POSITIONS, as does each of those
+screens' verdict function.
 """
 
 from __future__ import annotations
@@ -142,15 +142,11 @@ def deltas_ok(c: Candidate) -> FilterVerdict:
 
     Requires a normalized candidate.  Vacuous pass for k = 0.
     """
-    if not c.is_normalized:
-        raise NotNormalized("deltas_ok needs sorted weights and degrees")
     return _screen(FilterId.DELTAS, c)
 
 
 def last_weight_ok(c: Candidate) -> FilterVerdict:
     """d_k >= 2 a_N: the top degree dominates twice the top weight."""
-    if not c.is_normalized:
-        raise NotNormalized("last_weight_ok needs sorted weights and degrees")
     if c.codim == 0:
         raise NoDegrees("last_weight_ok needs at least one degree")
     return _screen(FilterId.LAST_WEIGHT, c)
@@ -173,8 +169,6 @@ def unit_prefix_ok(c: Candidate, index: int) -> FilterVerdict:
     position k+i-1.  An empty prefix (k = 0, i <= 0) passes vacuously; a
     prefix longer than the weight tuple fails as infeasible.
     """
-    if not c.is_normalized:
-        raise NotNormalized("unit_prefix_ok needs sorted weights and degrees")
     return _screen(FilterId.UNIT_PREFIX, c, index)
 
 
@@ -214,16 +208,23 @@ def _verdict(fid: FilterId, witness: dict | None) -> FilterVerdict:
 
 def _screen(fid: FilterId, c: Candidate, *args) -> FilterVerdict:
     """One screen's verdict on c, through its predicate."""
+    _require_sorted(c.weights, c.degrees, (fid,))
     return _verdict(fid, _PREDICATES[fid](c.weights, c.degrees, *args))
 
 
+# The screens whose predicates read tuple positions, so they need sorted
+# tuples.  LastWeight reads none at k = 0, where it passes vacuously.
+_READS_POSITIONS = frozenset({FilterId.DELTAS, FilterId.LAST_WEIGHT, FilterId.UNIT_PREFIX})
+
+
 def _require_sorted(weights, degrees, profile) -> None:
-    if (
-        FilterId.DELTAS in profile
-        or FilterId.UNIT_PREFIX in profile
-        or (FilterId.LAST_WEIGHT in profile and degrees)
-    ) and _first_inversion(weights, degrees) is not None:
-        raise NotNormalized("profile includes filters that need sorted tuples")
+    """Raise NotNormalized on unsorted tuples if a screen of profile reads their positions."""
+    reads = _READS_POSITIONS.intersection(profile)
+    if not degrees:
+        reads -= {FilterId.LAST_WEIGHT}
+    if reads and _first_inversion(weights, degrees) is not None:
+        names = ", ".join(fid.value for fid in FILTER_ORDER if fid in reads)
+        raise NotNormalized(f"sorted weights and degrees needed by {names}")
 
 
 @cache
@@ -240,7 +241,7 @@ def _survives(weights, degrees, predicates) -> bool:
 
 
 # One predicate per screen: (weights, degrees) -> witness dict, or None
-# on a pass.  Deltas, LastWeight and UnitPrefix assume sorted tuples.
+# on a pass.  Those of _READS_POSITIONS assume sorted tuples.
 # Normalized's is core._first_inversion, which Candidate.is_normalized
 # walks too.
 

@@ -67,7 +67,7 @@ class DimensionZero(TransformError):
 
 
 class DegenerateEmpty(TransformError):
-    """unconize emptied the weight tuple (cannot happen on valid input)."""
+    """unconize emptied the weight tuple; it never does, since k <= N (kept for the API)."""
 
 
 class TransformKind(str, Enum):
@@ -142,27 +142,22 @@ def wellformize(c: Candidate) -> TransformTrace:
 def unconize(c: Candidate) -> TransformTrace:
     """Remove matched degree/weight pairs until no degree equals a weight.
 
-    Each step removes the largest matching degree, tie-broken by the
-    largest matching weight position.  Preserves the dimension n and the
-    Fano index; the result passes the linear-cone screen.
+    Each step takes the largest value d that is both a weight and a
+    degree, and removes the last weight and the first degree equal to d.
+    Preserves the dimension n and the Fano index; the result passes the
+    linear-cone screen.  A weight always remains, since a Candidate has
+    fewer degrees than weights.
     """
     weights = list(c.weights)
     degrees = list(c.degrees)
     steps: list[PairRemovalStep] = []
-    while True:
-        best: tuple[int, int] | None = None
-        for j, d in enumerate(degrees):
-            for i, w in enumerate(weights):
-                if w == d and (best is None or (d, i) > (degrees[best[1]], best[0])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        steps.append(PairRemovalStep(weight_pos=i, degree_pos=j, value=degrees[j]))
+    while common := set(weights) & set(degrees):
+        d = max(common)
+        i = len(weights) - 1 - weights[::-1].index(d)
+        j = degrees.index(d)
+        steps.append(PairRemovalStep(weight_pos=i, degree_pos=j, value=d))
         del weights[i]
         del degrees[j]
-        if not weights:
-            raise DegenerateEmpty("no weights left after pair removal")
     after = Candidate(tuple(weights), tuple(degrees))
     return TransformTrace(TransformKind.UNCONIZE, before=c, after=after, steps=tuple(steps))
 

@@ -25,7 +25,8 @@ select no slice raise ValueError: nothing checked verifies nothing.  So
 does a case i index range reaching an index that no dimension of the
 range admits.
 
-The survey's verdict follows the same _aggregate precedence, but its
+The survey's verdict follows the same _aggregate precedence, and its
+counterexample is the canonical-least missing named family, but its
 Verified is weaker: every named family was found, whatever the cap and
 the other survivors.  Where no family is named, as at (5, 1), it is
 Verified with nothing checked, the cap touched or not.  Its slices at
@@ -199,8 +200,6 @@ def survey_codim(n: int, index: int, cap: int = 20) -> VerificationResult:
     count mismatch is not a failure.  So Verified only says that every
     named family was found (the module docstring has the details).
     """
-    if n < 2:
-        raise ValueError(f"survey needs n >= 2, got {n}")
     if index < 1:
         raise ValueError(f"survey needs index >= 1, got {index}")
     k = n - index - 1
@@ -212,7 +211,7 @@ def survey_codim(n: int, index: int, cap: int = 20) -> VerificationResult:
     ]
     result = results[0]
     named = NAMED_SURVEY_FAMILIES.get((n, index), ())
-    counterexample = next((f for f in named if f not in result.survivors), None)
+    counterexample = _least(f for f in named if f not in result.survivors)
     status = Verdict.VERIFIED if counterexample is None else _missing(result)
     slices = [SliceOutcome(n, index, k, tuple(named), result, status, counterexample)]
     slices += [SliceOutcome(n, i, k, (), r, Verdict.VERIFIED) for i, r in zip(indices[1:], results[1:])]
@@ -252,8 +251,8 @@ def _check_slice(
     expected_set = set(expected)
     status = Verdict.VERIFIED
     counterexample = None
-    extra = min(survivors - expected_set, key=canonical_key, default=None)
-    missing = min(expected_set - survivors, key=canonical_key, default=None)
+    extra = _least(survivors - expected_set)
+    missing = _least(expected_set - survivors)
     if extra is not None:
         status, counterexample = Verdict.REFUTED, extra
     elif missing is not None:
@@ -270,6 +269,11 @@ def _check_slice(
         status=status,
         counterexample=counterexample,
     )
+
+
+def _least(families) -> Candidate | None:
+    """The canonical-least of families, the counterexample a check reports; None if empty."""
+    return min(families, key=canonical_key, default=None)
 
 
 def _missing(result: EnumerationResult) -> Verdict:

@@ -84,6 +84,10 @@ class TestCheck:
         )
         assert code2 == 1  # index 0 fails the positivity screen
         assert set(json.loads(out2)["verdicts"]) == {"FanoPositivity", "LinearCone"}
+        code3, out3, err3 = run_cli(
+            capsys, "check", "--weights", "1,2", "--profile", "FanoPositivity,Bogus"
+        )
+        assert (code3, out3, err3) == (2, "", "error: unknown filter id 'Bogus'\n")
 
     def test_malformed_input_exits_two(self, capsys):
         assert run_cli(capsys, "check", "--weights", "1,x")[0] == 2

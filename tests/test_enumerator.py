@@ -706,6 +706,36 @@ class TestAgainstNaiveGrid:
         assert survivors == naive_survivors(n, index, k, cap, CALABI_YAU_PROFILE)
 
 
+class TestUnitPrefixLemma:
+    """The paper's lemma, a_{k+index-1} = 1, as a property of the other screens.
+
+    Without the UnitPrefix screen every survivor of the remaining
+    smooth-Fano (index >= 1) or Calabi-Yau (index 0) screens still has
+    k + index unit weights, so the screen removes nothing.  Checked on
+    n 1..3, k 1..n+1, index 0..n+1, and only up to the weight cap.
+    """
+
+    SLICES = [(n, index, k) for n in range(1, 4) for k in range(1, n + 2) for index in range(n + 2)]
+
+    @pytest.mark.parametrize("search, cap", [("enumerator", 8), ("grid", 4)])
+    def test_survivors_have_the_unit_prefix_up_to_the_cap(self, search, cap):
+        found = 0
+        for n, index, k in self.SLICES:
+            profile = SMOOTH_FANO_PROFILE if index >= 1 else CALABI_YAU_PROFILE
+            without = profile - {FilterId.UNIT_PREFIX}
+            if search == "enumerator":
+                q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=without)
+                survivors = enumerate_candidates(q).survivors
+            else:
+                survivors = naive_survivors(n, index, k, cap, without)
+            for c in survivors:
+                assert c.weights.count(1) >= k + index, c
+            q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
+            assert survivors == enumerate_candidates(q).survivors
+            found += len(survivors)
+        assert found == {"enumerator": 36, "grid": 35}[search]
+
+
 class TestPruningHonesty:
     def test_middle_bound_is_conservative(self, monkeypatch):
         # disabling the single-middle closure bound must change no survivor,

@@ -149,6 +149,11 @@ class TestLastWeight:
         with pytest.raises(NoDegrees):
             last_weight_ok(Candidate((1, 2)))
 
+    def test_needs_a_degree_before_sorted_tuples(self):
+        # at k = 0 the screen reads no position, so the order is not checked
+        with pytest.raises(NoDegrees):
+            last_weight_ok(Candidate((2, 1)))
+
     def test_requires_normalized(self):
         with pytest.raises(NotNormalized):
             last_weight_ok(Candidate((2, 1), (4,)))
@@ -369,6 +374,13 @@ class TestRunAll:
     def test_unsorted_ok_without_order_filters(self):
         profile = frozenset({FilterId.FANO_POSITIVITY, FilterId.LINEAR_CONE})
         assert run_all(Candidate((2, 1, 1), (3,)), profile).survives
+
+    def test_last_weight_reads_no_position_at_k_zero(self):
+        profile = frozenset({FilterId.LAST_WEIGHT})
+        assert run_all(Candidate((2, 1)), profile).survives
+        assert passes_profile(Candidate((2, 1)), profile)
+        with pytest.raises(NotNormalized, match="^sorted weights and degrees needed by LastWeight$"):
+            run_all(Candidate((2, 1), (4,)), profile)
 
 
 class TestFamilyInvariants:

@@ -138,6 +138,14 @@ class TestUnconize:
             PairRemovalStep(weight_pos=1, degree_pos=0, value=2),
         )
 
+    def test_largest_common_value_first(self):
+        trace = unconize(Candidate((1, 1, 2, 3), (2, 3)))
+        assert trace.after == Candidate((1, 1), ())
+        assert trace.steps == (
+            PairRemovalStep(weight_pos=3, degree_pos=1, value=3),
+            PairRemovalStep(weight_pos=2, degree_pos=0, value=2),
+        )
+
     def test_no_match_is_identity(self):
         c = Candidate((1, 1, 2), (3,))
         trace = unconize(c)

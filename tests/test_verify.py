@@ -190,6 +190,18 @@ class TestSurvey:
         assert result.verdict is Verdict.INCONCLUSIVE_CAP_TOUCHED
         assert result.counterexample == bogus
 
+    def test_the_counterexample_is_the_least_missing_family(self, monkeypatch):
+        import wcifano.verify
+
+        # both fail GcdCover; the canonical-least one is listed second
+        seven = Candidate((1,) * 8 + (7,), (2, 2, 10))
+        six = Candidate((1,) * 8 + (6,), (2, 2, 9))
+        monkeypatch.setitem(wcifano.verify.NAMED_SURVEY_FAMILIES, (5, 1), (seven, six))
+        result = survey_codim(5, 1, cap=10)
+        assert result.verdict is Verdict.INCONCLUSIVE_CAP_TOUCHED
+        assert result.slices[0].counterexample == six
+        assert result.counterexample == six
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             survey_codim(1, 1)
