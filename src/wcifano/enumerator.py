@@ -14,9 +14,9 @@ max_weight is decided.
   by a sum (the last degree; the last middle at k = 0) counts only when
   it is admissible, and a weight or a degree the cuts skip is not
   placed, so not a node: nor is a tail that the degree-sum bound
-  rejects on the tail prefix it ends, nor any degree of the slots left
-  that the bound rejects.  stats.tested counts the tuples run through
-  the profile.
+  rejects on the tail prefix it ends, nor any tail of a middle vector
+  it rejects, nor any degree of the slots left that it rejects.
+  stats.tested counts the tuples run through the profile.
 
 Every profile runs one search shape (_Shape), derived once per query
 from the structural screens it holds.  UnitPrefix forces a prefix of
@@ -43,19 +43,22 @@ closure of the weights) and their member counts only grow as weights
 are appended, so the walk keeps them along the weights it places,
 extended by one weight per middle and per tail from the first middle
 on.  A weight that gives some class more than k members is not placed,
-and its whole subtree is skipped.  At k >= 2 the degree sum the index
-equation fixes bounds each stage.  Under LastWeight, every tail placed
-must leave each class a degree outside the last slot or a share of the
-last degree: a class that only the last degree can serve may have one
-member, and all such classes must divide one degree in the last slot's
-window, or the tail is not placed (_tails_fit).  While a class is
-pending, the degree walk fills a slot only when the slots left fit what
-is left of that sum (_slots_fit): the least degree each can hold, plus
-the least raise to an admissible multiple that each class needs in as
-many slots as it still needs, must not exceed it.  No class may need more
-divisible degrees than there are slots left: a class that needs every
-slot left must divide the next degree, so the walk steps through
-multiples of the lcm of those classes.  LinearCone skips every degree
+and its whole subtree is skipped.  The degree sum the index equation
+fixes bounds each stage.  Under LastWeight, every middle vector, and at
+k >= 2 every tail placed, must leave each class a degree outside the
+last slot or a share of the last degree: a class that only the last
+degree can serve may have one member, and all such classes must divide
+one degree in the last slot's window (_tails_fit).  At k = 1 no degree
+comes before the last, so every class is last-only.  A middle vector
+is checked with its last middle as a virtual tail, a lower bound on
+every tail, and its tails are not walked when it fails; a tail that
+fails is not placed.  While a class is pending, the degree walk fills a
+slot only when the slots left fit what is left of that sum (_slots_fit):
+the least degree each can hold, plus the least raise to an admissible
+multiple that each class needs in as many slots as it still needs, must
+not exceed it.  No class may need more divisible degrees than there are
+slots left: a class that needs every slot left must divide the next
+degree, so the walk steps through multiples of the lcm of those classes.  LinearCone skips every degree
 equal to a weight.
 Every tuple the walk tests passes both screens, so they are not re-run.
 The profile's other screens run per tuple, so each screen is decided in
@@ -477,16 +480,19 @@ def _tails_fit(tails, total, classes, banned, k, tail_hi) -> bool:
     [2 t_cur, tail_hi + total - k + 1].  A class with no multiple of g
     outside banned in the first window is last-only: the class counts,
     the gcd closure and banned only grow as weights are appended, so it
-    stays last-only in every completion.  A last-only class with c >= 2
-    has no completion, and every last-only class divides the last
+    stays last-only in every completion.  At k = 1 there is no degree
+    but the last, so every class is last-only.  A last-only class with
+    c >= 2 has no completion, and every last-only class divides the last
     degree, so their lcm needs a multiple outside banned in the last
     window.  So not placing the tail that ends a failing prefix loses no
-    survivor.
+    survivor.  tails may also be one virtual tail at most every real
+    one, such as the last middle: both windows then only widen, so a
+    middle vector that fails has no tails with a degree tuple.
     """
     top = total - k + 2
     last_only = 1
     for g, c in classes:
-        if _least_multiple(tails[0] + 1, g, banned) > top:
+        if k == 1 or _least_multiple(tails[0] + 1, g, banned) > top:
             if c >= 2:
                 return False
             last_only = lcm(last_only, g)
@@ -548,6 +554,13 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
         tail_hi, touched = _capped(total - k + 1 if shape.last_weight else None, cap)
         if shape.tails and touched:
             walk.touched = True
+        if ms and shape.last_weight and counts is not None:
+            # Every tail is at least ms[-1], so the middles must leave the
+            # degrees room for a virtual tail ms[-1] (_tails_fit); at k >= 2
+            # the first tail's check repeats this one.
+            banned = ms if bans_weights else ()
+            if not _tails_fit((ms[-1],), total, counts.items(), banned, k, tail_hi):
+                continue
         fits = None
         if k >= 2 and shape.last_weight and counts is not None:
             # Each tail placed, the last one included, must leave the

@@ -1,0 +1,104 @@
+"""Differential sweep of the enumerator: results that must not move, nodes that may.
+
+Run it on two checkouts of the package and compare:
+
+    PYTHONPATH=<old>/src python tests/sweep.py --save old.json
+    PYTHONPATH=src python tests/sweep.py --against old.json
+
+It prints one sha256 over the survivors, tested, cap_touched and
+prefix_infeasible of every query, in query order, which a change that
+only prunes must keep.  --save writes each query's node count; --against
+reads such a file and prints the queries whose nodes moved, grouped by k,
+with how many fell and rose.  The queries: every profile at n 1..3,
+k 0..n+1, index 0..n+2 and cap 5; k = 1 and 2 slices up to n = 6 under
+five profiles; the benchmark's slices with 1 and 2 workers.  Not
+collected by pytest, like grid_oracle.py.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import json
+from collections import defaultdict
+
+from wcifano.enumerator import EnumerationQuery, enumerate_candidates
+from wcifano.filters import CALABI_YAU_PROFILE, FILTER_ORDER, SMOOTH_FANO_PROFILE, FilterId
+
+ALL_PROFILES = [
+    frozenset(c) for r in range(len(FILTER_ORDER) + 1) for c in itertools.combinations(FILTER_ORDER, r)
+]
+# The search shape with tails under LastWeight, under GcdCover alone and with LinearCone
+_SHAPE = frozenset({FilterId.UNIT_PREFIX, FilterId.DELTAS, FilterId.LAST_WEIGHT})
+FIVE_PROFILES = [
+    SMOOTH_FANO_PROFILE,
+    CALABI_YAU_PROFILE,
+    SMOOTH_FANO_PROFILE - {FilterId.LINEAR_CONE},
+    _SHAPE | {FilterId.GCD_COVER},
+    _SHAPE | {FilterId.GCD_COVER, FilterId.LINEAR_CONE},
+]
+BENCHMARK_SLICES = [(5, 1, 3, 20), (6, 1, 4, 20), (3, 1, 1, 100), (4, 1, 1, 30)]
+
+
+def queries():
+    """(n, index, k, cap, profile, workers) in sweep order."""
+    for n in range(1, 4):
+        for k, index, profile in itertools.product(range(n + 2), range(n + 3), ALL_PROFILES):
+            yield n, index, k, 5, profile, 1
+    for n, k, profile in itertools.product(range(1, 7), (1, 2), FIVE_PROFILES):
+        for index in range(1 if FilterId.FANO_POSITIVITY in profile else 0, n + 2 - k):
+            yield n, index, k, 3 * (n + k), profile, 1
+    for (n, index, k, cap), workers in itertools.product(BENCHMARK_SLICES, (1, 2)):
+        yield n, index, k, cap, SMOOTH_FANO_PROFILE, workers
+
+
+def key(n, index, k, cap, profile, workers) -> str:
+    ids = ",".join(sorted(f.value for f in profile))
+    return f"{n} {index} {k} {cap} {workers} [{ids}]"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--save", help="write each query's node count to this JSON file")
+    parser.add_argument("--against", help="a --save file to compare node counts with")
+    args = parser.parse_args()
+    digest = hashlib.sha256()
+    nodes: dict[str, int] = {}
+    for n, index, k, cap, profile, workers in queries():
+        q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
+        result = enumerate_candidates(q, workers=workers)
+        name = key(n, index, k, cap, profile, workers)
+        facts = (
+            [(c.weights, c.degrees) for c in result.survivors],
+            result.stats.tested,
+            result.cap_touched,
+            result.prefix_infeasible,
+        )
+        digest.update(f"{name} {facts!r}\n".encode())
+        nodes[name] = result.stats.nodes
+    print(f"queries {len(nodes)}")
+    print(f"digest {digest.hexdigest()}")
+    if args.save:
+        with open(args.save, "w") as f:
+            json.dump(nodes, f, indent=0, sort_keys=True)
+    if args.against:
+        with open(args.against) as f:
+            before = json.load(f)
+        moved = defaultdict(lambda: [0, 0, []])
+        for name, count in nodes.items():
+            old = before[name]
+            if count != old:
+                k = int(name.split()[2])
+                moved[k][count > old] += 1
+                moved[k][2].append(f"{name}: {old} -> {count}")
+        print(f"nodes moved on {sum(fell + rose for fell, rose, _ in moved.values())} queries")
+        for k in sorted(moved):
+            fell, rose, lines = moved[k]
+            print(f"k={k}: {fell} fell, {rose} rose")
+            for line in lines[:5]:
+                print(f"  {line}")
+
+
+if __name__ == "__main__":
+    main()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import os
+import sys
 from math import lcm
 from unittest import mock
 
@@ -100,7 +101,7 @@ class TestFrozenSlices:
         "n, index, k, cap, profile, expected",
         [
             (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (453, 3, 3, True)),
-            (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (472, 4, 4, True)),
+            (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (320, 4, 4, True)),
             (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (12, 1, 1, False)),
             (2, 3, 0, None, SMOOTH_FANO_PROFILE, (0, 1, 1, False)),
             (2, 0, 2, 6, CALABI_YAU_PROFILE, (12, 1, 1, False)),
@@ -267,11 +268,12 @@ class TestDegreeCuts:
         # holds them and are then not re-run, so every tested tuple must
         # pass them; no profile may lose or gain a survivor by the cuts or
         # by the degree-sum bound, which stops the degree walk at every
-        # k >= 2 row
+        # k >= 2 row and skips middle vectors on the k = 1 row
         test = wcifano.enumerator._Walk.test
-        fit = wcifano.enumerator._slots_fit
+        fit, tails_fit = wcifano.enumerator._slots_fit, wcifano.enumerator._tails_fit
         checked: list[int] = []
         skipped: list[bool] = []
+        middles_skipped: list[tuple[int, ...]] = []
 
         def checking_test(walk, weights, ds):
             assert run_all(Candidate(weights, ds), walk.shape.cuts).survives
@@ -283,8 +285,17 @@ class TestDegreeCuts:
             skipped.append(not fits)
             return fits
 
+        def recording_tails_fit(tails, *args):
+            fits = tails_fit(tails, *args)
+            # _task checks a middle vector itself; the tail stage checks
+            # its prefixes through its fits predicate
+            if not fits and sys._getframe(1).f_code.co_name == "_task":
+                middles_skipped.append(tails)
+            return fits
+
         monkeypatch.setattr(wcifano.enumerator._Walk, "test", checking_test)
         monkeypatch.setattr(wcifano.enumerator, "_slots_fit", recording_fit)
+        monkeypatch.setattr(wcifano.enumerator, "_tails_fit", recording_tails_fit)
         tested = {}
         for profile in ALL_PROFILES:
             q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
@@ -298,6 +309,8 @@ class TestDegreeCuts:
         assert len(bitten) >= 128
         assert any(checked)
         assert any(skipped) is (k >= 2)
+        if k == 1:
+            assert len(middles_skipped) == 64
 
     def test_every_tested_tuple_survives_the_smooth_fano_profile(self):
         result = enumerate_candidates(EnumerationQuery(n=5, index=1, k=3, max_weight=12))
@@ -316,8 +329,9 @@ class TestDegreeSumBound:
     # _slots_fit stops the degree walk before a slot when the floors of
     # the slots left, or the least unbanned multiples their GcdCover
     # classes need, exceed the degree sum left; _tails_fit asks the
-    # classes of a tail prefix that only the last degree can serve to
-    # share that degree.
+    # classes of a tail prefix, or of a middle vector with its last middle
+    # as a virtual tail, that only the last degree can serve to share that
+    # degree.
 
     @staticmethod
     def degree_walk(floors, total, min_last, pending, banned, pruned=False):
@@ -360,10 +374,15 @@ class TestDegreeSumBound:
         return _tails_fit(tails, total, classes.items(), banned, k, tail_hi)
 
     @classmethod
+    def middles_fit(cls, k, middles, total, tail_hi, bans):
+        """The bound on the walk's middle vector: its last middle is a virtual tail."""
+        return cls.prefix_fits(k, middles[:-1], middles[-1:], total, tail_hi, bans)
+
+    @classmethod
     def live_completions(cls, k, middles, tails, total, tail_hi, bans):
         """The non-decreasing completions of tails up to tail_hi that have a degree tuple."""
         live = []
-        for rest in sorted_tuples(k - len(tails), tails[-1], tail_hi):
+        for rest in sorted_tuples(k - len(tails), (middles + tails)[-1], tail_hi):
             weights = middles + tails + rest
             classes = TestWeightStageCut.class_counts(weights, k)
             if classes is None:
@@ -374,34 +393,53 @@ class TestDegreeSumBound:
                 live.append(rest)
         return live
 
-    @given(st.data())
-    @settings(max_examples=500, deadline=None)
-    def test_a_skipped_tail_prefix_has_no_completion(self, data):
-        # the walk's tail prefixes under LastWeight: middles, then the
-        # first tails, with the class counts and the bans of the weights
-        # so far; when the bound rejects the prefix, no completion of its
-        # tails has a degree tuple
-        k = data.draw(st.integers(2, 4))
+    @staticmethod
+    def draw_middles(data):
+        """k, the middles, the top tail, the excess total and whether weights are banned."""
+        k = data.draw(st.integers(1, 4))
         middles = tuple(sorted(data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))))
         # LastWeight bounds the tails by total - k + 1, the cap may cut lower
         tail_hi = data.draw(st.integers(middles[-1], 10))
         total = data.draw(st.integers(tail_hi + k - 1, tail_hi + k + 4))
+        return k, middles, tail_hi, total, data.draw(st.booleans())
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_a_skipped_tail_prefix_has_no_completion(self, data):
+        # tail prefixes under LastWeight: middles, then the first tails,
+        # with the class counts and the bans of the weights so far; when
+        # the bound rejects the prefix, no completion of its tails has a
+        # degree tuple.  The walk checks them at k >= 2; at k = 1 the one
+        # tail is the whole prefix, and the bound must hold there too.
+        k, middles, tail_hi, total, bans = self.draw_middles(data)
         placed = data.draw(st.integers(1, k))
         tail = st.integers(middles[-1], tail_hi)
         tails = tuple(sorted(data.draw(st.lists(tail, min_size=placed, max_size=placed))))
-        bans = data.draw(st.booleans())
         fits = self.prefix_fits(k, middles, tails, total, tail_hi, bans)
         assume(fits is not None)
         if not fits:
             assert self.live_completions(k, middles, tails, total, tail_hi, bans) == []
 
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_a_skipped_middle_vector_has_no_tails(self, data):
+        # every tail is at least the last middle, so the walk checks a
+        # middle vector with that middle as a virtual tail; when the bound
+        # rejects it, no tail tuple in middles[-1]..tail_hi has a degree
+        # tuple
+        k, middles, tail_hi, total, bans = self.draw_middles(data)
+        fits = self.middles_fit(k, middles, total, tail_hi, bans)
+        assume(fits is not None)
+        if not fits:
+            assert self.live_completions(k, middles, (), total, tail_hi, bans) == []
+
     def test_no_small_tail_prefix_is_skipped_wrongly(self):
-        # every tail prefix at k 2..3 after one middle up to 5, tails up
+        # every tail prefix at k 1..3 after one middle up to 5, tails up
         # to 7 and the total up to 3 above its least: an off-by-one in
         # either window or a first window that starts at the last tail
         # placed would skip a live prefix here
         rejected = 0
-        for k, middle, bans in itertools.product((2, 3), range(1, 6), (False, True)):
+        for k, middle, bans in itertools.product((1, 2, 3), range(1, 6), (False, True)):
             for tail_hi, placed in itertools.product(range(middle, 8), range(1, k + 1)):
                 for total, tails in itertools.product(
                     range(tail_hi + k - 1, tail_hi + k + 3), sorted_tuples(placed, middle, tail_hi)
@@ -411,6 +449,21 @@ class TestDegreeSumBound:
                         rejected += 1
                         assert self.live_completions(*case) == [], case
         assert rejected > 1000
+
+    def test_no_small_middle_vector_is_skipped_wrongly(self):
+        # every middle vector at k 1..3 of one to three middles up to 6,
+        # tails up to 8 and the total up to 3 above its least: a virtual
+        # tail two above the last middle would skip a live vector here
+        rejected = 0
+        for k, length, bans in itertools.product((1, 2, 3), (1, 2, 3), (False, True)):
+            for middles in sorted_tuples(length, 1, 6):
+                for tail_hi in range(middles[-1], 9):
+                    for total in range(tail_hi + k - 1, tail_hi + k + 3):
+                        case = (k, middles, total, tail_hi, bans)
+                        if self.middles_fit(*case) is False:
+                            rejected += 1
+                            assert self.live_completions(k, middles, (), *case[2:]) == [], case
+        assert rejected > 100
 
     def test_the_bound_skips_vectors_and_only_saves_nodes(self, monkeypatch):
         # at (5, 1, 3, 12) the bound rejects tail prefixes and stops the
@@ -459,6 +512,19 @@ class TestDegreeSumBound:
         result = enumerate_candidates(EnumerationQuery(n=n, index=index, k=k, max_weight=cap))
         assert result.stats == SearchStats(nodes=nodes, tested=3)
         assert len(result.survivors) == 3
+        assert result.cap_touched is True
+
+    @pytest.mark.parametrize(
+        "n, index, k, cap, stats",
+        [(3, 1, 1, 100, SearchStats(3353, 2)), (4, 1, 1, 30, SearchStats(1728, 4))],
+    )
+    def test_hypersurface_slices_keep_the_cut(self, n, index, k, cap, stats):
+        # at k = 1 every class is last-only, so the walk skips a middle
+        # vector whose classes cannot share the one degree before walking
+        # its tails: 27,563 and 4,788 nodes without that check
+        result = enumerate_candidates(EnumerationQuery(n=n, index=index, k=k, max_weight=cap))
+        assert result.stats == stats
+        assert len(result.survivors) == stats.tested
         assert result.cap_touched is True
 
 
