@@ -7,7 +7,13 @@ stdout stays machine-parseable (one JSON record per line by default).
 
 Exit codes: 0 success / all filters passed / verified; 1 filter
 failure, transform error or refuted case; 2 malformed input; 3
-inconclusive verification (weight cap touched).
+inconclusive verification (weight cap touched); 141 (128 + SIGPIPE)
+when the reader of stdout closed it early, as `| head` does.
+
+Each handler imports the modules it runs, so a subcommand loads no
+module it does not use: check loads core, filters and output;
+enumerate adds enumerator; verify adds enumerator and verify;
+transform adds transforms.
 
 The default enumeration weight cap is 4 * (dim + codim + index); the
 environment variable WCI_DEFAULT_MAX_WEIGHT overrides it when
@@ -21,7 +27,6 @@ import os
 import sys
 
 from .core import Candidate, CandidateError, NotNormalized, new_candidate, normalize
-from .enumerator import EnumerationQuery, enumerate_candidates
 from .filters import (
     CALABI_YAU_PROFILE,
     FilterId,
@@ -29,24 +34,12 @@ from .filters import (
     run_all,
 )
 from .output import OutputRecord, encode_csv, encode_jsonl, encode_table
-from .transforms import (
-    TransformError,
-    TransformKind,
-    TransformTrace,
-    hyperplane_section,
-    unconize,
-    wellformize,
-)
-from .verify import (
-    Verdict,
-    VerificationResult,
-    VerifyCase,
-    survey_codim,
-    verify_case_i,
-    verify_case_ii,
-    verify_case_iii,
-    verify_hypersurface_remark,
-)
+
+# The typing module is not loaded for this: type checkers read the name.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .transforms import TransformTrace
+    from .verify import VerificationResult
 
 __all__ = ["main", "run"]
 
@@ -57,14 +50,13 @@ _PROFILE_NAMES = {
     "calabi-yau": CALABI_YAU_PROFILE,
 }
 
-_TRANSFORMS = {"wellformize": wellformize, "unconize": unconize, "section": hyperplane_section}
-_VERIFY = {
-    VerifyCase.CASE_I: verify_case_i,
-    VerifyCase.CASE_II: verify_case_ii,
-    VerifyCase.CASE_III: verify_case_iii,
-    VerifyCase.HYPERSURFACE: verify_hypersurface_remark,
-}
-_VERDICT_EXIT = {Verdict.VERIFIED: 0, Verdict.REFUTED: 1, Verdict.INCONCLUSIVE_CAP_TOUCHED: 3}
+# The values of verify.VerifyCase and the names of the transforms, spelled
+# out so that building the parser loads neither module.
+_CASES = ("i", "ii", "iii", "hypersurface", "survey")
+_TRANSFORMS = ("wellformize", "unconize", "section")
+# The reader of stdout is gone: 128 + SIGPIPE, as a shell reports a
+# process that SIGPIPE killed.
+_EXIT_BROKEN_PIPE = 141
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,10 +67,19 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags; keep 0 for --help.
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # Flushed here, so that a closed stdout raises below, not at exit.
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, (TransformError, NotNormalized)) else 2
+        return 2
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush does not fail too (the Python docs' advice for SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
 
 
 def run() -> None:
@@ -110,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="check a classification case against the enumeration")
-    p_verify.add_argument("--case", required=True, choices=[c.value for c in VerifyCase])
+    p_verify.add_argument("--case", required=True, choices=_CASES)
     p_verify.add_argument("--dim", default=None, help="dimension or range A..B (case-specific default)")
     p_verify.add_argument("--index", default=None, help="index or range A..B (cases i and survey only; survey: single value)")
     p_verify.add_argument("--max-weight", type=int, default=None)
@@ -188,6 +189,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumerator import EnumerationQuery, enumerate_candidates
+
     profile = _parse_profile(args.profile)
     cap = args.max_weight
     if cap is None and os.environ.get(ENV_DEFAULT_CAP):
@@ -229,6 +232,23 @@ def _given(**kwargs) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import (
+        Verdict,
+        VerifyCase,
+        survey_codim,
+        verify_case_i,
+        verify_case_ii,
+        verify_case_iii,
+        verify_hypersurface_remark,
+    )
+
+    cases = {
+        VerifyCase.CASE_I: verify_case_i,
+        VerifyCase.CASE_II: verify_case_ii,
+        VerifyCase.CASE_III: verify_case_iii,
+        VerifyCase.HYPERSURFACE: verify_hypersurface_remark,
+    }
+    verdict_exit = {Verdict.VERIFIED: 0, Verdict.REFUTED: 1, Verdict.INCONCLUSIVE_CAP_TOUCHED: 3}
     cap = args.max_weight
     dims = None if args.dim is None else _parse_span(args.dim, "dim")
     case = VerifyCase(args.case)
@@ -243,9 +263,9 @@ def _cmd_verify(args) -> int:
             raise ValueError("survey takes a single dimension and a single index")
         result = survey_codim(n_lo, i_lo, **_given(cap=cap))
     else:
-        result = _VERIFY[case](**_given(n_range=dims, i_range=indices, cap=cap))
+        result = cases[case](**_given(n_range=dims, i_range=indices, cap=cap))
     _print_verification(result)
-    return _VERDICT_EXIT[result.verdict]
+    return verdict_exit[result.verdict]
 
 
 def _print_verification(result: VerificationResult) -> None:
@@ -270,13 +290,25 @@ def _print_verification(result: VerificationResult) -> None:
 
 
 def _cmd_transform(args) -> int:
+    from .transforms import TransformError, hyperplane_section, unconize, wellformize
+
+    transform = {"wellformize": wellformize, "unconize": unconize, "section": hyperplane_section}
     weights = _parse_int_list(args.weights, "weights")
     degrees = _parse_int_list(args.degrees, "degrees")
-    _print_trace(_TRANSFORMS[args.kind](new_candidate(weights, degrees)))
+    candidate = new_candidate(weights, degrees)
+    try:
+        trace = transform[args.kind](candidate)
+    except (TransformError, NotNormalized) as exc:
+        # A transform that does not apply fails (exit 1); malformed input exits 2.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    _print_trace(trace)
     return 0
 
 
 def _print_trace(trace: TransformTrace) -> None:
+    from .transforms import TransformKind
+
     def fmt(c: Candidate) -> str:
         return (
             f"weights={','.join(map(str, c.weights))}"

@@ -88,7 +88,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import lcm
 from typing import Callable
 
@@ -252,9 +252,15 @@ def enumerate_streaming(
     The returned result is identical for any worker count.  The search
     is split into one task per value of the first middle weight, exactly
     the values its slot admits (_slot_values), and the partial results
-    are merged in ascending task order.  The sink sees each task's
-    survivors as soon as that task and every earlier one have finished,
-    not after the whole search.
+    are merged in ascending task order.  With size processes (at most
+    workers, the task count and the usable CPUs; 1 where os.fork is
+    missing), each task runs in the first process to come free: the
+    caller, which runs the tasks it claims inline, or one of size - 1
+    forked children, which send each outcome as soon as they have it
+    (_split).  The merge takes task j once tasks 0..j are all in, and
+    the caller checks for outcomes after each task of its own, so the
+    sink sees each task's survivors soon after that task and every
+    earlier one have finished, not after the whole search.
     """
     if workers < 1:
         raise InvalidQuery(f"workers must be >= 1, got {workers}")
@@ -263,19 +269,16 @@ def enumerate_streaming(
         keys = _slot_values((), shape.middles, shape.middle_hi, shape.middle_sum)
     else:
         keys = [None] if shape.middles == 0 else []
-    # The pool forks all its workers at once, so it gets no more than
-    # there are tasks or usable CPUs, and one worker runs inline.
+    # Every process beyond the caller is forked at once, so there are no
+    # more than there are tasks or usable CPUs.
     size = min(workers, len(keys), _usable_cpus())
-    if size > 1:
-        # Imported here: concurrent.futures.process costs a one-worker run
-        # tens of milliseconds at start.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # pool.map yields in submission order, so the sink order stays
-        # canonical while later tasks still run.
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            return _collect(shape, pool.map(_task, repeat(shape), keys), sink)
-    return _collect(shape, (_task(shape, m1) for m1 in keys), sink)
+    if size > 1 and hasattr(os, "fork"):
+        outcomes = _split(shape, keys, size)
+        try:
+            return _collect(shape, outcomes, sink)
+        finally:
+            outcomes.close()
+    return _collect(shape, (_task(shape, m1).outcome() for m1 in keys), sink)
 
 
 def _usable_cpus() -> int:
@@ -286,23 +289,173 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _collect(shape: _Shape, walks, sink) -> EnumerationResult:
-    """Merge task walks in order, feeding survivors to sink as each walk arrives.
+def _split(shape: _Shape, keys, size: int):
+    """Yield the outcome of each task in task order, the tasks shared among size processes.
 
-    Nothing sorts the survivors: the walks come in ascending first middle
-    weight, and each yields its weight vectors in lexicographic order and
-    the degrees of a vector in order, so they arrive canonical.
+    Each process claims the next task not yet claimed (_Tickets) as soon
+    as it is free, so one that runs slower or draws longer tasks claims
+    fewer.  Process 0 is the caller, which runs the tasks it claims
+    inline; the others are forked children (_fork), which send each
+    outcome with its task number as soon as they have it.  The caller
+    takes what the children sent after each task of its own, and waits
+    for them once no task is left to claim; it yields task j as soon as
+    tasks 0..j are all in.  Whatever ends the generator (its last
+    outcome, a task's exception re-raised here, or close() when the
+    consumer stops), every pipe is closed and every child reaped when
+    it ends; a child is killed first unless every outcome has arrived.
+    """
+    import select
+    import signal
+
+    tickets = _Tickets(len(keys))
+    children: dict[int, int] = {}  # the read end of each child's pipe: its pid
+    outcomes: dict[int, tuple | Exception] = {}
+    done = False
+    try:
+        for _ in range(1, size):
+            fd, pid = _fork(shape, keys, tickets, children)
+            children[fd] = pid
+        for j in range(len(keys)):
+            while j not in outcomes:
+                mine = tickets.claim()
+                if mine is not None:
+                    outcomes[mine] = _task(shape, keys[mine]).outcome()
+                # Poll after a task of the caller's; block when none is left.
+                timeout = 0 if mine is not None else None
+                for fd in select.select(list(children), [], [], timeout)[0]:
+                    _receive(fd, children, outcomes)
+            outcome = outcomes.pop(j)
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome
+        done = True
+    finally:
+        tickets.close()
+        for fd, pid in children.items():
+            os.close(fd)
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+class _Tickets:
+    """The number of the next task to claim, shared by forked processes.
+
+    A pipe holds it as one 8-byte message: a claim reads it, which no
+    other process can do until the claim writes back the next number.
+    """
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+        self.r, self.w = os.pipe()
+        os.write(self.w, bytes(8))
+
+    def claim(self) -> int | None:
+        """The task number claimed, or None once every task is claimed."""
+        j = int.from_bytes(os.read(self.r, 8), "little")
+        os.write(self.w, (j + 1).to_bytes(8, "little"))
+        return j if j < self.count else None
+
+    def close(self) -> None:
+        os.close(self.r)
+        os.close(self.w)
+
+
+def _fork(shape: _Shape, keys, tickets: _Tickets, siblings) -> tuple[int, int]:
+    """Fork a child that runs the tasks it claims; the read end of its pipe and its pid.
+
+    The child sends each task's number and outcome, or the exception the
+    task raised, after which it stops: an 8-byte length, then the pickle.
+    It leaves through os._exit, so it never returns into the caller's
+    stack, runs no atexit handler and flushes no buffer it inherited.
+    siblings are the read ends of the children forked before, which the
+    child closes.
+    """
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            for fd in siblings:
+                os.close(fd)
+            with open(w, "wb") as out:
+                while (j := tickets.claim()) is not None:
+                    try:
+                        outcome = _task(shape, keys[j]).outcome()
+                    except Exception as exc:
+                        outcome = exc
+                    message = pickle.dumps((j, outcome))
+                    out.write(len(message).to_bytes(8, "little") + message)
+                    out.flush()
+                    if isinstance(outcome, Exception):
+                        break
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return r, pid
+
+
+def _receive(fd: int, children: dict[int, int], outcomes: dict) -> None:
+    """Take the next message on a child's pipe into outcomes, or reap the child at its end.
+
+    A child that ends with a nonzero status took a task it did not send.
+    """
+    import pickle
+
+    head = _read(fd, 8)
+    if not head:
+        pid = children.pop(fd)
+        os.close(fd)
+        _, status = os.waitpid(pid, 0)
+        if status:
+            raise RuntimeError(
+                f"search worker {pid} ended before sending its results"
+                f" (exit status {os.waitstatus_to_exitcode(status)})"
+            )
+        return
+    j, outcome = pickle.loads(_read(fd, int.from_bytes(head, "little")))
+    outcomes[j] = outcome
+
+
+def _read(fd: int, n: int) -> bytes:
+    """n bytes from fd, or fewer at its end."""
+    data = b""
+    while len(data) < n:
+        chunk = os.read(fd, n - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def _collect(shape: _Shape, outcomes, sink) -> EnumerationResult:
+    """Merge task outcomes in order, feeding survivors to sink as each one arrives.
+
+    An outcome is a task's (survivors, nodes, tested, touched), as
+    _Walk.outcome gives it.  Nothing sorts the survivors: the tasks come
+    in ascending first middle weight, and each walk yields its weight
+    vectors in lexicographic order and the degrees of a vector in order,
+    so they arrive canonical.
     """
     survivors: list[Candidate] = []
     nodes = tested = 0
     touched = shape.touched
-    for walk in walks:
-        for c in walk.survivors:
+    for found, task_nodes, task_tested, task_touched in outcomes:
+        for c in found:
             sink(c)
-        survivors.extend(walk.survivors)
-        nodes += walk.nodes
-        tested += walk.tested
-        touched = touched or walk.touched
+        survivors.extend(found)
+        nodes += task_nodes
+        tested += task_tested
+        touched = touched or task_touched
     return EnumerationResult(
         query=shape.query,
         survivors=tuple(survivors),
@@ -424,6 +577,10 @@ class _Walk:
         self.tested += 1
         if _survives(weights, ds, self.shape.predicates):
             self.survivors.append(Candidate(weights, ds))
+
+    def outcome(self) -> tuple[list[Candidate], int, int, bool]:
+        """(survivors, nodes, tested, touched): what _collect merges, and what a child sends."""
+        return self.survivors, self.nodes, self.tested, self.touched
 
 
 def _slot_values(head: tuple[int, ...], length: int, hi: int, total: int | None) -> range:

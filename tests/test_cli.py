@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import wcifano.cli
 import wcifano.verify
 from wcifano.cli import main
 from wcifano.core import Candidate
@@ -307,6 +308,10 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--case", "survey", "--dim", "2", "--index", "0")
         assert (code, out, err) == (2, "", "error: survey needs index >= 1, got 0\n")
 
+    def test_the_case_choices_are_the_verify_cases(self):
+        # the parser spells them out, so that building it loads no verify
+        assert wcifano.cli._CASES == tuple(case.value for case in wcifano.verify.VerifyCase)
+
     def test_unknown_case_exits_two(self, capsys):
         assert run_cli(capsys, "verify", "--case", "nonsense")[0] == 2
 
@@ -427,18 +432,58 @@ class TestModuleEntryPoint:
         record = json.loads(proc.stdout)
         assert record["weights"] == [1, 1, 1]
 
-    def test_one_worker_run_imports_no_process_pool(self, checkout_env):
-        # the pool module costs every process start tens of milliseconds,
-        # so only a run with several workers imports it
-        script = (
-            "import sys; from wcifano.cli import main;"
-            " main(['enumerate', '--dim', '3', '--index', '2', '--codim', '1']);"
-            " sys.exit('concurrent.futures.process' in sys.modules)"
-        )
+    @pytest.mark.parametrize(
+        "call, unloaded",
+        [
+            ("import wcifano", ["wcifano."]),
+            (
+                "['check', '--weights', '1,1,1,2,3', '--degrees', '6']",
+                ["wcifano.enumerator", "wcifano.verify", "wcifano.transforms"],
+            ),
+            (
+                "['enumerate', '--dim', '3', '--index', '2', '--codim', '1']",
+                ["wcifano.verify", "wcifano.transforms", "concurrent.futures"],
+            ),
+            (
+                "['enumerate', '--dim', '6', '--index', '1', '--codim', '4', '--workers', '2']",
+                ["wcifano.verify", "wcifano.transforms", "concurrent.futures"],
+            ),
+        ],
+        ids=["import", "check", "enumerate", "enumerate-workers-2"],
+    )
+    def test_a_call_loads_only_the_modules_it_runs(self, checkout_env, call, unloaded):
+        # every module a call loads costs each process start its import,
+        # and its compilation without a bytecode cache, so a call loads
+        # only what it runs: `import wcifano` no submodule (a name loads
+        # its module on first use), and each subcommand its own modules
+        if call.startswith("["):
+            call = f"from wcifano.cli import main\nassert main({call}) == 0"
+        script = f"import sys\n{call}\nsys.stderr.write('\\nmodules ' + ' '.join(sys.modules))"
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=checkout_env
         )
         assert proc.returncode == 0, proc.stderr
+        loaded = proc.stderr.splitlines()[-1].split()[1:]
+        assert "wcifano" in loaded
+        assert [m for m in loaded if m.startswith(tuple(unloaded))] == []
+
+    def test_a_closed_stdout_exits_141_without_a_traceback(self, checkout_env):
+        # the reader is gone before the first record: `| head -1` after
+        # its line, or here a reader that closes the pipe at once
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "wcifano",
+                "enumerate", "--dim", "4", "--index", "1", "--codim", "2", "--max-weight", "20",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=checkout_env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert err == ""
 
     def test_documented_survey_invocation(self, checkout_env):
         proc = subprocess.run(

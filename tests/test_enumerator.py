@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import os
+import select
 import sys
+import time
 from math import lcm
 from unittest import mock
 
@@ -616,24 +617,15 @@ class TestDeterminism:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        # a pool that maps inline and records its size starts no process
+        # a split that runs every share inline and records its size forks
+        # no process
         sizes: list[int] = []
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def inline_split(shape, keys, size):
+            sizes.append(size)
+            return (wcifano.enumerator._task(shape, key).outcome() for key in keys)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        # enumerate_streaming imports the pool only when it uses one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(wcifano.enumerator, "_split", inline_split)
         return sizes
 
     def test_pool_is_clamped_to_the_task_count(self, monkeypatch, pool_sizes):
@@ -661,6 +653,97 @@ class TestDeterminism:
     def test_repeat_runs_agree(self):
         q = EnumerationQuery(n=4, index=1, k=2, max_weight=10)
         assert enumerate_candidates(q) == enumerate_candidates(q)
+
+
+class TestSplit:
+    """The forked split: the caller and its children claim tasks as they come free."""
+
+    # without UnitPrefix, Deltas and GcdCover every weight is a middle, and
+    # the survivors come from five tasks, one per first weight
+    SPREAD = EnumerationQuery(
+        n=2,
+        index=1,
+        k=2,
+        max_weight=6,
+        profile=SMOOTH_FANO_PROFILE - {FilterId.UNIT_PREFIX, FilterId.DELTAS, FilterId.GCD_COVER},
+    )
+
+    @pytest.fixture
+    def in_children(self, monkeypatch):
+        """Patch _task so that a child runs child_task(task, shape, key) in its place.
+
+        The caller's first task waits (up to 10 s) until a child has
+        started a task, so that children run some tasks however fast the
+        caller is; a child that starts one writes to the gate pipe.
+        """
+        caller = os.getpid()
+        gate_r, gate_w = os.pipe()
+        task = wcifano.enumerator._task
+        waited = []
+
+        def patch(child_task):
+            def patched(shape, first_middle):
+                if os.getpid() != caller:
+                    os.write(gate_w, b"x")
+                    return child_task(task, shape, first_middle)
+                if not waited:
+                    waited.append(select.select([gate_r], [], [], 10))
+                return task(shape, first_middle)
+
+            monkeypatch.setattr(wcifano.enumerator, "_task", patched)
+
+        yield patch
+        assert select.select([gate_r], [], [], 0)[0] == [gate_r], "no child ran a task"
+        os.close(gate_r)
+        os.close(gate_w)
+        # every child was reaped, whatever ended the search
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_results_equal_the_one_worker_result(self, in_children, workers):
+        single = enumerate_candidates(self.SPREAD)
+        assert len({c.weights[0] for c in single.survivors}) == 5
+        in_children(lambda task, shape, key: task(shape, key))
+        assert enumerate_candidates(self.SPREAD, workers=workers) == single
+
+    def test_a_task_error_in_a_child_is_raised_in_the_caller(self, in_children):
+        def failing(task, shape, key):
+            raise ZeroDivisionError(f"task {key}")
+
+        in_children(failing)
+        with pytest.raises(ZeroDivisionError, match="task"):
+            enumerate_candidates(self.SPREAD, workers=2)
+
+    def test_a_sink_that_raises_kills_the_busy_children(self, in_children):
+        # a child's second task would sleep for a minute, so the test
+        # ends fast only if the children are killed, not waited for
+        ran = []
+
+        def slow_after_the_first(task, shape, key):
+            if ran:
+                time.sleep(60)
+            ran.append(key)
+            return task(shape, key)
+
+        def sink(c):
+            raise KeyError("stop")
+
+        in_children(slow_after_the_first)
+        start = time.monotonic()
+        with pytest.raises(KeyError):
+            enumerate_streaming(self.SPREAD, sink, workers=3)
+        assert time.monotonic() - start < 30
+
+    def test_a_child_that_dies_is_named_with_its_exit_status(self, in_children):
+        in_children(lambda task, shape, key: os._exit(7))
+        with pytest.raises(RuntimeError, match="exit status 7"):
+            enumerate_candidates(self.SPREAD, workers=2)
+
+    def test_without_fork_the_search_runs_inline(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(wcifano.enumerator, "_split", None)
+        assert enumerate_candidates(self.SPREAD, workers=3) == enumerate_candidates(self.SPREAD)
 
 
 class TestStreaming:
