@@ -13,7 +13,8 @@ when the reader of stdout closed it early, as `| head` does.
 Each handler imports the modules it runs, so a subcommand loads no
 module it does not use: check loads core, filters and output;
 enumerate adds enumerator; verify adds enumerator and verify;
-transform adds transforms.
+transform adds transforms.  No call loads dataclasses, or the inspect
+module it imports: the value types are plain classes on core._Value.
 
 The default enumeration weight cap is 4 * (dim + codim + index); the
 environment variable WCI_DEFAULT_MAX_WEIGHT overrides it when

@@ -12,9 +12,9 @@ degree positions are 1-based, mirroring the usual a_i / d_j notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
+from operator import attrgetter
 
 __all__ = [
     "Candidate",
@@ -52,8 +52,55 @@ class NotNormalized(ValueError):
     """The operation requires weights and degrees sorted non-decreasing."""
 
 
-@dataclass(frozen=True)
-class Candidate:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields, in order, as its __slots__ and sets
+    them in its own __init__ through _set.  Two values are equal when
+    they have the same class and equal fields, and hash as their field
+    tuple; repr prints Name(field=value, ...).  Fields cannot be
+    assigned or deleted, and pickling rebuilds a value through its
+    class, so copy and deepcopy work too.  A class pattern in a match
+    statement takes the fields positionally, in order.  Values cannot be
+    weakly referenced: the slots hold the fields only.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # _fields reads the field tuple in one call: attrgetter returns a
+        # tuple for two names or more.
+        get = attrgetter(*cls.__slots__)
+        cls._fields = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        cls.__match_args__ = cls.__slots__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self) -> int:
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable value")
+
+    def __reduce__(self):
+        return self.__class__, self._fields
+
+
+# Sets a field in an __init__, past _Value.__setattr__.
+_set = object.__setattr__
+
+
+class Candidate(_Value):
     """A (weights, degrees) pair with derived dimension data.
 
     N = len(weights) - 1 is the ambient dimension, k = len(degrees) the
@@ -62,21 +109,22 @@ class Candidate:
     no geometric condition is implied.
     """
 
-    weights: tuple[int, ...]
-    degrees: tuple[int, ...] = ()
+    __slots__ = ("weights", "degrees")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        if not self.weights:
+    def __init__(self, weights: tuple[int, ...], degrees: tuple[int, ...] = ()) -> None:
+        weights = tuple(weights)
+        degrees = tuple(degrees)
+        if not weights:
             raise EmptyWeights("candidate needs at least one weight")
-        for value in self.weights + self.degrees:
+        for value in weights + degrees:
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise NonPositiveEntry(f"entries must be positive integers, got {value!r}")
-        if len(self.degrees) > len(self.weights) - 1:
+        if len(degrees) > len(weights) - 1:
             raise TooManyDegrees(
-                f"{len(self.degrees)} degrees against ambient dimension {len(self.weights) - 1}"
+                f"{len(degrees)} degrees against ambient dimension {len(weights) - 1}"
             )
+        _set(self, "weights", weights)
+        _set(self, "degrees", degrees)
 
     @property
     def ambient_dim(self) -> int:
@@ -99,8 +147,7 @@ class Candidate:
         return _first_inversion(self.weights, self.degrees) is None
 
 
-@dataclass(frozen=True)
-class GcdClass:
+class GcdClass(_Value):
     """Weight positions sharing a common divisor delta > 1.
 
     member_indices holds every position whose weight delta divides;
@@ -109,9 +156,12 @@ class GcdClass:
     construction.
     """
 
-    delta: int
-    member_indices: frozenset[int]
-    class_gcd: int
+    __slots__ = ("delta", "member_indices", "class_gcd")
+
+    def __init__(self, delta: int, member_indices: frozenset[int], class_gcd: int) -> None:
+        _set(self, "delta", delta)
+        _set(self, "member_indices", member_indices)
+        _set(self, "class_gcd", class_gcd)
 
 
 def new_candidate(weights, degrees=()) -> Candidate:

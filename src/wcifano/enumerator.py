@@ -87,12 +87,12 @@ enforced.  So is k = n + 1, which maps to an invalid query.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
+from time import perf_counter
 from typing import Callable
 
-from .core import Candidate, _gcds_added
+from .core import Candidate, _gcds_added, _set, _Value
 from .filters import FilterId, SMOOTH_FANO_PROFILE, _predicates, _survives
 
 __all__ = [
@@ -114,8 +114,7 @@ class CapTooSmall(InvalidQuery):
     """max_weight must be at least 1."""
 
 
-@dataclass(frozen=True)
-class EnumerationQuery:
+class EnumerationQuery(_Value):
     """Target dimension n, Fano index, codimension k, weight cap, profile.
 
     max_weight defaults to 4 * (n + k + index).  That default is not
@@ -125,28 +124,35 @@ class EnumerationQuery:
     enforced.
     """
 
-    n: int
-    index: int
-    k: int
-    max_weight: int | None = None
-    profile: frozenset[FilterId] = SMOOTH_FANO_PROFILE
+    __slots__ = ("n", "index", "k", "max_weight", "profile")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "profile", frozenset(self.profile))
-        if self.n < 1:
-            raise InvalidQuery(f"dimension n must be >= 1, got {self.n}")
-        if self.index < 0:
-            raise InvalidQuery(f"index must be >= 0, got {self.index}")
-        if not 0 <= self.k <= self.n + 1:
-            raise InvalidQuery(f"codimension k must lie in 0..n+1, got k={self.k} at n={self.n}")
-        if self.max_weight is None:
-            object.__setattr__(self, "max_weight", 4 * (self.n + self.k + self.index))
-        if self.max_weight < 1:
-            raise CapTooSmall(f"max_weight must be >= 1, got {self.max_weight}")
+    def __init__(
+        self,
+        n: int,
+        index: int,
+        k: int,
+        max_weight: int | None = None,
+        profile: frozenset[FilterId] = SMOOTH_FANO_PROFILE,
+    ) -> None:
+        profile = frozenset(profile)
+        if n < 1:
+            raise InvalidQuery(f"dimension n must be >= 1, got {n}")
+        if index < 0:
+            raise InvalidQuery(f"index must be >= 0, got {index}")
+        if not 0 <= k <= n + 1:
+            raise InvalidQuery(f"codimension k must lie in 0..n+1, got k={k} at n={n}")
+        if max_weight is None:
+            max_weight = 4 * (n + k + index)
+        if max_weight < 1:
+            raise CapTooSmall(f"max_weight must be >= 1, got {max_weight}")
+        _set(self, "n", n)
+        _set(self, "index", index)
+        _set(self, "k", k)
+        _set(self, "max_weight", max_weight)
+        _set(self, "profile", profile)
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(_Value):
     """nodes: entries placed; tested: candidates run through the profile.
 
     A weight, tail or degree that a cut or the degree-sum bound rejects
@@ -154,17 +160,29 @@ class SearchStats:
     full rule).
     """
 
-    nodes: int
-    tested: int
+    __slots__ = ("nodes", "tested")
+
+    def __init__(self, nodes: int, tested: int) -> None:
+        _set(self, "nodes", nodes)
+        _set(self, "tested", tested)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    query: EnumerationQuery
-    survivors: tuple[Candidate, ...]
-    cap_touched: bool
-    prefix_infeasible: bool
-    stats: SearchStats
+class EnumerationResult(_Value):
+    __slots__ = ("query", "survivors", "cap_touched", "prefix_infeasible", "stats")
+
+    def __init__(
+        self,
+        query: EnumerationQuery,
+        survivors: tuple[Candidate, ...],
+        cap_touched: bool,
+        prefix_infeasible: bool,
+        stats: SearchStats,
+    ) -> None:
+        _set(self, "query", query)
+        _set(self, "survivors", survivors)
+        _set(self, "cap_touched", cap_touched)
+        _set(self, "prefix_infeasible", prefix_infeasible)
+        _set(self, "stats", stats)
 
 
 # Filters that justify capping a single middle weight at 2: with the
@@ -188,6 +206,17 @@ def _middle_bound(middle_count: int, profile: frozenset[FilterId]) -> int | None
     if middle_count == 1 and _CLOSURE_FILTERS <= profile:
         return 2
     return None
+
+
+# The work left, in seconds, that repays forking the helpers (_split).
+# A helper costs a search about 0.03 s: forked at once at (6, 1, 4, 20)
+# on a 2-core VM, its 2-worker search took 0.052 s against 0.043 s
+# inline, although the helper ran tasks that take 0.021 s inline
+# (medians of 16 fresh processes).  That is the fork, the reap, loading
+# pickle, select and signal, and the caller's tasks slowed by
+# copy-on-write faults.  On two CPUs a helper takes over at most half the
+# work left, so it repays that cost only when twice as much is left.
+_FORK_WORK_S = 0.06
 
 
 class _Shape:
@@ -254,13 +283,15 @@ def enumerate_streaming(
     the values its slot admits (_slot_values), and the partial results
     are merged in ascending task order.  With size processes (at most
     workers, the task count and the usable CPUs; 1 where os.fork is
-    missing), each task runs in the first process to come free: the
-    caller, which runs the tasks it claims inline, or one of size - 1
-    forked children, which send each outcome as soon as they have it
-    (_split).  The merge takes task j once tasks 0..j are all in, and
-    the caller checks for outcomes after each task of its own, so the
-    sink sees each task's survivors soon after that task and every
-    earlier one have finished, not after the whole search.
+    missing), the caller runs the tasks inline until the work its tasks
+    so far predict is left repays forked helpers; then each task left
+    runs in the first process to come free: the caller, which runs the
+    tasks it claims inline, or one of size - 1 forked children, which
+    send each outcome as soon as they have it (_split).  The merge takes
+    task j once tasks 0..j are all in, and the caller checks for outcomes
+    after each task of its own, so the sink sees each task's survivors
+    soon after that task and every earlier one have finished, not after
+    the whole search.
     """
     if workers < 1:
         raise InvalidQuery(f"workers must be >= 1, got {workers}")
@@ -269,8 +300,8 @@ def enumerate_streaming(
         keys = _slot_values((), shape.middles, shape.middle_hi, shape.middle_sum)
     else:
         keys = [None] if shape.middles == 0 else []
-    # Every process beyond the caller is forked at once, so there are no
-    # more than there are tasks or usable CPUs.
+    # The processes beyond the caller are forked together, so there are
+    # no more than there are tasks or usable CPUs.
     size = min(workers, len(keys), _usable_cpus())
     if size > 1 and hasattr(os, "fork"):
         outcomes = _split(shape, keys, size)
@@ -290,6 +321,29 @@ def _usable_cpus() -> int:
 
 
 def _split(shape: _Shape, keys, size: int):
+    """Yield the outcome of each task in task order, forking helpers once the work repays them.
+
+    The caller runs the tasks inline, in order.  Before each task it
+    predicts the work left as the mean time of its tasks so far times
+    the tasks left; once that reaches _FORK_WORK_S and two tasks or more
+    are left, it shares them with size - 1 forked helpers (_share).  The
+    first task always runs inline, unless _FORK_WORK_S is 0.  So a short
+    search forks nothing and a long one forks after a task or a few.
+    Either way the outcomes are those of an inline run, in the same order.
+    """
+    busy = 0.0
+    for j, key in enumerate(keys):
+        left = len(keys) - j
+        if left > 1 and busy * left >= _FORK_WORK_S * max(j, 1):
+            yield from _share(shape, keys[j:], min(size, left))
+            return
+        start = perf_counter()
+        outcome = _task(shape, key).outcome()
+        busy += perf_counter() - start
+        yield outcome
+
+
+def _share(shape: _Shape, keys, size: int):
     """Yield the outcome of each task in task order, the tasks shared among size processes.
 
     Each process claims the next task not yet claimed (_Tickets) as soon

@@ -29,15 +29,16 @@ screens' verdict function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from .core import (
     Candidate,
     NotNormalized,
+    _Value,
     _class_generators,
     _complement_gcd,
     _first_inversion,
+    _set,
 )
 
 __all__ = [
@@ -86,20 +87,29 @@ SMOOTH_FANO_PROFILE: frozenset[FilterId] = frozenset(FILTER_ORDER)
 CALABI_YAU_PROFILE: frozenset[FilterId] = SMOOTH_FANO_PROFILE - {FilterId.FANO_POSITIVITY}
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
-    filter_id: FilterId
-    passed: bool
-    witness: dict | None = None
+class FilterVerdict(_Value):
+    __slots__ = ("filter_id", "passed", "witness")
+
+    def __init__(self, filter_id: FilterId, passed: bool, witness: dict | None = None) -> None:
+        _set(self, "filter_id", filter_id)
+        _set(self, "passed", passed)
+        _set(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class FilterReport:
+class FilterReport(_Value):
     """All requested verdicts for one candidate, in FILTER_ORDER."""
 
-    candidate: Candidate
-    verdicts: tuple[FilterVerdict, ...]
-    profile: frozenset[FilterId]
+    __slots__ = ("candidate", "verdicts", "profile")
+
+    def __init__(
+        self,
+        candidate: Candidate,
+        verdicts: tuple[FilterVerdict, ...],
+        profile: frozenset[FilterId],
+    ) -> None:
+        _set(self, "candidate", candidate)
+        _set(self, "verdicts", verdicts)
+        _set(self, "profile", profile)
 
     @property
     def survives(self) -> bool:
@@ -187,7 +197,9 @@ def run_all(c: Candidate, profile: frozenset[FilterId] = SMOOTH_FANO_PROFILE) ->
     verdicts = tuple(
         _verdict(fid, _PREDICATES[fid](weights, degrees)) for fid in FILTER_ORDER if fid in profile
     )
-    return FilterReport(candidate=c, verdicts=verdicts, profile=frozenset(profile))
+    if not isinstance(profile, frozenset):
+        profile = frozenset(profile)
+    return FilterReport(c, verdicts, profile)
 
 
 def passes_profile(c: Candidate, profile: frozenset[FilterId]) -> bool:
@@ -203,7 +215,9 @@ def passes_profile(c: Candidate, profile: frozenset[FilterId]) -> bool:
 
 
 def _verdict(fid: FilterId, witness: dict | None) -> FilterVerdict:
-    return FilterVerdict(filter_id=fid, passed=witness is None, witness=witness)
+    if witness is None:
+        return _PASSED[fid]
+    return FilterVerdict(fid, False, witness)
 
 
 def _screen(fid: FilterId, c: Candidate, *args) -> FilterVerdict:
@@ -312,6 +326,10 @@ def _unit_prefix(weights, degrees, index=None):
     p = next(p for p, a in enumerate(weights) if a != 1)
     return {"position": p, "weight": weights[p]}
 
+
+# One passing verdict per screen, shared by every report: a value is
+# immutable, and a pass carries no witness.
+_PASSED = {fid: FilterVerdict(fid, True) for fid in FilterId}
 
 _PREDICATES = {
     FilterId.NORMALIZED: _first_inversion,

@@ -9,9 +9,8 @@ appear for failing filters only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 
-from .core import Candidate, fano_index
+from .core import Candidate, _set, _Value, fano_index
 from .filters import FILTER_ORDER, FilterId, FilterReport
 
 __all__ = [
@@ -23,45 +22,52 @@ __all__ = [
     "profile_columns",
 ]
 
-@dataclass(frozen=True)
-class OutputRecord:
-    weights: tuple[int, ...]
-    degrees: tuple[int, ...]
-    dim: int
-    codim: int
-    fano_index: int
-    verdicts: dict
-    witnesses: dict
+class OutputRecord(_Value):
+    __slots__ = ("weights", "degrees", "dim", "codim", "fano_index", "verdicts", "witnesses")
+
+    def __init__(
+        self,
+        weights: tuple[int, ...],
+        degrees: tuple[int, ...],
+        dim: int,
+        codim: int,
+        fano_index: int,
+        verdicts: dict,
+        witnesses: dict,
+    ) -> None:
+        _set(self, "weights", weights)
+        _set(self, "degrees", degrees)
+        _set(self, "dim", dim)
+        _set(self, "codim", codim)
+        _set(self, "fano_index", fano_index)
+        _set(self, "verdicts", verdicts)
+        _set(self, "witnesses", witnesses)
 
     @classmethod
     def from_report(cls, report: FilterReport) -> "OutputRecord":
         c = report.candidate
-        verdicts = {v.filter_id.value: v.passed for v in report.verdicts}
+        verdicts = {_NAMES[v.filter_id]: v.passed for v in report.verdicts}
         witnesses = {
-            v.filter_id.value: v.witness
+            _NAMES[v.filter_id]: v.witness
             for v in report.verdicts
             if not v.passed and v.witness is not None
         }
-        return cls(
-            weights=c.weights,
-            degrees=c.degrees,
-            dim=c.dim,
-            codim=c.codim,
-            fano_index=fano_index(c),
-            verdicts=verdicts,
-            witnesses=witnesses,
-        )
+        return cls(c.weights, c.degrees, c.dim, c.codim, fano_index(c), verdicts, witnesses)
 
     @property
     def candidate(self) -> Candidate:
         return Candidate(self.weights, self.degrees)
 
     def to_json_line(self) -> str:
-        payload = {f: getattr(self, f) for f in RECORD_FIELDS}
-        return json.dumps(payload, separators=(",", ":"))
+        return _encode({f: getattr(self, f) for f in RECORD_FIELDS})
 
 
-RECORD_FIELDS = tuple(f.name for f in fields(OutputRecord))
+RECORD_FIELDS = OutputRecord.__slots__
+
+# The column name of each screen, read per verdict.
+_NAMES = {fid: fid.value for fid in FilterId}
+# json.dumps builds an encoder per call when given separators.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def parse_jsonl_line(line: str) -> OutputRecord:

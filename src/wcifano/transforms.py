@@ -8,11 +8,10 @@ into the lists as they stand when the step fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .core import Candidate, NotNormalized, _complement_gcd, fano_index, normalize
+from .core import Candidate, NotNormalized, _complement_gcd, _set, _Value, fano_index, normalize
 
 __all__ = [
     "DegenerateEmpty",
@@ -76,36 +75,46 @@ class TransformKind(str, Enum):
     HYPERPLANE_SECTION = "HyperplaneSection"
 
 
-@dataclass(frozen=True)
-class VeroneseStep:
+class VeroneseStep(_Value):
     """Divide the weights at divided_positions and every degree by factor."""
 
-    factor: int
-    divided_positions: tuple[int, ...]
+    __slots__ = ("factor", "divided_positions")
+
+    def __init__(self, factor: int, divided_positions: tuple[int, ...]) -> None:
+        _set(self, "factor", factor)
+        _set(self, "divided_positions", divided_positions)
 
 
-@dataclass(frozen=True)
-class PairRemovalStep:
+class PairRemovalStep(_Value):
     """Delete weight at weight_pos and degree at degree_pos (equal values)."""
 
-    weight_pos: int
-    degree_pos: int
-    value: int
+    __slots__ = ("weight_pos", "degree_pos", "value")
+
+    def __init__(self, weight_pos: int, degree_pos: int, value: int) -> None:
+        _set(self, "weight_pos", weight_pos)
+        _set(self, "degree_pos", degree_pos)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class SectionStep:
+class SectionStep(_Value):
     """Delete the unit weight at removed_pos."""
 
-    removed_pos: int
+    __slots__ = ("removed_pos",)
+
+    def __init__(self, removed_pos: int) -> None:
+        _set(self, "removed_pos", removed_pos)
 
 
-@dataclass(frozen=True)
-class TransformTrace:
-    kind: TransformKind
-    before: Candidate
-    after: Candidate
-    steps: tuple
+class TransformTrace(_Value):
+    __slots__ = ("kind", "before", "after", "steps")
+
+    def __init__(
+        self, kind: TransformKind, before: Candidate, after: Candidate, steps: tuple
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "before", before)
+        _set(self, "after", after)
+        _set(self, "steps", steps)
 
 
 def wellformize(c: Candidate) -> TransformTrace:

@@ -36,10 +36,9 @@ check; they only feed the count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import Candidate, canonical_key
+from .core import Candidate, _set, _Value, canonical_key
 from .enumerator import EnumerationQuery, EnumerationResult, enumerate_candidates
 
 __all__ = [
@@ -71,25 +70,46 @@ class Verdict(str, Enum):
     INCONCLUSIVE_CAP_TOUCHED = "InconclusiveCapTouched"
 
 
-@dataclass(frozen=True)
-class SliceOutcome:
-    n: int
-    index: int
-    k: int
-    expected: tuple[Candidate, ...]
-    result: EnumerationResult
-    status: Verdict
-    counterexample: Candidate | None = None
+class SliceOutcome(_Value):
+    __slots__ = ("n", "index", "k", "expected", "result", "status", "counterexample")
+
+    def __init__(
+        self,
+        n: int,
+        index: int,
+        k: int,
+        expected: tuple[Candidate, ...],
+        result: EnumerationResult,
+        status: Verdict,
+        counterexample: Candidate | None = None,
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "index", index)
+        _set(self, "k", k)
+        _set(self, "expected", expected)
+        _set(self, "result", result)
+        _set(self, "status", status)
+        _set(self, "counterexample", counterexample)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    case_id: VerifyCase
-    cap: int
-    slices: tuple[SliceOutcome, ...]
-    verdict: Verdict
-    counterexample: Candidate | None
-    notes: tuple[str, ...]
+class VerificationResult(_Value):
+    __slots__ = ("case_id", "cap", "slices", "verdict", "counterexample", "notes")
+
+    def __init__(
+        self,
+        case_id: VerifyCase,
+        cap: int,
+        slices: tuple[SliceOutcome, ...],
+        verdict: Verdict,
+        counterexample: Candidate | None,
+        notes: tuple[str, ...],
+    ) -> None:
+        _set(self, "case_id", case_id)
+        _set(self, "cap", cap)
+        _set(self, "slices", slices)
+        _set(self, "verdict", verdict)
+        _set(self, "counterexample", counterexample)
+        _set(self, "notes", notes)
 
 
 # Families whose presence the codimension survey asserts, and reference
@@ -233,7 +253,7 @@ def survey_codim(n: int, index: int, cap: int = 20) -> VerificationResult:
             )
     if any(r.cap_touched for r in results):
         notes.append("cap touched: raising max_weight could reveal further tuples")
-    return replace(_aggregate(VerifyCase.SURVEY, cap, slices), notes=tuple(notes))
+    return _aggregate(VerifyCase.SURVEY, cap, slices, tuple(notes))
 
 
 def _span(n_range: tuple[int, int], minimum: int, what: str) -> range:
@@ -281,7 +301,9 @@ def _missing(result: EnumerationResult) -> Verdict:
     return Verdict.INCONCLUSIVE_CAP_TOUCHED if result.cap_touched else Verdict.REFUTED
 
 
-def _aggregate(case_id: VerifyCase, cap: int, slices: list[SliceOutcome]) -> VerificationResult:
+def _aggregate(
+    case_id: VerifyCase, cap: int, slices: list[SliceOutcome], notes: tuple[str, ...] = ()
+) -> VerificationResult:
     if not slices:
         raise ValueError(f"case {case_id.value}: the given ranges select no slice")
     verdict = Verdict.VERIFIED
@@ -298,5 +320,5 @@ def _aggregate(case_id: VerifyCase, cap: int, slices: list[SliceOutcome]) -> Ver
         slices=tuple(slices),
         verdict=verdict,
         counterexample=counterexample,
-        notes=(),
+        notes=notes,
     )

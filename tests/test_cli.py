@@ -435,27 +435,35 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize(
         "call, unloaded",
         [
-            ("import wcifano", ["wcifano."]),
+            ("import wcifano", ["wcifano.", "dataclasses", "inspect"]),
             (
                 "['check', '--weights', '1,1,1,2,3', '--degrees', '6']",
-                ["wcifano.enumerator", "wcifano.verify", "wcifano.transforms"],
+                ["wcifano.enumerator", "wcifano.verify", "wcifano.transforms", "dataclasses",
+                 "inspect"],
             ),
             (
                 "['enumerate', '--dim', '3', '--index', '2', '--codim', '1']",
-                ["wcifano.verify", "wcifano.transforms", "concurrent.futures"],
+                ["wcifano.verify", "wcifano.transforms", "concurrent.futures", "dataclasses",
+                 "inspect"],
             ),
             (
                 "['enumerate', '--dim', '6', '--index', '1', '--codim', '4', '--workers', '2']",
-                ["wcifano.verify", "wcifano.transforms", "concurrent.futures"],
+                ["wcifano.verify", "wcifano.transforms", "concurrent.futures", "dataclasses",
+                 "inspect"],
+            ),
+            (
+                "['verify', '--case', 'hypersurface']",
+                ["wcifano.transforms", "concurrent.futures", "dataclasses", "inspect"],
             ),
         ],
-        ids=["import", "check", "enumerate", "enumerate-workers-2"],
+        ids=["import", "check", "enumerate", "enumerate-workers-2", "verify-hypersurface"],
     )
     def test_a_call_loads_only_the_modules_it_runs(self, checkout_env, call, unloaded):
         # every module a call loads costs each process start its import,
         # and its compilation without a bytecode cache, so a call loads
         # only what it runs: `import wcifano` no submodule (a name loads
-        # its module on first use), and each subcommand its own modules
+        # its module on first use), each subcommand its own modules, and
+        # none of them dataclasses, which loads inspect and its imports
         if call.startswith("["):
             call = f"from wcifano.cli import main\nassert main({call}) == 0"
         script = f"import sys\n{call}\nsys.stderr.write('\\nmodules ' + ' '.join(sys.modules))"

@@ -602,14 +602,30 @@ class TestWeightStageCut:
                 assert cut
 
 
+@pytest.fixture
+def fork_at_once(monkeypatch):
+    """The caller forks its helpers before its first task, however short the search."""
+    monkeypatch.setattr(wcifano.enumerator, "_FORK_WORK_S", 0)
+
+
+def task_clock(monkeypatch, durations):
+    """A clock under which the caller's task j takes durations[j] seconds inline."""
+    ends = list(itertools.accumulate(durations))
+    readings = iter(t for end, d in zip(ends, durations) for t in (end - d, end))
+    monkeypatch.setattr(wcifano.enumerator, "perf_counter", lambda: next(readings))
+
+
+DOUBLING = [2**j for j in range(10)]
+
+
 class TestDeterminism:
-    def test_worker_counts_agree_exactly(self):
+    def test_worker_counts_agree_exactly(self, fork_at_once):
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=12)
         single = enumerate_candidates(q, workers=1)
         multi = enumerate_candidates(q, workers=4)
         assert single == multi  # survivors, flags and stats all included
 
-    def test_worker_counts_agree_without_the_unit_prefix_structure(self):
+    def test_worker_counts_agree_without_the_unit_prefix_structure(self, fork_at_once):
         # profiles without UnitPrefix and Deltas are split into tasks too
         profile = SMOOTH_FANO_PROFILE - {FilterId.UNIT_PREFIX, FilterId.DELTAS}
         q = EnumerationQuery(n=3, index=1, k=1, max_weight=8, profile=profile)
@@ -650,11 +666,46 @@ class TestDeterminism:
         assert enumerate_candidates(q, workers=5000) == enumerate_candidates(q)
         assert pool_sizes == [3]
 
+    @pytest.mark.parametrize(
+        "durations, work, shared",
+        [
+            (DOUBLING, 9, [((2, 3, 4, 5, 6, 7, 8, 9, 10), 3)]),
+            (DOUBLING, 60, [((9, 10), 2)]),
+            (DOUBLING, 64, []),
+            ([1] * 8 + [100, 1], 10, []),
+        ],
+        ids=["nine-left", "two-left", "never", "one-left"],
+    )
+    def test_helpers_are_forked_once_the_work_left_repays_them(
+        self, monkeypatch, durations, work, shared
+    ):
+        # before task j the caller predicts the mean of its j task times
+        # times the 10 - j tasks left.  When task j takes 2 ** j seconds
+        # that is 9 s before task 1 and grows to 63.75 s before task 8, the
+        # last with two tasks left; with one long task 8 it is 12 s before
+        # task 9, but one task left is run alone.  The caller shares the
+        # tasks left once the prediction reaches work, with no more helpers
+        # than tasks.
+        task_clock(monkeypatch, durations)
+        monkeypatch.setattr(wcifano.enumerator, "_FORK_WORK_S", work)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        calls = []
+
+        def inline_share(shape, keys, size):
+            calls.append((tuple(keys), size))
+            return (wcifano.enumerator._task(shape, key).outcome() for key in keys)
+
+        monkeypatch.setattr(wcifano.enumerator, "_share", inline_share)
+        q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
+        assert enumerate_candidates(q, workers=3) == enumerate_candidates(q)
+        assert calls == shared
+
     def test_repeat_runs_agree(self):
         q = EnumerationQuery(n=4, index=1, k=2, max_weight=10)
         assert enumerate_candidates(q) == enumerate_candidates(q)
 
 
+@pytest.mark.usefixtures("fork_at_once")
 class TestSplit:
     """The forked split: the caller and its children claim tasks as they come free."""
 
@@ -672,25 +723,32 @@ class TestSplit:
     def in_children(self, monkeypatch):
         """Patch _task so that a child runs child_task(task, shape, key) in its place.
 
-        The caller's first task waits (up to 10 s) until a child has
-        started a task, so that children run some tasks however fast the
-        caller is; a child that starts one writes to the gate pipe.
+        The caller's first task after it forks waits (up to 10 s) until a
+        child has started a task, so that children run some tasks however
+        fast the caller is; a child that starts one writes to the gate pipe.
         """
         caller = os.getpid()
         gate_r, gate_w = os.pipe()
         task = wcifano.enumerator._task
+        fork = wcifano.enumerator._fork
+        forked = []
         waited = []
+
+        def forking(*args):
+            forked.append(True)
+            return fork(*args)
 
         def patch(child_task):
             def patched(shape, first_middle):
                 if os.getpid() != caller:
                     os.write(gate_w, b"x")
                     return child_task(task, shape, first_middle)
-                if not waited:
+                if forked and not waited:
                     waited.append(select.select([gate_r], [], [], 10))
                 return task(shape, first_middle)
 
             monkeypatch.setattr(wcifano.enumerator, "_task", patched)
+            monkeypatch.setattr(wcifano.enumerator, "_fork", forking)
 
         yield patch
         assert select.select([gate_r], [], [], 0)[0] == [gate_r], "no child ran a task"
@@ -706,6 +764,30 @@ class TestSplit:
         assert len({c.weights[0] for c in single.survivors}) == 5
         in_children(lambda task, shape, key: task(shape, key))
         assert enumerate_candidates(self.SPREAD, workers=workers) == single
+
+    def test_helpers_forked_after_inline_tasks_keep_the_one_worker_order(
+        self, monkeypatch, in_children
+    ):
+        # task j takes 2 ** j seconds inline, so the caller predicts 5 s left
+        # before task 1 and 6 s before task 2: it runs tasks 0 and 1, whose
+        # survivors reach the sink first, then forks for the four left
+        seen_single: list[Candidate] = []
+        single = enumerate_streaming(self.SPREAD, seen_single.append)
+        task_clock(monkeypatch, DOUBLING)
+        monkeypatch.setattr(wcifano.enumerator, "_FORK_WORK_S", 6)
+        shared = []
+        share = wcifano.enumerator._share
+
+        def recording_share(shape, keys, size):
+            shared.append((tuple(keys), size))
+            return share(shape, keys, size)
+
+        monkeypatch.setattr(wcifano.enumerator, "_share", recording_share)
+        in_children(lambda task, shape, key: task(shape, key))
+        seen: list[Candidate] = []
+        assert enumerate_streaming(self.SPREAD, seen.append, workers=2) == single
+        assert seen == seen_single
+        assert shared == [((3, 4, 5, 6), 2)]
 
     def test_a_task_error_in_a_child_is_raised_in_the_caller(self, in_children):
         def failing(task, shape, key):
@@ -755,7 +837,7 @@ class TestStreaming:
         assert seen == sorted(seen, key=canonical_key)
         assert len(set(seen)) == len(seen)
 
-    def test_sink_sees_survivors_with_workers(self):
+    def test_sink_sees_survivors_with_workers(self, fork_at_once):
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
         seen: list[Candidate] = []
         result = enumerate_streaming(q, seen.append, workers=3)
@@ -765,7 +847,9 @@ class TestStreaming:
         assert seen == sorted(seen, key=canonical_key)
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_survivors_are_canonical_without_the_unit_prefix_structure(self, workers):
+    def test_survivors_are_canonical_without_the_unit_prefix_structure(
+        self, fork_at_once, workers
+    ):
         # without UnitPrefix and Deltas every weight is a middle; here the
         # survivors come from five tasks, one per first weight
         profile = SMOOTH_FANO_PROFILE - {FilterId.UNIT_PREFIX, FilterId.DELTAS, FilterId.GCD_COVER}

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import fields
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +28,7 @@ class TestJsonRoundTrip:
         if keep_sorted:
             weights, degrees = sorted(weights), sorted(degrees)
         c = Candidate(tuple(weights), tuple(degrees[: len(weights) - 1]))
-        names = [f.name for f in fields(OutputRecord)]
+        names = list(OutputRecord.__slots__)
         assert len(ALL_PROFILES) == 256
         for profile in ALL_PROFILES:
             try:
