@@ -12,7 +12,7 @@ degree positions are 1-based, mirroring the usual a_i / d_j notation.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd
 from operator import attrgetter
 
@@ -116,7 +116,9 @@ class Candidate(_Value):
         degrees = tuple(degrees)
         if not weights:
             raise EmptyWeights("candidate needs at least one weight")
-        for value in weights + degrees:
+        # Exact positive ints pass at once; the rest take the full check,
+        # which accepts other int subclasses and rejects bool.
+        for value in [v for v in weights + degrees if type(v) is not int or v < 1]:
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise NonPositiveEntry(f"entries must be positive integers, got {value!r}")
         if len(degrees) > len(weights) - 1:
@@ -170,10 +172,15 @@ def new_candidate(weights, degrees=()) -> Candidate:
 
 
 def normalize(c: Candidate) -> Candidate:
-    """The canonical representative: both tuples sorted non-decreasing."""
-    if c.is_normalized:
+    """The canonical representative: both tuples sorted non-decreasing; c itself when sorted."""
+    weights, degrees = tuple(sorted(c.weights)), tuple(sorted(c.degrees))
+    if weights == c.weights and degrees == c.degrees:
         return c
-    return Candidate(tuple(sorted(c.weights)), tuple(sorted(c.degrees)))
+    # The same entries in another order: c's validation holds for them.
+    sorted_c = object.__new__(Candidate)
+    _set(sorted_c, "weights", weights)
+    _set(sorted_c, "degrees", degrees)
+    return sorted_c
 
 
 def canonical_key(c: Candidate) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -224,12 +231,12 @@ def _class_generators(weights) -> list[int]:
     """The gcds g > 1 of nonempty weight subsets, ascending.
 
     This is the gcd closure of the weight values, built by one pass
-    (_gcds_added) that adds each weight and its gcd with every value seen
-    so far; no weight is factored.  Unit weights only contribute gcd 1
-    and are skipped.
+    (_gcds_added) that adds each distinct weight and its gcd with every
+    value seen so far (a repeated weight adds nothing); no weight is
+    factored.  Unit weights only contribute gcd 1 and are skipped.
     """
     closure: set[int] = set()
-    for a in weights:
+    for a in set(weights):
         if a > 1:
             closure |= _gcds_added(closure, a)
     closure.discard(1)
@@ -238,7 +245,7 @@ def _class_generators(weights) -> list[int]:
 
 def _gcds_added(closure, a: int) -> set[int]:
     """What a weight a > 1 adds to a gcd closure: a and its gcd (possibly 1) with each value."""
-    return {a, *(gcd(a, g) for g in closure)}
+    return {a, *map(gcd, closure, repeat(a))}
 
 
 def gcd_classes(c: Candidate) -> list[GcdClass]:

@@ -50,13 +50,16 @@ last slot or a share of the last degree: a class that only the last
 degree can serve may have one member, and all such classes must divide
 one degree in the last slot's window (_tails_fit).  At k = 1 no degree
 comes before the last, so every class is last-only.  A middle vector
-is checked with its last middle as a virtual tail, a lower bound on
-every tail, and its tails are not walked when it fails; a tail that
-fails is not placed.  While a class is pending, the degree walk fills a
-slot only when the slots left fit what is left of that sum (_slots_fit):
-the least degree each can hold, plus the least raise to an admissible
-multiple that each class needs in as many slots as it still needs, must
-not exceed it.  No class may need more divisible degrees than there are
+is checked with a virtual tail, a lower bound on every tail, and its
+tails are not walked when it fails; a tail that fails is not placed.
+The virtual tail is the last middle m, and m + 1 at k = 1: there a tail
+equal to m > 1 would give class m two members, which the class counts
+cut, and with m = 1 every middle is 1, so no class is counted and the
+check passes.  At k >= 2, where m + 1 is not proved, it is m.  While a
+class is pending, the degree walk fills a slot only when the slots left
+fit what is left of that sum (_slots_fit): the least degree each can
+hold, plus the least raise to an admissible multiple that each class
+needs in as many slots as it still needs, must not exceed it.  No class may need more divisible degrees than there are
 slots left: a class that needs every slot left must divide the next
 degree, so the walk steps through multiples of the lcm of those classes.  LinearCone skips every degree
 equal to a weight.
@@ -671,7 +674,7 @@ def _grow_classes(
     grown = dict(classes)
     for g in _gcds_added(classes, a):
         if g > 1:
-            count = classes[g] + 1 if g in classes else sum(1 for w in placed if w % g == 0)
+            count = classes[g] + 1 if g in classes else [w % g for w in placed].count(0)
             if count > k:
                 return None
             grown[g] = count
@@ -768,9 +771,13 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
         if ms and shape.last_weight and counts is not None:
             # Every tail is at least ms[-1], so the middles must leave the
             # degrees room for a virtual tail ms[-1] (_tails_fit); at k >= 2
-            # the first tail's check repeats this one.
+            # the first tail's check repeats this one.  At k = 1 the virtual
+            # tail is ms[-1] + 1: a tail equal to a last middle m > 1 gives
+            # class m two members, which _grow_classes cuts, and with m = 1
+            # no class is counted, so the check passes either way.
+            virtual = ms[-1] + 1 if k == 1 else ms[-1]
             banned = ms if bans_weights else ()
-            if not _tails_fit((ms[-1],), total, counts.items(), banned, k, tail_hi):
+            if not _tails_fit((virtual,), total, counts.items(), banned, k, tail_hi):
                 continue
         fits = None
         if k >= 2 and shape.last_weight and counts is not None:

@@ -25,6 +25,14 @@ first predicate that fails a tuple is also the first failing verdict of
 its run_all report.  Both raise NotNormalized on unsorted tuples when
 the profile holds a screen of _READS_POSITIONS, as does each of those
 screens' verdict function.
+
+One plan per profile (_Plan, cached, 256 at most) serves run_all,
+passes_profile and the enumerator: the (screen, predicate, passing
+verdict) steps, the predicates alone, and the screens that read
+positions, so a call looks up no screen.  The sort check runs once per
+call, and only when such a screen is in the profile; when it runs and
+passes, it is also Normalized's verdict, so run_all does not scan the
+order a second time.
 """
 
 from __future__ import annotations
@@ -192,14 +200,20 @@ def run_all(c: Candidate, profile: frozenset[FilterId] = SMOOTH_FANO_PROFILE) ->
     still raises.  Raises NotNormalized on unsorted tuples when the
     profile holds a screen that needs them sorted.
     """
-    weights, degrees = c.weights, c.degrees
-    _require_sorted(weights, degrees, profile)
-    verdicts = tuple(
-        _verdict(fid, _PREDICATES[fid](weights, degrees)) for fid in FILTER_ORDER if fid in profile
-    )
     if not isinstance(profile, frozenset):
         profile = frozenset(profile)
-    return FilterReport(c, verdicts, profile)
+    plan = _plan(profile)
+    weights, degrees = c.weights, c.degrees
+    verdicts = []
+    steps = plan.steps
+    if _require_sorted(weights, degrees, plan) and plan.normalized:
+        # The sort check ran and passed: it is Normalized's predicate.
+        verdicts.append(steps[0][2])
+        steps = steps[1:]
+    for fid, predicate, passed in steps:
+        witness = predicate(weights, degrees)
+        verdicts.append(passed if witness is None else FilterVerdict(fid, False, witness))
+    return FilterReport(c, tuple(verdicts), profile)
 
 
 def passes_profile(c: Candidate, profile: frozenset[FilterId]) -> bool:
@@ -210,8 +224,9 @@ def passes_profile(c: Candidate, profile: frozenset[FilterId]) -> bool:
     it only stops at the first witness and builds no verdicts.  The
     enumerator runs the same walk on its own (always sorted) tuples.
     """
-    _require_sorted(c.weights, c.degrees, profile)
-    return _survives(c.weights, c.degrees, _predicates(frozenset(profile)))
+    plan = _plan(profile if isinstance(profile, frozenset) else frozenset(profile))
+    _require_sorted(c.weights, c.degrees, plan)
+    return _survives(c.weights, c.degrees, plan.predicates)
 
 
 def _verdict(fid: FilterId, witness: dict | None) -> FilterVerdict:
@@ -222,7 +237,7 @@ def _verdict(fid: FilterId, witness: dict | None) -> FilterVerdict:
 
 def _screen(fid: FilterId, c: Candidate, *args) -> FilterVerdict:
     """One screen's verdict on c, through its predicate."""
-    _require_sorted(c.weights, c.degrees, (fid,))
+    _require_sorted(c.weights, c.degrees, _plan(frozenset((fid,))))
     return _verdict(fid, _PREDICATES[fid](c.weights, c.degrees, *args))
 
 
@@ -231,20 +246,51 @@ def _screen(fid: FilterId, c: Candidate, *args) -> FilterVerdict:
 _READS_POSITIONS = frozenset({FilterId.DELTAS, FilterId.LAST_WEIGHT, FilterId.UNIT_PREFIX})
 
 
-def _require_sorted(weights, degrees, profile) -> None:
-    """Raise NotNormalized on unsorted tuples if a screen of profile reads their positions."""
-    reads = _READS_POSITIONS.intersection(profile)
-    if not degrees:
-        reads -= {FilterId.LAST_WEIGHT}
-    if reads and _first_inversion(weights, degrees) is not None:
-        names = ", ".join(fid.value for fid in FILTER_ORDER if fid in reads)
-        raise NotNormalized(f"sorted weights and degrees needed by {names}")
+class _Plan:
+    """How run_all, passes_profile and the enumerator run one profile.
+
+    steps: (screen, predicate, passing verdict) per screen, in
+    FILTER_ORDER.  predicates: the same predicates alone.  normalized:
+    the profile holds Normalized, so steps start with it.  reads: the
+    names of the profile's screens of _READS_POSITIONS, in FILTER_ORDER,
+    joined for NotNormalized's message ("" when none), with degrees and
+    without (LastWeight reads no position at k = 0).
+    """
+
+    __slots__ = ("steps", "predicates", "normalized", "reads", "reads_ambient")
+
+    def __init__(self, profile: frozenset[FilterId]) -> None:
+        screens = [fid for fid in FILTER_ORDER if fid in profile]
+        self.steps = tuple((fid, _PREDICATES[fid], _PASSED[fid]) for fid in screens)
+        self.predicates = tuple(_PREDICATES[fid] for fid in screens)
+        self.normalized = FilterId.NORMALIZED in profile
+        reads = [fid.value for fid in screens if fid in _READS_POSITIONS]
+        self.reads = ", ".join(reads)
+        self.reads_ambient = ", ".join(r for r in reads if r != FilterId.LAST_WEIGHT.value)
 
 
 @cache
+def _plan(profile: frozenset[FilterId]) -> _Plan:
+    """The profile's plan, built once per profile (256 at most)."""
+    return _Plan(profile)
+
+
 def _predicates(profile: frozenset[FilterId]) -> tuple:
-    """The profile's predicates, in FILTER_ORDER, built once per profile (256 at most)."""
-    return tuple(_PREDICATES[fid] for fid in FILTER_ORDER if fid in profile)
+    """The profile's predicates, in FILTER_ORDER, from its cached plan."""
+    return _plan(profile).predicates
+
+
+def _require_sorted(weights, degrees, plan: _Plan) -> bool:
+    """Raise NotNormalized on unsorted tuples if a screen of the plan reads their positions.
+
+    True when the tuples were checked and found sorted.
+    """
+    reads = plan.reads if degrees else plan.reads_ambient
+    if not reads:
+        return False
+    if _first_inversion(weights, degrees) is not None:
+        raise NotNormalized(f"sorted weights and degrees needed by {reads}")
+    return True
 
 
 def _survives(weights, degrees, predicates) -> bool:
@@ -297,16 +343,11 @@ def _last_weight(weights, degrees):
 def _gcd_cover(weights, degrees):
     # Walks the classes of core.gcd_classes in the same ascending order,
     # without building the class objects, and counts a class's members
-    # only when it is reached: nearly every failing tuple fails at its
-    # first class.
+    # and divisible degrees only when it is reached: nearly every failing
+    # tuple fails at its first class.
     for g in _class_generators(weights):
-        required = sum(1 for a in weights if a % g == 0)
-        available = 0
-        for d in degrees:
-            if d % g == 0:
-                available += 1
-                if available == required:
-                    break
+        required = [a % g for a in weights].count(0)
+        available = [d % g for d in degrees].count(0)
         if available < required:
             return {"class_gcd": g, "required": required, "available": available}
     return None

@@ -4,13 +4,21 @@ A record is self-contained: re-parsing a JSON line and re-running the
 filters on its (weights, degrees) reproduces its verdict map.  Field
 names and order are OutputRecord's, listed in RECORD_FIELDS.  Witnesses
 appear for failing filters only.
+
+A JSON line is byte-identical to json.dumps of the record's fields with
+separators (",", ":").  to_json_line writes most of it itself: the
+weights, the degrees and the three ints when they are exact ints, and
+the verdict map when its keys are screen names and its values exact
+bools, from a table of the sixteen "name":true/false texts.  Only the
+witness map goes through the json encoder.  A record outside that shape
+(a list, a bool or an int subclass among the ints, an unknown key) goes
+through the encoder whole.  json is imported on the first encode or
+parse, so a call that writes no JSON line does not load it.
 """
 
 from __future__ import annotations
 
-import json
-
-from .core import Candidate, _set, _Value, fano_index
+from .core import Candidate, _set, _Value
 from .filters import FILTER_ORDER, FilterId, FilterReport
 
 __all__ = [
@@ -45,20 +53,45 @@ class OutputRecord(_Value):
 
     @classmethod
     def from_report(cls, report: FilterReport) -> "OutputRecord":
-        c = report.candidate
-        verdicts = {_NAMES[v.filter_id]: v.passed for v in report.verdicts}
-        witnesses = {
-            _NAMES[v.filter_id]: v.witness
-            for v in report.verdicts
-            if not v.passed and v.witness is not None
-        }
-        return cls(c.weights, c.degrees, c.dim, c.codim, fano_index(c), verdicts, witnesses)
+        verdicts = {}
+        witnesses = {}
+        for v in report.verdicts:
+            name = _NAMES[v.filter_id]
+            verdicts[name] = v.passed
+            if not v.passed and v.witness is not None:
+                witnesses[name] = v.witness
+        weights, degrees = report.candidate.weights, report.candidate.degrees
+        codim = len(degrees)
+        index = sum(weights) - sum(degrees)
+        return cls(weights, degrees, len(weights) - 1 - codim, codim, index, verdicts, witnesses)
 
     @property
     def candidate(self) -> Candidate:
         return Candidate(self.weights, self.degrees)
 
     def to_json_line(self) -> str:
+        """The record as one line of compact JSON (the module docstring says how it is written)."""
+        weights, degrees, verdicts = self.weights, self.degrees, self.verdicts
+        ints = (self.dim, self.codim, self.fano_index)
+        if (
+            type(weights) is tuple
+            and type(degrees) is tuple
+            and type(verdicts) is dict
+            and _INT.issuperset(map(type, weights + degrees + ints))
+            # An exact bool value also keeps 1 from matching a True item.
+            and _BOOL.issuperset(map(type, verdicts.values()))
+        ):
+            try:
+                flags = ",".join(map(_VERDICT_ITEMS.__getitem__, verdicts.items()))
+            except KeyError:
+                pass
+            else:
+                return (
+                    f'{{"weights":[{",".join(map(str, weights))}],'
+                    f'"degrees":[{",".join(map(str, degrees))}],'
+                    f'"dim":{ints[0]},"codim":{ints[1]},"fano_index":{ints[2]},'
+                    f'"verdicts":{{{flags}}},"witnesses":{_encode(self.witnesses)}}}'
+                )
         return _encode({f: getattr(self, f) for f in RECORD_FIELDS})
 
 
@@ -66,12 +99,30 @@ RECORD_FIELDS = OutputRecord.__slots__
 
 # The column name of each screen, read per verdict.
 _NAMES = {fid: fid.value for fid in FilterId}
-# json.dumps builds an encoder per call when given separators.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+_INT = frozenset({int})
+_BOOL = frozenset({bool})
+# The JSON text of each (screen name, verdict) item of a verdict map.
+_VERDICT_ITEMS = {
+    (name, ok): f'"{name}":{"true" if ok else "false"}'
+    for name in _NAMES.values()
+    for ok in (True, False)
+}
+
+
+def _encode(value) -> str:
+    """Compact JSON text of value.  The first call imports json and rebinds _encode."""
+    global _encode
+    import json
+
+    # json.dumps builds an encoder per call when given separators.
+    _encode = json.JSONEncoder(separators=(",", ":")).encode
+    return _encode(value)
 
 
 def parse_jsonl_line(line: str) -> OutputRecord:
     """The record of one JSON line; its lists (the weights and degrees) become tuples."""
+    import json
+
     data = json.loads(line)
     values = (data[f] for f in RECORD_FIELDS)
     return OutputRecord(*(tuple(v) if isinstance(v, list) else v for v in values))

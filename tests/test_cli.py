@@ -453,17 +453,29 @@ class TestModuleEntryPoint:
             ),
             (
                 "['verify', '--case', 'hypersurface']",
-                ["wcifano.transforms", "concurrent.futures", "dataclasses", "inspect"],
+                ["wcifano.transforms", "concurrent.futures", "dataclasses", "inspect", "json"],
+            ),
+            (
+                "['transform', 'wellformize', '--weights', '1,2,2,2', '--degrees', '4']",
+                ["wcifano.enumerator", "wcifano.verify", "dataclasses", "inspect", "json"],
             ),
         ],
-        ids=["import", "check", "enumerate", "enumerate-workers-2", "verify-hypersurface"],
+        ids=[
+            "import",
+            "check",
+            "enumerate",
+            "enumerate-workers-2",
+            "verify-hypersurface",
+            "transform",
+        ],
     )
     def test_a_call_loads_only_the_modules_it_runs(self, checkout_env, call, unloaded):
         # every module a call loads costs each process start its import,
         # and its compilation without a bytecode cache, so a call loads
         # only what it runs: `import wcifano` no submodule (a name loads
-        # its module on first use), each subcommand its own modules, and
-        # none of them dataclasses, which loads inspect and its imports
+        # its module on first use), each subcommand its own modules, none
+        # of them dataclasses, which loads inspect and its imports, and
+        # verify and transform, which print no JSON, not json
         if call.startswith("["):
             call = f"from wcifano.cli import main\nassert main({call}) == 0"
         script = f"import sys\n{call}\nsys.stderr.write('\\nmodules ' + ' '.join(sys.modules))"

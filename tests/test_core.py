@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from enum import IntEnum
 from math import gcd
 
 import pytest
@@ -65,6 +66,35 @@ class TestConstruction:
         with pytest.raises(NonPositiveEntry):
             Candidate((True, True, True), (2,))
 
+    @pytest.mark.parametrize(
+        "weights, degrees, bad",
+        [
+            ((1, 0, 2), (), 0),
+            ((1, 2), (-3,), -3),
+            ((1, 2.5), (2,), 2.5),
+            ((True, True, True), (2,), True),
+            ((1, 1, 2), (False,), False),
+            ((1, "2"), (), "2"),
+            ((1, None), (), None),
+            # the first bad entry is named, weights before degrees
+            ((1, 0, -1), (2.5,), 0),
+            ((1, 1, 2), (0, True), 0),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, weights, degrees, bad):
+        with pytest.raises(NonPositiveEntry) as info:
+            Candidate(weights, degrees)
+        assert str(info.value) == f"entries must be positive integers, got {bad!r}"
+
+    def test_int_subclasses_other_than_bool_are_accepted(self):
+        class Big(int):
+            pass
+
+        Weight = IntEnum("Weight", {"ONE": 1, "TWO": 2})
+        c = Candidate((Weight.ONE, Big(1), 2), (Weight.TWO,))
+        assert c.weights == (1, 1, 2) and c.degrees == (2,)
+        assert type(c.weights[1]) is Big
+
     def test_too_many_degrees(self):
         with pytest.raises(TooManyDegrees):
             new_candidate([1, 1], [2, 2])
@@ -83,6 +113,15 @@ class TestNormalize:
         assert Candidate((1, 2, 2), (3,)).is_normalized
         assert not Candidate((2, 1, 2), (3,)).is_normalized
         assert not Candidate((1, 2, 3), (4, 2)).is_normalized
+
+    @given(candidates)
+    def test_sorted_input_is_returned_and_unsorted_input_sorted(self, c):
+        n = normalize(c)
+        if c.is_normalized:
+            assert n is c
+        else:
+            assert type(n) is Candidate
+            assert n == Candidate(tuple(sorted(c.weights)), tuple(sorted(c.degrees)))
 
     @given(candidates)
     def test_idempotent_and_multiset_preserving(self, c):

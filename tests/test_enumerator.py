@@ -102,7 +102,7 @@ class TestFrozenSlices:
         "n, index, k, cap, profile, expected",
         [
             (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (453, 3, 3, True)),
-            (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (320, 4, 4, True)),
+            (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (295, 4, 4, True)),
             (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (12, 1, 1, False)),
             (2, 3, 0, None, SMOOTH_FANO_PROFILE, (0, 1, 1, False)),
             (2, 0, 2, 6, CALABI_YAU_PROFILE, (12, 1, 1, False)),
@@ -311,7 +311,7 @@ class TestDegreeCuts:
         assert any(checked)
         assert any(skipped) is (k >= 2)
         if k == 1:
-            assert len(middles_skipped) == 64
+            assert len(middles_skipped) == 168
 
     def test_every_tested_tuple_survives_the_smooth_fano_profile(self):
         result = enumerate_candidates(EnumerationQuery(n=5, index=1, k=3, max_weight=12))
@@ -374,10 +374,18 @@ class TestDegreeSumBound:
         banned = weights if bans else ()
         return _tails_fit(tails, total, classes.items(), banned, k, tail_hi)
 
-    @classmethod
-    def middles_fit(cls, k, middles, total, tail_hi, bans):
-        """The bound on the walk's middle vector: its last middle is a virtual tail."""
-        return cls.prefix_fits(k, middles[:-1], middles[-1:], total, tail_hi, bans)
+    @staticmethod
+    def middles_fit(k, middles, total, tail_hi, bans):
+        """The bound on the walk's middle vector: a virtual tail m = middles[-1], m + 1 at k = 1.
+
+        None when the weight cut skips the middles.
+        """
+        classes = TestWeightStageCut.class_counts(middles, k)
+        if classes is None:
+            return None
+        virtual = middles[-1] + 1 if k == 1 else middles[-1]
+        banned = middles if bans else ()
+        return _tails_fit((virtual,), total, classes.items(), banned, k, tail_hi)
 
     @classmethod
     def live_completions(cls, k, middles, tails, total, tail_hi, bans):
@@ -424,10 +432,10 @@ class TestDegreeSumBound:
     @given(st.data())
     @settings(max_examples=500, deadline=None)
     def test_a_skipped_middle_vector_has_no_tails(self, data):
-        # every tail is at least the last middle, so the walk checks a
-        # middle vector with that middle as a virtual tail; when the bound
-        # rejects it, no tail tuple in middles[-1]..tail_hi has a degree
-        # tuple
+        # every tail is at least the last middle m, and above it at k = 1
+        # (a tail m > 1 gives class m two members), so the walk checks a
+        # middle vector with the virtual tail m, or m + 1 at k = 1; when the
+        # bound rejects it, no tail tuple in m..tail_hi has a degree tuple
         k, middles, tail_hi, total, bans = self.draw_middles(data)
         fits = self.middles_fit(k, middles, total, tail_hi, bans)
         assume(fits is not None)
@@ -517,12 +525,13 @@ class TestDegreeSumBound:
 
     @pytest.mark.parametrize(
         "n, index, k, cap, stats",
-        [(3, 1, 1, 100, SearchStats(3353, 2)), (4, 1, 1, 30, SearchStats(1728, 4))],
+        [(3, 1, 1, 100, SearchStats(3164, 2)), (4, 1, 1, 30, SearchStats(1657, 4))],
     )
     def test_hypersurface_slices_keep_the_cut(self, n, index, k, cap, stats):
         # at k = 1 every class is last-only, so the walk skips a middle
         # vector whose classes cannot share the one degree before walking
-        # its tails: 27,563 and 4,788 nodes without that check
+        # its tails, with the virtual tail one above the last middle:
+        # 27,563 and 4,788 nodes without that check
         result = enumerate_candidates(EnumerationQuery(n=n, index=index, k=k, max_weight=cap))
         assert result.stats == stats
         assert len(result.survivors) == stats.tested

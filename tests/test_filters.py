@@ -16,6 +16,7 @@ from wcifano.filters import (
     CALABI_YAU_PROFILE,
     FILTER_ORDER,
     FilterId,
+    FilterReport,
     FilterVerdict,
     NoDegrees,
     SMOOTH_FANO_PROFILE,
@@ -343,29 +344,55 @@ class TestRunAll:
         by_id = {v.filter_id: v for v in report.verdicts}
         assert by_id[FilterId.LAST_WEIGHT].passed
 
-    @given(any_candidates, profiles)
-    @settings(max_examples=400, deadline=None)
-    def test_verdicts_match_standalone_functions(self, c, profile):
-        try:
-            report = run_all(c, profile)
-        except NotNormalized:
-            return
+    @staticmethod
+    def reference(c, profile):
+        """run_all built from the standalone verdict functions, in FILTER_ORDER.
+
+        A screen that reads positions raises NotNormalized on unsorted
+        tuples; run_all names every such screen of the profile.
+        """
         standalone = {
-            FilterId.NORMALIZED: lambda: is_normalized(c),
-            FilterId.AMBIENT_WELL_FORMED: lambda: ambient_well_formed(c),
-            FilterId.FANO_POSITIVITY: lambda: fano_positive(c),
-            FilterId.LINEAR_CONE: lambda: is_linear_cone(c),
-            FilterId.DELTAS: lambda: deltas_ok(c),
-            # run_all reports k = 0 as a vacuous pass; last_weight_ok raises
-            FilterId.LAST_WEIGHT: lambda: (
-                last_weight_ok(c) if c.degrees else FilterVerdict(FilterId.LAST_WEIGHT, True)
-            ),
-            FilterId.GCD_COVER: lambda: gcd_cover_ok(c),
-            FilterId.UNIT_PREFIX: lambda: unit_prefix_ok(c, fano_index(c)),
+            FilterId.NORMALIZED: is_normalized,
+            FilterId.AMBIENT_WELL_FORMED: ambient_well_formed,
+            FilterId.FANO_POSITIVITY: fano_positive,
+            FilterId.LINEAR_CONE: is_linear_cone,
+            FilterId.DELTAS: deltas_ok,
+            FilterId.LAST_WEIGHT: last_weight_ok,
+            FilterId.GCD_COVER: gcd_cover_ok,
+            FilterId.UNIT_PREFIX: lambda c: unit_prefix_ok(c, fano_index(c)),
         }
-        assert [v.filter_id for v in report.verdicts] == [f for f in FILTER_ORDER if f in profile]
-        for v in report.verdicts:
-            assert v == standalone[v.filter_id]()
+        verdicts, unsorted = [], []
+        for fid in FILTER_ORDER:
+            if fid not in profile:
+                continue
+            if fid is FilterId.LAST_WEIGHT and not c.degrees:
+                # run_all reports k = 0 as a vacuous pass; last_weight_ok raises
+                verdicts.append(FilterVerdict(fid, True))
+                continue
+            try:
+                verdicts.append(standalone[fid](c))
+            except NotNormalized:
+                unsorted.append(fid.value)
+        if unsorted:
+            raise NotNormalized(f"sorted weights and degrees needed by {', '.join(unsorted)}")
+        return FilterReport(c, tuple(verdicts), profile)
+
+    @given(any_candidates, st.booleans(), profiles)
+    @settings(max_examples=400, deadline=None)
+    def test_verdicts_match_standalone_functions(self, c, keep_sorted, profile):
+        # sorted and unsorted tuples, k = 0 included: the same report as
+        # the standalone verdict functions give, or the same NotNormalized
+        # with the same message
+        if keep_sorted:
+            c = normalize(c)
+        try:
+            expected = self.reference(c, profile)
+        except NotNormalized as exc:
+            with pytest.raises(NotNormalized) as info:
+                run_all(c, profile)
+            assert str(info.value) == str(exc)
+            return
+        assert run_all(c, profile) == expected
 
     def test_propagates_not_normalized(self):
         with pytest.raises(NotNormalized):
