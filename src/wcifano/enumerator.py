@@ -31,9 +31,12 @@ earlier ones leave and the last is forced.  One task walks the middles,
 tails and degrees under one fixed first middle weight, for any profile;
 the tasks are exactly the values the first middle's slot admits
 (_slot_values), so at k = 0 none lies above the equal share.
-The screens the shape enforces (Normalized and UnitPrefix always,
-FanoPositivity at index >= 1, Deltas and LastWeight with tails) are not
-re-run on its tuples.
+The screens the shape decides (Normalized, UnitPrefix and
+FanoPositivity always, Deltas and LastWeight with tails) are not re-run
+on its tuples.  The index equation gives every tuple the query's index,
+so FanoPositivity passes them all at index >= 1 and none at index 0:
+there the shape is empty, no task runs, and the result has no node, no
+tested tuple and cap_touched False.
 
 At every codimension the profile's GcdCover and LinearCone cut the
 search instead of screening its tuples.  GcdCover asks every class (gcd
@@ -74,17 +77,16 @@ transforms.hyperplane_section is the inverse; this is the arithmetic
 side of the remark that a general element of |O_X(1)| is smooth.  The
 two queries build the same _Shape but for one more unit in the prefix:
 the middle count, the middle sum at k = 0 (zero), the excess total k +
-sum(middles), the middle bound, the enforced screens (FanoPositivity at
-both indices), the cuts and the predicates all agree.  The prefix
-places no node, so both walks place the same middles, tails and
-degrees, and the tested tuples answer every predicate alike: a unit
-lies in no gcd class, 1 is banned as a degree in both (each prefix
-holds a unit), LastWeight reads the top weight only, and
-AmbientWellFormed passes both, since at k >= 1 each prefix holds two
+sum(middles), the middle bound, the decided screens, the cuts and the
+predicates all agree.  The prefix places no node, so both walks place
+the same middles, tails and degrees, and the tested tuples answer every
+predicate alike: a unit lies in no gcd class, 1 is banned as a degree in
+both (each prefix holds a unit), LastWeight reads the top weight only,
+and AmbientWellFormed passes both, since at k >= 1 each prefix holds two
 units or more and at k = 0 both slices are empty unless every weight is
 a unit.  So stats, cap_touched and prefix_infeasible agree too.  Index
-1 is left out: it maps to index 0, where FanoPositivity is not
-enforced.  So is k = n + 1, which maps to an invalid query.
+1 is left out: it maps to index 0, where FanoPositivity passes no tuple,
+so the shape is empty.  So is k = n + 1, which maps to an invalid query.
 """
 
 from __future__ import annotations
@@ -227,10 +229,11 @@ class _Shape:
 
     prefix: the forced unit weights.  tails: how many top weights pair
     with the degrees.  middles: how many free weights lie between, each
-    in 1..middle_hi (negative when the prefix cannot fit).  last_weight:
-    the top tail bounds the last excess from below.  touched: the cap
-    cut the middle range.  enforced: the profile's screens that every
-    tuple of the shape passes by construction.  cuts: the profile's
+    in 1..middle_hi (negative when the prefix cannot fit).  empty: no
+    tuple of the shape can survive, so no task runs.  last_weight: the
+    top tail bounds the last excess from below.  touched: the cap cut
+    the middle range.  enforced: the profile's screens the shape
+    decides, which every tuple it tests passes by construction.  cuts: the profile's
     GcdCover and LinearCone, which cut the walk instead of screening its
     tuples.  predicates: the profile's other screens, run on each tuple
     tested, in FILTER_ORDER.
@@ -250,11 +253,12 @@ class _Shape:
         else:
             bound = _middle_bound(self.middles, profile)
         self.middle_hi, touched = _capped(bound, cap)
-        self.touched = self.middles > 0 and touched
+        # The index equation gives every tuple the query's index, so
+        # FanoPositivity passes them all at index >= 1 and none at index 0.
+        self.empty = self.middles < 0 or (index == 0 and FilterId.FANO_POSITIVITY in profile)
+        self.touched = not self.empty and self.middles > 0 and touched
         self.last_weight = self.tails > 0 and FilterId.LAST_WEIGHT in profile
-        enforced = {FilterId.NORMALIZED, FilterId.UNIT_PREFIX}
-        if index >= 1:
-            enforced.add(FilterId.FANO_POSITIVITY)
+        enforced = {FilterId.NORMALIZED, FilterId.UNIT_PREFIX, FilterId.FANO_POSITIVITY}
         if self.tails:
             enforced |= {FilterId.DELTAS, FilterId.LAST_WEIGHT}
         self.enforced = profile & enforced
@@ -299,10 +303,12 @@ def enumerate_streaming(
     if workers < 1:
         raise InvalidQuery(f"workers must be >= 1, got {workers}")
     shape = _Shape(query)
-    if shape.middles > 0:
+    if shape.empty:
+        keys = []
+    elif shape.middles > 0:
         keys = _slot_values((), shape.middles, shape.middle_hi, shape.middle_sum)
     else:
-        keys = [None] if shape.middles == 0 else []
+        keys = [None]
     # The processes beyond the caller are forked together, so there are
     # no more than there are tasks or usable CPUs.
     size = min(workers, len(keys), _usable_cpus())

@@ -30,9 +30,9 @@ One plan per profile (_Plan, cached, 256 at most) serves run_all,
 passes_profile and the enumerator: the (screen, predicate, passing
 verdict) steps, the predicates alone, and the screens that read
 positions, so a call looks up no screen.  The sort check runs once per
-call, and only when such a screen is in the profile; when it runs and
-passes, it is also Normalized's verdict, so run_all does not scan the
-order a second time.
+call, before any predicate, and only when such a screen is in the
+profile.  It only raises; every verdict, Normalized's included, comes
+from that screen's predicate.
 """
 
 from __future__ import annotations
@@ -204,13 +204,9 @@ def run_all(c: Candidate, profile: frozenset[FilterId] = SMOOTH_FANO_PROFILE) ->
         profile = frozenset(profile)
     plan = _plan(profile)
     weights, degrees = c.weights, c.degrees
+    _require_sorted(weights, degrees, plan)
     verdicts = []
-    steps = plan.steps
-    if _require_sorted(weights, degrees, plan) and plan.normalized:
-        # The sort check ran and passed: it is Normalized's predicate.
-        verdicts.append(steps[0][2])
-        steps = steps[1:]
-    for fid, predicate, passed in steps:
+    for fid, predicate, passed in plan.steps:
         witness = predicate(weights, degrees)
         verdicts.append(passed if witness is None else FilterVerdict(fid, False, witness))
     return FilterReport(c, tuple(verdicts), profile)
@@ -250,20 +246,18 @@ class _Plan:
     """How run_all, passes_profile and the enumerator run one profile.
 
     steps: (screen, predicate, passing verdict) per screen, in
-    FILTER_ORDER.  predicates: the same predicates alone.  normalized:
-    the profile holds Normalized, so steps start with it.  reads: the
+    FILTER_ORDER.  predicates: the same predicates alone.  reads: the
     names of the profile's screens of _READS_POSITIONS, in FILTER_ORDER,
     joined for NotNormalized's message ("" when none), with degrees and
     without (LastWeight reads no position at k = 0).
     """
 
-    __slots__ = ("steps", "predicates", "normalized", "reads", "reads_ambient")
+    __slots__ = ("steps", "predicates", "reads", "reads_ambient")
 
     def __init__(self, profile: frozenset[FilterId]) -> None:
         screens = [fid for fid in FILTER_ORDER if fid in profile]
         self.steps = tuple((fid, _PREDICATES[fid], _PASSED[fid]) for fid in screens)
         self.predicates = tuple(_PREDICATES[fid] for fid in screens)
-        self.normalized = FilterId.NORMALIZED in profile
         reads = [fid.value for fid in screens if fid in _READS_POSITIONS]
         self.reads = ", ".join(reads)
         self.reads_ambient = ", ".join(r for r in reads if r != FilterId.LAST_WEIGHT.value)
@@ -280,17 +274,11 @@ def _predicates(profile: frozenset[FilterId]) -> tuple:
     return _plan(profile).predicates
 
 
-def _require_sorted(weights, degrees, plan: _Plan) -> bool:
-    """Raise NotNormalized on unsorted tuples if a screen of the plan reads their positions.
-
-    True when the tuples were checked and found sorted.
-    """
+def _require_sorted(weights, degrees, plan: _Plan) -> None:
+    """Raise NotNormalized on unsorted tuples if a screen of the plan reads their positions."""
     reads = plan.reads if degrees else plan.reads_ambient
-    if not reads:
-        return False
-    if _first_inversion(weights, degrees) is not None:
+    if reads and _first_inversion(weights, degrees) is not None:
         raise NotNormalized(f"sorted weights and degrees needed by {reads}")
-    return True
 
 
 def _survives(weights, degrees, predicates) -> bool:

@@ -5,15 +5,10 @@ filters on its (weights, degrees) reproduces its verdict map.  Field
 names and order are OutputRecord's, listed in RECORD_FIELDS.  Witnesses
 appear for failing filters only.
 
-A JSON line is byte-identical to json.dumps of the record's fields with
-separators (",", ":").  to_json_line writes most of it itself: the
-weights, the degrees and the three ints when they are exact ints, and
-the verdict map when its keys are screen names and its values exact
-bools, from a table of the sixteen "name":true/false texts.  Only the
-witness map goes through the json encoder.  A record outside that shape
-(a list, a bool or an int subclass among the ints, an unknown key) goes
-through the encoder whole.  json is imported on the first encode or
-parse, so a call that writes no JSON line does not load it.
+A JSON line is json's compact encoding of the record's fields, with
+separators (",", ":"), through one JSONEncoder built on first use.  json
+is imported on the first encode or parse, so a call that writes no JSON
+line does not load it.
 """
 
 from __future__ import annotations
@@ -70,28 +65,7 @@ class OutputRecord(_Value):
         return Candidate(self.weights, self.degrees)
 
     def to_json_line(self) -> str:
-        """The record as one line of compact JSON (the module docstring says how it is written)."""
-        weights, degrees, verdicts = self.weights, self.degrees, self.verdicts
-        ints = (self.dim, self.codim, self.fano_index)
-        if (
-            type(weights) is tuple
-            and type(degrees) is tuple
-            and type(verdicts) is dict
-            and _INT.issuperset(map(type, weights + degrees + ints))
-            # An exact bool value also keeps 1 from matching a True item.
-            and _BOOL.issuperset(map(type, verdicts.values()))
-        ):
-            try:
-                flags = ",".join(map(_VERDICT_ITEMS.__getitem__, verdicts.items()))
-            except KeyError:
-                pass
-            else:
-                return (
-                    f'{{"weights":[{",".join(map(str, weights))}],'
-                    f'"degrees":[{",".join(map(str, degrees))}],'
-                    f'"dim":{ints[0]},"codim":{ints[1]},"fano_index":{ints[2]},'
-                    f'"verdicts":{{{flags}}},"witnesses":{_encode(self.witnesses)}}}'
-                )
+        """The record as one line of compact JSON."""
         return _encode({f: getattr(self, f) for f in RECORD_FIELDS})
 
 
@@ -99,14 +73,6 @@ RECORD_FIELDS = OutputRecord.__slots__
 
 # The column name of each screen, read per verdict.
 _NAMES = {fid: fid.value for fid in FilterId}
-_INT = frozenset({int})
-_BOOL = frozenset({bool})
-# The JSON text of each (screen name, verdict) item of a verdict map.
-_VERDICT_ITEMS = {
-    (name, ok): f'"{name}":{"true" if ok else "false"}'
-    for name in _NAMES.values()
-    for ok in (True, False)
-}
 
 
 def _encode(value) -> str:

@@ -5,11 +5,13 @@ Run it on two checkouts of the package and compare:
     PYTHONPATH=<old>/src python tests/sweep.py --save old.json
     PYTHONPATH=src python tests/sweep.py --against old.json
 
-It prints one sha256 over the survivors, tested, cap_touched and
-prefix_infeasible of every query, in query order, which a change that
-only prunes must keep.  --save writes each query's node count; --against
-reads such a file and prints the queries whose nodes moved, grouped by k,
-with how many fell and rose.  The queries: every profile at n 1..3,
+It prints one sha256 over the facts of every query, in query order: its
+survivors, tested, cap_touched and prefix_infeasible, which a change
+that only prunes must keep.  --save writes each query's facts (the
+survivors as their count and a sha256 prefix) and node count; --against
+reads such a file and prints the queries whose facts moved, grouped by
+k, with how many moved on each fact, then those whose nodes moved, with
+how many fell and rose.  The queries: every profile at n 1..3,
 k 0..n+1, index 0..n+2 and cap 5; k = 1 and 2 slices up to n = 6 under
 five profiles; the benchmark's slices with 1 and 2 workers.  Not
 collected by pytest, like grid_oracle.py.
@@ -58,46 +60,76 @@ def key(n, index, k, cap, profile, workers) -> str:
     return f"{n} {index} {k} {cap} {workers} [{ids}]"
 
 
+FACTS = ("survivors", "tested", "cap_touched", "prefix_infeasible")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--save", help="write each query's node count to this JSON file")
-    parser.add_argument("--against", help="a --save file to compare node counts with")
+    parser.add_argument("--save", help="write each query's facts and node count to this JSON file")
+    parser.add_argument("--against", help="a --save file to compare facts and node counts with")
     args = parser.parse_args()
     digest = hashlib.sha256()
-    nodes: dict[str, int] = {}
+    saved: dict[str, dict] = {}
     for n, index, k, cap, profile, workers in queries():
         q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
         result = enumerate_candidates(q, workers=workers)
         name = key(n, index, k, cap, profile, workers)
-        facts = (
-            [(c.weights, c.degrees) for c in result.survivors],
-            result.stats.tested,
-            result.cap_touched,
-            result.prefix_infeasible,
-        )
+        survivors = [(c.weights, c.degrees) for c in result.survivors]
+        facts = (survivors, result.stats.tested, result.cap_touched, result.prefix_infeasible)
         digest.update(f"{name} {facts!r}\n".encode())
-        nodes[name] = result.stats.nodes
-    print(f"queries {len(nodes)}")
+        sha = hashlib.sha256(repr(survivors).encode()).hexdigest()[:16]
+        saved[name] = dict(zip(FACTS, (f"{len(survivors)} {sha}", *facts[1:])))
+        saved[name]["nodes"] = result.stats.nodes
+    print(f"queries {len(saved)}")
     print(f"digest {digest.hexdigest()}")
     if args.save:
         with open(args.save, "w") as f:
-            json.dump(nodes, f, indent=0, sort_keys=True)
+            json.dump(saved, f, indent=0, sort_keys=True)
     if args.against:
         with open(args.against) as f:
             before = json.load(f)
-        moved = defaultdict(lambda: [0, 0, []])
-        for name, count in nodes.items():
-            old = before[name]
-            if count != old:
-                k = int(name.split()[2])
-                moved[k][count > old] += 1
-                moved[k][2].append(f"{name}: {old} -> {count}")
-        print(f"nodes moved on {sum(fell + rose for fell, rose, _ in moved.values())} queries")
-        for k in sorted(moved):
-            fell, rose, lines = moved[k]
-            print(f"k={k}: {fell} fell, {rose} rose")
-            for line in lines[:5]:
-                print(f"  {line}")
+        report_facts(before, saved)
+        report_nodes(before, saved)
+
+
+def by_k(name: str) -> int:
+    return int(name.split()[2])
+
+
+def report_facts(before: dict[str, dict], after: dict[str, dict]) -> None:
+    """The queries whose facts moved, grouped by k, with how many moved on each fact."""
+    moved = defaultdict(lambda: [dict.fromkeys(FACTS, 0), []])
+    for name, new in after.items():
+        old = before[name]
+        changed = [f for f in FACTS if new[f] != old[f]]
+        if changed:
+            counts, lines = moved[by_k(name)]
+            for f in changed:
+                counts[f] += 1
+            lines.append(f"{name}: " + ", ".join(f"{f} {old[f]} -> {new[f]}" for f in changed))
+    print(f"facts moved on {sum(len(lines) for _, lines in moved.values())} queries")
+    for k in sorted(moved):
+        counts, lines = moved[k]
+        print(f"k={k}: {len(lines)} queries; " + ", ".join(f"{f} {c}" for f, c in counts.items()))
+        for line in lines[:5]:
+            print(f"  {line}")
+
+
+def report_nodes(before: dict[str, dict], after: dict[str, dict]) -> None:
+    """The queries whose nodes moved, grouped by k, with how many fell and rose."""
+    moved = defaultdict(lambda: [0, 0, []])
+    for name, new in after.items():
+        old, count = before[name]["nodes"], new["nodes"]
+        if count != old:
+            k = by_k(name)
+            moved[k][count > old] += 1
+            moved[k][2].append(f"{name}: {old} -> {count}")
+    print(f"nodes moved on {sum(fell + rose for fell, rose, _ in moved.values())} queries")
+    for k in sorted(moved):
+        fell, rose, lines = moved[k]
+        print(f"k={k}: {fell} fell, {rose} rose")
+        for line in lines[:5]:
+            print(f"  {line}")
 
 
 if __name__ == "__main__":

@@ -189,6 +189,17 @@ class TestEnumerate:
         )
         assert "codimension" not in err
 
+    def test_index_zero_under_fano_positivity_searches_nothing(self, capsys):
+        # every tuple of the slice has index 0, which FanoPositivity fails
+        code, out, err = run_cli(
+            capsys, "enumerate", "--dim", "5", "--index", "0", "--codim", "3", "--max-weight", "20"
+        )
+        assert (code, out) == (0, "")
+        assert err == (
+            "survivors=0 nodes=0 tested=0 cap_touched=false complete_within_cap=true"
+            " max_weight=20\n"
+        )
+
     def test_env_var_sets_default_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("WCI_DEFAULT_MAX_WEIGHT", "7")
         _, _, err = run_cli(capsys, "enumerate", "--dim", "2", "--index", "1", "--codim", "1")

@@ -11,7 +11,13 @@ from math import lcm
 from unittest import mock
 
 import pytest
-from grid_oracle import naive_survivors, sorted_partitions, sorted_tuples
+from grid_oracle import (
+    grid_cells,
+    naive_survivors,
+    naive_survivors_per_profile,
+    sorted_partitions,
+    sorted_tuples,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +28,7 @@ from wcifano.core import Candidate, _class_generators, canonical_key, fano_index
 from wcifano.enumerator import (
     CapTooSmall,
     EnumerationQuery,
+    EnumerationResult,
     InvalidQuery,
     SearchStats,
     _grow_classes,
@@ -208,6 +215,23 @@ class TestSearchShape:
         assert low.survivors == high.survivors == (Candidate((1, 1, 1), (1,)),)
         assert low.cap_touched is high.cap_touched is False
 
+    def test_index_zero_under_fano_positivity_runs_no_task(self, monkeypatch):
+        # every tuple of the shape has the query's index, so at index 0
+        # FanoPositivity fails them all: no task runs, nothing is placed or
+        # tested, and no cap is touched
+        monkeypatch.setattr(wcifano.enumerator, "_task", None)
+        queries = [
+            EnumerationQuery(n=n, index=0, k=k, max_weight=5, profile=profile)
+            for n in range(1, 4)
+            for k in range(n + 2)
+            for profile in ALL_PROFILES
+            if FilterId.FANO_POSITIVITY in profile
+        ]
+        assert len(queries) == 1536
+        for q in queries:
+            empty = EnumerationResult(q, (), False, False, SearchStats(nodes=0, tested=0))
+            assert enumerate_candidates(q) == empty
+
     def test_prefix_infeasible_without_deltas(self):
         profile = frozenset({FilterId.UNIT_PREFIX})
         result = enumerate_candidates(EnumerationQuery(n=1, index=3, k=1, profile=profile))
@@ -230,7 +254,7 @@ class TestIndexReduction:
     # (n - 1, index - 1, k) build the same shape but for one more unit in
     # the prefix, so prepending a unit weight maps the survivors of the
     # second one to one onto those of the first, and the walks agree.
-    # index 1 would map to index 0, where FanoPositivity is not enforced,
+    # index 1 would map to index 0, where FanoPositivity passes no tuple,
     # and k = n + 1 to an invalid query.
 
     def test_a_unit_weight_maps_the_survivors_one_to_one(self):
@@ -925,6 +949,30 @@ class TestAgainstNaiveGrid:
     def test_matches_reference_enumeration(self, n, index, k, cap, profile):
         q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
         assert enumerate_candidates(q).survivors == naive_survivors(n, index, k, cap, profile)
+
+    @pytest.mark.parametrize("n, k, cap", [(1, 0, 5), (1, 1, 5), (1, 2, 5), (2, 1, 4), (3, 2, 3)])
+    def test_index_zero_matches_the_grid_for_every_profile(self, n, k, cap):
+        for profile in ALL_PROFILES:
+            q = EnumerationQuery(n=n, index=0, k=k, max_weight=cap, profile=profile)
+            assert enumerate_candidates(q).survivors == naive_survivors(n, 0, k, cap, profile)
+
+    @pytest.mark.parametrize(
+        "n, index, k, cap", [(1, 0, 1, 5), (2, 1, 1, 4), (1, 2, 2, 4), (2, 3, 0, 4), (1, 3, 1, 4)]
+    )
+    def test_the_cells_agree_with_the_per_profile_grid(self, n, index, k, cap):
+        # one run_all per grid tuple under the full profile serves every
+        # profile: the cells hold the whole grid, and the survivors they
+        # give equal those of a run_all under each profile itself
+        grid = [
+            (ws, ds)
+            for ws in sorted_tuples(n + k + 1, 1, cap)
+            for ds in sorted_partitions(sum(ws) - index, k)
+        ]
+        cells = grid_cells(n, index, k, cap)
+        assert sorted((c.weights, c.degrees) for c, _ in cells) == grid
+        for profile in ALL_PROFILES:
+            per_profile = naive_survivors_per_profile(n, index, k, cap, profile)
+            assert naive_survivors(n, index, k, cap, profile) == per_profile
 
     @pytest.mark.parametrize("n, index, k, cap", [(3, 0, 2, 6), (3, 0, 3, 5), (4, 0, 2, 5)])
     def test_matches_reference_where_the_tail_prefix_bound_fires(

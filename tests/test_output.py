@@ -55,8 +55,7 @@ class Size(IntEnum):
 
 
 # Hand-built records outside the shape from_report gives: each changes
-# one field, which the line must still write as json.dumps does, whether
-# to_json_line writes the record itself or hands it to the json encoder.
+# one field, which the line must still write as json.dumps does.
 UNUSUAL = {
     "weights as a list": lambda r: {"weights": list(r.weights)},
     "a bool weight": lambda r: {"weights": (True, *r.weights[1:])},
