@@ -14,8 +14,8 @@ max_weight is decided.
   by a sum (the last degree; the last middle at k = 0) counts only when
   it is admissible, and a weight or a degree the cuts skip is not
   placed, so not a node: nor is a tail that the degree-sum bound
-  rejects on the tail prefix it ends, nor any tail of a middle vector
-  it rejects, nor any degree of the slots left that it rejects.
+  rejects on the tail prefix it ends, nor any degree of the slots left
+  that it rejects.
   stats.tested counts the tuples run through the profile.
 
 Every profile runs one search shape (_Shape), derived once per query
@@ -47,24 +47,22 @@ are appended, so the walk keeps them along the weights it places,
 extended by one weight per middle and per tail from the first middle
 on.  A weight that gives some class more than k members is not placed,
 and its whole subtree is skipped.  The degree sum the index equation
-fixes bounds each stage.  Under LastWeight, every middle vector, and at
-k >= 2 every tail placed, must leave each class a degree outside the
-last slot or a share of the last degree: a class that only the last
-degree can serve may have one member, and all such classes must divide
-one degree in the last slot's window (_tails_fit).  At k = 1 no degree
-comes before the last, so every class is last-only.  A middle vector
-is checked with a virtual tail, a lower bound on every tail, and its
-tails are not walked when it fails; a tail that fails is not placed.
-The virtual tail is the last middle m, and m + 1 at k = 1: there a tail
-equal to m > 1 would give class m two members, which the class counts
-cut, and with m = 1 every middle is 1, so no class is counted and the
-check passes.  At k >= 2, where m + 1 is not proved, it is m.  While a
-class is pending, the degree walk fills a slot only when the slots left
-fit what is left of that sum (_slots_fit): the least degree each can
-hold, plus the least raise to an admissible multiple that each class
-needs in as many slots as it still needs, must not exceed it.  No class may need more divisible degrees than there are
-slots left: a class that needs every slot left must divide the next
-degree, so the walk steps through multiples of the lcm of those classes.  LinearCone skips every degree
+fixes bounds each stage.  At k = 1, GcdCover with any screen that bans
+the one degree from equalling the top weight (LinearCone, Deltas or
+LastWeight) leaves no survivor with a weight above n + 2 - index
+(_Shape.weight_bound), so neither the middles nor the tail are walked
+above it.  At k >= 2, under LastWeight, every tail placed must leave
+each class a degree outside the last slot or a share of the last
+degree: a class that only the last degree can serve may have one
+member, and all such classes must divide one degree in the last slot's
+window (_tails_fit); a tail that fails is not placed.  While a class is
+pending, the degree walk fills a slot only when the slots left fit what
+is left of that sum (_slots_fit): the least degree each can hold, plus
+the least raise to an admissible multiple that each class needs in as
+many slots as it still needs, must not exceed it.  No class may need
+more divisible degrees than there are slots left: a class that needs
+every slot left must divide the next degree, so the walk steps through
+multiples of the lcm of those classes.  LinearCone skips every degree
 equal to a weight.
 Every tuple the walk tests passes both screens, so they are not re-run.
 The profile's other screens run per tuple, so each screen is decided in
@@ -77,9 +75,10 @@ transforms.hyperplane_section is the inverse; this is the arithmetic
 side of the remark that a general element of |O_X(1)| is smooth.  The
 two queries build the same _Shape but for one more unit in the prefix:
 the middle count, the middle sum at k = 0 (zero), the excess total k +
-sum(middles), the middle bound, the decided screens, the cuts and the
-predicates all agree.  The prefix places no node, so both walks place
-the same middles, tails and degrees, and the tested tuples answer every
+sum(middles), the middle bound, the weight bound (n + 2 - index is the
+same for both), the decided screens, the cuts and the predicates all
+agree.  The prefix places no node, so both walks place the same
+middles, tails and degrees, and the tested tuples answer every
 predicate alike: a unit lies in no gcd class, 1 is banned as a degree in
 both (each prefix holds a unit), LastWeight reads the top weight only,
 and AmbientWellFormed passes both, since at k >= 1 each prefix holds two
@@ -125,8 +124,10 @@ class EnumerationQuery(_Value):
     max_weight defaults to 4 * (n + k + index).  That default is not
     proved to contain every survivor: (5, 1, 3) at its default 36 and
     (6, 1, 4) at 44 report cap_touched, so only cap_touched False says a
-    listing is complete.  k may be 0 (ambient spaces); k <= n + 1 is
-    enforced.
+    listing is complete.  At k = 1 the default 4 * (n + 1 + index) is at
+    least the weight bound n + 2 - index (_Shape.weight_bound), so under
+    GcdCover with LinearCone, Deltas or LastWeight the default listing
+    is complete.  k may be 0 (ambient spaces); k <= n + 1 is enforced.
     """
 
     __slots__ = ("n", "index", "k", "max_weight", "profile")
@@ -237,6 +238,28 @@ class _Shape:
     GcdCover and LinearCone, which cut the walk instead of screening its
     tuples.  predicates: the profile's other screens, run on each tuple
     tested, in FILTER_ORDER.
+
+    weight_bound: max(1, n + 2 - index) at k = 1 when the profile holds
+    GcdCover and one of LinearCone, Deltas and LastWeight, else None.
+    No survivor has a weight above it, so it bounds the middles (as
+    _middle_bound does, tighter, where that is set) and the tail, and a
+    cap at or above it is not touched.  Proof.  At k = 1 GcdCover gives
+    each gcd class at most one member, so the weights above 1, b_1 < ...
+    < b_r = t, are distinct and pairwise coprime; each is a class that
+    the one degree d must serve, so their product P divides d >= 1.  The
+    index equation gives d = C + sum(b_i) with C = n + 2 - r - index.
+    - r = 1: t divides C.  C = 0 gives d = t, which each of the three
+      screens bans: LinearCone as d is a weight, Deltas as d <= a_N and
+      LastWeight as d < 2 a_N.  C < 0 leaves none, as d > 0 asks t > -C,
+      which t divides.  So t <= C = n + 1 - index.
+    - r = 2, b = b_1: b t <= d = C + b + t, so (b - 1)(t - 1) <= C + 1,
+      and as b >= 2, t <= C + 2 = n + 2 - index.
+    - r >= 3: b_1 ... b_(r-1) are pairwise coprime and above 1, so their
+      product is at least that of the first r - 1 primes, which is at
+      least r + 3 (6 at r = 3).  So (r + 3) t <= P <= d <= C + r t, and
+      t <= C / 3 < n + 2 - index.
+    No case leaves a tuple with r >= 1 when C < 0, so where n + 2 -
+    index < 1 every weight is 1: hence the max with 1.
     """
 
     def __init__(self, query: EnumerationQuery) -> None:
@@ -248,11 +271,11 @@ class _Shape:
         # The index equation at k = 0 (no degrees): the middles sum to
         # what the prefix leaves of the index.
         self.middle_sum = index - len(self.prefix) if k == 0 else None
-        if k == 0:
-            bound = self.middle_sum - self.middles + 1
-        else:
-            bound = _middle_bound(self.middles, profile)
-        self.middle_hi, touched = _capped(bound, cap)
+        bans_top = profile & {FilterId.LINEAR_CONE, FilterId.DELTAS, FilterId.LAST_WEIGHT}
+        bounded = k == 1 and FilterId.GCD_COVER in profile and bans_top
+        self.weight_bound = max(1, n + 2 - index) if bounded else None
+        bound = _middle_bound(self.middles, profile) if k else self.middle_sum - self.middles + 1
+        self.middle_hi, touched = _capped(cap, bound, self.weight_bound)
         # The index equation gives every tuple the query's index, so
         # FanoPositivity passes them all at index >= 1 and none at index 0.
         self.empty = self.middles < 0 or (index == 0 and FilterId.FANO_POSITIVITY in profile)
@@ -266,8 +289,12 @@ class _Shape:
         self.predicates = _predicates(profile - self.enforced - self.cuts)
 
 
-def _capped(bound: int | None, cap: int) -> tuple[int, bool]:
-    """The top of a range under the cap, and whether the cap cut it (always, with no bound)."""
+def _capped(cap: int, *bounds: int | None) -> tuple[int, bool]:
+    """The top of a range under the cap and the least bound set, and whether the cap cut it.
+
+    The cap always cuts a range with no bound set (every bound None).
+    """
+    bound = min((b for b in bounds if b is not None), default=None)
     if bound is None:
         return cap, True
     return min(cap, bound), bound > cap
@@ -700,19 +727,18 @@ def _tails_fit(tails, total, classes, banned, k, tail_hi) -> bool:
     [2 t_cur, tail_hi + total - k + 1].  A class with no multiple of g
     outside banned in the first window is last-only: the class counts,
     the gcd closure and banned only grow as weights are appended, so it
-    stays last-only in every completion.  At k = 1 there is no degree
-    but the last, so every class is last-only.  A last-only class with
-    c >= 2 has no completion, and every last-only class divides the last
+    stays last-only in every completion.  A last-only class with c >= 2
+    has no completion, and every last-only class divides the last
     degree, so their lcm needs a multiple outside banned in the last
     window.  So not placing the tail that ends a failing prefix loses no
-    survivor.  tails may also be one virtual tail at most every real
-    one, such as the last middle: both windows then only widen, so a
-    middle vector that fails has no tails with a degree tuple.
+    survivor.  The walk calls it at k >= 2 only; at k = 1, where every
+    class is last-only, it stays sound but checks only the classes it
+    finds last-only.
     """
     top = total - k + 2
     last_only = 1
     for g, c in classes:
-        if k == 1 or _least_multiple(tails[0] + 1, g, banned) > top:
+        if _least_multiple(tails[0] + 1, g, banned) > top:
             if c >= 2:
                 return False
             last_only = lcm(last_only, g)
@@ -771,20 +797,10 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
     )
     for ms, counts in middles:
         total = len(shape.prefix) + sum(ms) - index
-        tail_hi, touched = _capped(total - k + 1 if shape.last_weight else None, cap)
+        last_weight_bound = total - k + 1 if shape.last_weight else None
+        tail_hi, touched = _capped(cap, last_weight_bound, shape.weight_bound)
         if shape.tails and touched:
             walk.touched = True
-        if ms and shape.last_weight and counts is not None:
-            # Every tail is at least ms[-1], so the middles must leave the
-            # degrees room for a virtual tail ms[-1] (_tails_fit); at k >= 2
-            # the first tail's check repeats this one.  At k = 1 the virtual
-            # tail is ms[-1] + 1: a tail equal to a last middle m > 1 gives
-            # class m two members, which _grow_classes cuts, and with m = 1
-            # no class is counted, so the check passes either way.
-            virtual = ms[-1] + 1 if k == 1 else ms[-1]
-            banned = ms if bans_weights else ()
-            if not _tails_fit((virtual,), total, counts.items(), banned, k, tail_hi):
-                continue
         fits = None
         if k >= 2 and shape.last_weight and counts is not None:
             # Each tail placed, the last one included, must leave the

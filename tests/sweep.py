@@ -10,8 +10,9 @@ survivors, tested, cap_touched and prefix_infeasible, which a change
 that only prunes must keep.  --save writes each query's facts (the
 survivors as their count and a sha256 prefix) and node count; --against
 reads such a file and prints the queries whose facts moved, grouped by
-k, with how many moved on each fact, then those whose nodes moved, with
-how many fell and rose.  The queries: every profile at n 1..3,
+k, with how many moved on each fact and which way (tested fell or rose,
+a flag went true -> false or false -> true), then those whose nodes
+moved, with how many fell and rose.  The queries: every profile at n 1..3,
 k 0..n+1, index 0..n+2 and cap 5; k = 1 and 2 slices up to n = 6 under
 five profiles; the benchmark's slices with 1 and 2 workers.  Not
 collected by pytest, like grid_oracle.py.
@@ -23,7 +24,7 @@ import argparse
 import hashlib
 import itertools
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from wcifano.enumerator import EnumerationQuery, enumerate_candidates
 from wcifano.filters import CALABI_YAU_PROFILE, FILTER_ORDER, SMOOTH_FANO_PROFILE, FilterId
@@ -96,21 +97,38 @@ def by_k(name: str) -> int:
     return int(name.split()[2])
 
 
+def way(old, new) -> str:
+    """How a fact moved: a count fell or rose, a flag went one way or the other."""
+    if isinstance(old, bool):
+        return f"{str(old).lower()} -> {str(new).lower()}"
+    if isinstance(old, int):
+        return "rose" if new > old else "fell"
+    return "changed"
+
+
+def tally(fact: str, ways: Counter) -> str:
+    """How many queries moved on fact, and how many of them each way."""
+    text = f"{fact} {sum(ways.values())}"
+    if ways:
+        text += " (" + ", ".join(f"{n} {w}" for w, n in sorted(ways.items())) + ")"
+    return text
+
+
 def report_facts(before: dict[str, dict], after: dict[str, dict]) -> None:
-    """The queries whose facts moved, grouped by k, with how many moved on each fact."""
-    moved = defaultdict(lambda: [dict.fromkeys(FACTS, 0), []])
+    """The queries whose facts moved, grouped by k, with how many moved on each fact and which way."""
+    moved = defaultdict(lambda: [{f: Counter() for f in FACTS}, []])
     for name, new in after.items():
         old = before[name]
         changed = [f for f in FACTS if new[f] != old[f]]
         if changed:
             counts, lines = moved[by_k(name)]
             for f in changed:
-                counts[f] += 1
+                counts[f][way(old[f], new[f])] += 1
             lines.append(f"{name}: " + ", ".join(f"{f} {old[f]} -> {new[f]}" for f in changed))
     print(f"facts moved on {sum(len(lines) for _, lines in moved.values())} queries")
     for k in sorted(moved):
         counts, lines = moved[k]
-        print(f"k={k}: {len(lines)} queries; " + ", ".join(f"{f} {c}" for f, c in counts.items()))
+        print(f"k={k}: {len(lines)} queries; " + ", ".join(tally(f, c) for f, c in counts.items()))
         for line in lines[:5]:
             print(f"  {line}")
 

@@ -138,6 +138,25 @@ class TestEnumerate:
             " complete_within_cap=true max_weight=50"
         )
 
+    def test_a_hypersurface_slice_stops_at_the_weight_bound_under_any_cap(self, capsys):
+        # at k = 1 no smooth-Fano survivor has a weight above n + 2 - index
+        # (4 here), so a cap of 10^12 is walked no further than that
+        code, out, err = run_cli(
+            capsys,
+            "enumerate",
+            "--dim", "3", "--index", "1", "--codim", "1", "--max-weight", "1000000000000",
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [(tuple(r["weights"]), tuple(r["degrees"])) for r in rows] == [
+            ((1, 1, 1, 1, 1), (4,)),
+            ((1, 1, 1, 1, 3), (6,)),
+        ]
+        assert err == (
+            "survivors=2 nodes=17 tested=2 cap_touched=false complete_within_cap=true"
+            " max_weight=1000000000000\n"
+        )
+
     def test_readme_summary_line_matches_the_cli(self, capsys):
         # the README shows this slice's summary under its first example
         argv = ("enumerate", "--dim", "3", "--index", "2", "--codim", "1", "--max-weight", "50")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import os
 import select
-import sys
 import time
 from math import lcm
 from unittest import mock
@@ -109,7 +108,7 @@ class TestFrozenSlices:
         "n, index, k, cap, profile, expected",
         [
             (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (453, 3, 3, True)),
-            (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (295, 4, 4, True)),
+            (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (42, 4, 4, False)),
             (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (12, 1, 1, False)),
             (2, 3, 0, None, SMOOTH_FANO_PROFILE, (0, 1, 1, False)),
             (2, 0, 2, 6, CALABI_YAU_PROFILE, (12, 1, 1, False)),
@@ -119,7 +118,7 @@ class TestFrozenSlices:
                 1,
                 8,
                 SMOOTH_FANO_PROFILE - {FilterId.UNIT_PREFIX, FilterId.DELTAS},
-                (102, 3, 3, True),
+                (18, 3, 3, False),
             ),
             (2, 9, 0, 9, frozenset(), (17, 7, 7, False)),
             (3, 1, 2, 8, frozenset({FilterId.UNIT_PREFIX, FilterId.DELTAS}), (944, 330, 330, True)),
@@ -202,7 +201,14 @@ class TestSearchShape:
     )
     def test_the_cap_rule(self, bound, expected):
         # a range with no structural bound always counts the cap as touched
-        assert _capped(bound, 5) == expected
+        assert _capped(5, bound) == expected
+
+    @pytest.mark.parametrize(
+        "bounds, expected",
+        [((None, None), (5, True)), ((None, 7, 4), (4, False)), ((7, 6), (5, True))],
+    )
+    def test_the_least_bound_set_decides(self, bounds, expected):
+        assert _capped(5, *bounds) == expected
 
     def test_forced_unit_weights_are_cap_independent(self):
         # UnitPrefix alone at (1, 2, 1) forces every weight to 1, so no
@@ -293,12 +299,11 @@ class TestDegreeCuts:
         # holds them and are then not re-run, so every tested tuple must
         # pass them; no profile may lose or gain a survivor by the cuts or
         # by the degree-sum bound, which stops the degree walk at every
-        # k >= 2 row and skips middle vectors on the k = 1 row
+        # k >= 2 row
         test = wcifano.enumerator._Walk.test
-        fit, tails_fit = wcifano.enumerator._slots_fit, wcifano.enumerator._tails_fit
+        fit = wcifano.enumerator._slots_fit
         checked: list[int] = []
         skipped: list[bool] = []
-        middles_skipped: list[tuple[int, ...]] = []
 
         def checking_test(walk, weights, ds):
             assert run_all(Candidate(weights, ds), walk.shape.cuts).survives
@@ -310,17 +315,8 @@ class TestDegreeCuts:
             skipped.append(not fits)
             return fits
 
-        def recording_tails_fit(tails, *args):
-            fits = tails_fit(tails, *args)
-            # _task checks a middle vector itself; the tail stage checks
-            # its prefixes through its fits predicate
-            if not fits and sys._getframe(1).f_code.co_name == "_task":
-                middles_skipped.append(tails)
-            return fits
-
         monkeypatch.setattr(wcifano.enumerator._Walk, "test", checking_test)
         monkeypatch.setattr(wcifano.enumerator, "_slots_fit", recording_fit)
-        monkeypatch.setattr(wcifano.enumerator, "_tails_fit", recording_tails_fit)
         tested = {}
         for profile in ALL_PROFILES:
             q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
@@ -334,8 +330,6 @@ class TestDegreeCuts:
         assert len(bitten) >= 128
         assert any(checked)
         assert any(skipped) is (k >= 2)
-        if k == 1:
-            assert len(middles_skipped) == 168
 
     def test_every_tested_tuple_survives_the_smooth_fano_profile(self):
         result = enumerate_candidates(EnumerationQuery(n=5, index=1, k=3, max_weight=12))
@@ -354,9 +348,8 @@ class TestDegreeSumBound:
     # _slots_fit stops the degree walk before a slot when the floors of
     # the slots left, or the least unbanned multiples their GcdCover
     # classes need, exceed the degree sum left; _tails_fit asks the
-    # classes of a tail prefix, or of a middle vector with its last middle
-    # as a virtual tail, that only the last degree can serve to share that
-    # degree.
+    # classes of a tail prefix that only the last degree can serve to
+    # share that degree.
 
     @staticmethod
     def degree_walk(floors, total, min_last, pending, banned, pruned=False):
@@ -397,19 +390,6 @@ class TestDegreeSumBound:
             return None
         banned = weights if bans else ()
         return _tails_fit(tails, total, classes.items(), banned, k, tail_hi)
-
-    @staticmethod
-    def middles_fit(k, middles, total, tail_hi, bans):
-        """The bound on the walk's middle vector: a virtual tail m = middles[-1], m + 1 at k = 1.
-
-        None when the weight cut skips the middles.
-        """
-        classes = TestWeightStageCut.class_counts(middles, k)
-        if classes is None:
-            return None
-        virtual = middles[-1] + 1 if k == 1 else middles[-1]
-        banned = middles if bans else ()
-        return _tails_fit((virtual,), total, classes.items(), banned, k, tail_hi)
 
     @classmethod
     def live_completions(cls, k, middles, tails, total, tail_hi, bans):
@@ -453,19 +433,6 @@ class TestDegreeSumBound:
         if not fits:
             assert self.live_completions(k, middles, tails, total, tail_hi, bans) == []
 
-    @given(st.data())
-    @settings(max_examples=500, deadline=None)
-    def test_a_skipped_middle_vector_has_no_tails(self, data):
-        # every tail is at least the last middle m, and above it at k = 1
-        # (a tail m > 1 gives class m two members), so the walk checks a
-        # middle vector with the virtual tail m, or m + 1 at k = 1; when the
-        # bound rejects it, no tail tuple in m..tail_hi has a degree tuple
-        k, middles, tail_hi, total, bans = self.draw_middles(data)
-        fits = self.middles_fit(k, middles, total, tail_hi, bans)
-        assume(fits is not None)
-        if not fits:
-            assert self.live_completions(k, middles, (), total, tail_hi, bans) == []
-
     def test_no_small_tail_prefix_is_skipped_wrongly(self):
         # every tail prefix at k 1..3 after one middle up to 5, tails up
         # to 7 and the total up to 3 above its least: an off-by-one in
@@ -482,21 +449,6 @@ class TestDegreeSumBound:
                         rejected += 1
                         assert self.live_completions(*case) == [], case
         assert rejected > 1000
-
-    def test_no_small_middle_vector_is_skipped_wrongly(self):
-        # every middle vector at k 1..3 of one to three middles up to 6,
-        # tails up to 8 and the total up to 3 above its least: a virtual
-        # tail two above the last middle would skip a live vector here
-        rejected = 0
-        for k, length, bans in itertools.product((1, 2, 3), (1, 2, 3), (False, True)):
-            for middles in sorted_tuples(length, 1, 6):
-                for tail_hi in range(middles[-1], 9):
-                    for total in range(tail_hi + k - 1, tail_hi + k + 3):
-                        case = (k, middles, total, tail_hi, bans)
-                        if self.middles_fit(*case) is False:
-                            rejected += 1
-                            assert self.live_completions(k, middles, (), *case[2:]) == [], case
-        assert rejected > 100
 
     def test_the_bound_skips_vectors_and_only_saves_nodes(self, monkeypatch):
         # at (5, 1, 3, 12) the bound rejects tail prefixes and stops the
@@ -545,20 +497,6 @@ class TestDegreeSumBound:
         result = enumerate_candidates(EnumerationQuery(n=n, index=index, k=k, max_weight=cap))
         assert result.stats == SearchStats(nodes=nodes, tested=3)
         assert len(result.survivors) == 3
-        assert result.cap_touched is True
-
-    @pytest.mark.parametrize(
-        "n, index, k, cap, stats",
-        [(3, 1, 1, 100, SearchStats(3164, 2)), (4, 1, 1, 30, SearchStats(1657, 4))],
-    )
-    def test_hypersurface_slices_keep_the_cut(self, n, index, k, cap, stats):
-        # at k = 1 every class is last-only, so the walk skips a middle
-        # vector whose classes cannot share the one degree before walking
-        # its tails, with the virtual tail one above the last middle:
-        # 27,563 and 4,788 nodes without that check
-        result = enumerate_candidates(EnumerationQuery(n=n, index=index, k=k, max_weight=cap))
-        assert result.stats == stats
-        assert len(result.survivors) == stats.tested
         assert result.cap_touched is True
 
 
@@ -1026,11 +964,99 @@ class TestUnitPrefixLemma:
         assert found == {"enumerator": 36, "grid": 35}[search]
 
 
+class TestWeightBound:
+    """At k = 1 no survivor has a weight above max(1, n + 2 - index).
+
+    It holds under GcdCover with any one of LinearCone, Deltas and
+    LastWeight (the proof is in _Shape's docstring), so the walk stops
+    every range there and does not touch a cap at or above it.  Checked
+    against the grid oracle at caps 2 above the bound, on n 1..4 and
+    index 0..n+1 for the bound and n 1..3 for the walk.
+    """
+
+    BANS_TOP = (FilterId.LINEAR_CONE, FilterId.DELTAS, FilterId.LAST_WEIGHT)
+
+    @staticmethod
+    def bound(n: int, index: int) -> int:
+        return max(1, n + 2 - index)
+
+    def test_no_survivor_lies_above_the_bound(self):
+        found = at_bound = 0
+        for n in range(1, 5):
+            for index, screen in itertools.product(range(n + 2), self.BANS_TOP):
+                bound = self.bound(n, index)
+                profile = frozenset({FilterId.GCD_COVER, screen})
+                for c in naive_survivors(n, index, 1, bound + 2, profile):
+                    assert max(c.weights) <= bound, (c, profile)
+                    found += 1
+                    at_bound += max(c.weights) == bound
+        assert (found, at_bound) == (96, 18)
+
+    @pytest.mark.parametrize("cap", [3, 6])
+    def test_gcd_cover_alone_leaves_the_linear_cones(self, cap):
+        # (1, 1, t; t) has index 2 and one class t that its degree serves,
+        # so without a screen that bans d = a_N it survives above the bound 1
+        survivors = naive_survivors(1, 2, 1, cap, frozenset({FilterId.GCD_COVER}))
+        assert Candidate((1, 1, cap), (cap,)) in survivors
+        assert self.bound(1, 2) == 1
+
+    def test_the_walk_equals_the_grid_without_touching_the_cap(self):
+        profiles = [
+            p for p in ALL_PROFILES if FilterId.GCD_COVER in p and p.intersection(self.BANS_TOP)
+        ]
+        assert len(profiles) == 112
+        assert SMOOTH_FANO_PROFILE - {FilterId.LAST_WEIGHT} in profiles
+        found = 0
+        for n in range(1, 4):
+            for index in range(n + 2):
+                cap = self.bound(n, index) + 2
+                for profile in profiles:
+                    q = EnumerationQuery(n=n, index=index, k=1, max_weight=cap, profile=profile)
+                    result = enumerate_candidates(q)
+                    assert _Shape(q).weight_bound == self.bound(n, index)
+                    assert result.survivors == naive_survivors(n, index, 1, cap, profile)
+                    assert result.cap_touched is False, (n, index, profile)
+                    found += len(result.survivors)
+        assert found == 1736
+
+    @pytest.mark.parametrize(
+        "n, index, cap, nodes, tested, uncut",
+        [(3, 1, 100, 17, 2, 27563), (4, 1, 30, 42, 4, 4788)],
+    )
+    def test_hypersurface_slices_end_at_the_bound(
+        self, monkeypatch, n, index, cap, nodes, tested, uncut
+    ):
+        # no weight is walked above n + 2 - index (4 and 5 here), so the
+        # cap is not touched; with the weight bound dropped from every
+        # range, the cap bounds the middles and the tail instead
+        q = EnumerationQuery(n=n, index=index, k=1, max_weight=cap)
+        result = enumerate_candidates(q)
+        assert result.stats == SearchStats(nodes, tested)
+        assert len(result.survivors) == tested
+        assert result.cap_touched is False
+        capped = wcifano.enumerator._capped
+        # the first bound set is the middle bound or LastWeight's on the tail
+        monkeypatch.setattr(wcifano.enumerator, "_capped", lambda c, *b: capped(c, *b[:1]))
+        unbounded = enumerate_candidates(q)
+        assert unbounded.survivors == result.survivors
+        assert unbounded.stats == SearchStats(uncut, tested)
+        assert unbounded.cap_touched is True
+
+    @pytest.mark.parametrize("n, index, k", [(3, 1, 1), (2, 0, 1), (3, 1, 2), (3, 1, 0)])
+    def test_no_bound_is_set_outside_its_hypothesis(self, n, index, k):
+        # only at k = 1, and only with GcdCover and one screen that bans d = a_N
+        for profile in ALL_PROFILES:
+            held = k == 1 and FilterId.GCD_COVER in profile and profile & set(self.BANS_TOP)
+            shape = _Shape(EnumerationQuery(n=n, index=index, k=k, profile=profile))
+            assert shape.weight_bound == (self.bound(n, index) if held else None)
+
+
 class TestPruningHonesty:
     def test_middle_bound_is_conservative(self, monkeypatch):
         # disabling the single-middle closure bound must change no survivor,
-        # only the cap_touched claim (the bound is what makes it exhaustive)
-        q = EnumerationQuery(n=3, index=2, k=1, max_weight=50)
+        # only the cap_touched claim (the bound is what makes it exhaustive);
+        # at k = 2, where no weight bound stands in for it
+        q = EnumerationQuery(n=3, index=1, k=2, max_weight=50)
         bounded = enumerate_candidates(q)
         monkeypatch.setattr(wcifano.enumerator, "_middle_bound", lambda mc, profile: None)
         unbounded = enumerate_candidates(q)
