@@ -51,19 +51,28 @@ fixes bounds each stage.  At k = 1, GcdCover with any screen that bans
 the one degree from equalling the top weight (LinearCone, Deltas or
 LastWeight) leaves no survivor with a weight above n + 2 - index
 (_Shape.weight_bound), so neither the middles nor the tail are walked
-above it.  At k >= 2, under LastWeight, every tail placed must leave
-each class a degree outside the last slot or a share of the last
-degree: a class that only the last degree can serve may have one
-member, and all such classes must divide one degree in the last slot's
-window (_tails_fit); a tail that fails is not placed.  While a class is
-pending, the degree walk fills a slot only when the slots left fit what
-is left of that sum (_slots_fit): the least degree each can hold, plus
-the least raise to an admissible multiple that each class needs in as
-many slots as it still needs, must not exceed it.  No class may need
-more divisible degrees than there are slots left: a class that needs
-every slot left must divide the next degree, so the walk steps through
-multiples of the lcm of those classes.  LinearCone skips every degree
-equal to a weight.
+above it.  At k >= 2, under LastWeight, a tail is placed only when the
+tail prefix it ends passes two cuts, both sound because the class
+counts, the gcd closure and the banned weights only grow as weights are
+appended.  It must leave each class a degree outside the last slot or a
+share of the last degree: a class that only the last degree can serve
+may have one member, and all such classes must divide one degree in the
+last slot's window (_tails_fit).  And its degree slack must hold: the
+least raise to an admissible multiple that each class needs, in as many
+of the slots paired with the tails placed as the unplaced tails' slots
+cannot hold for it, must fit what the degree sum leaves above the least
+degrees (_slots_fit with those slots free).  On a whole vector that is
+the degree walk's test before its first degree, which is not run twice.
+A tail that fails the first cut for sure, as the last window only
+shrinks when the next tail grows, is not even tried (_tail_trials).
+While a class is pending, the degree walk fills a slot only when the
+slots left fit what is left of that sum (_slots_fit): the least degree
+each can hold, plus the least raise to an admissible multiple that each
+class needs in as many slots as it still needs, must not exceed it.  No
+class may need more divisible degrees than there are slots left: a
+class that needs every slot left must divide the next degree, so the
+walk steps through multiples of the lcm of those classes.  LinearCone
+skips every degree equal to a weight.
 Every tuple the walk tests passes both screens, so they are not re-run.
 The profile's other screens run per tuple, so each screen is decided in
 exactly one way: by the shape, by a cut, or on the tested tuples.
@@ -215,13 +224,14 @@ def _middle_bound(middle_count: int, profile: frozenset[FilterId]) -> int | None
 
 
 # The work left, in seconds, that repays forking the helpers (_split).
-# A helper costs a search about 0.03 s: forked at once at (6, 1, 4, 20)
-# on a 2-core VM, its 2-worker search took 0.052 s against 0.043 s
-# inline, although the helper ran tasks that take 0.021 s inline
-# (medians of 16 fresh processes).  That is the fork, the reap, loading
-# pickle, select and signal, and the caller's tasks slowed by
-# copy-on-write faults.  On two CPUs a helper takes over at most half the
-# work left, so it repays that cost only when twice as much is left.
+# A helper costs a search about 0.01 s: forked at once at (6, 1, 4, 20)
+# on a 2-core VM, its 2-worker search took 0.018-0.021 s against
+# 0.018-0.020 s inline, although the helper ran tasks that take 0.008-
+# 0.009 s inline (medians of 16-20 fresh processes, in three sets).  That
+# is the fork, the reap, loading the fork code, pickle, select and
+# signal, and the caller's tasks slowed by copy-on-write faults.  On two
+# CPUs a helper takes over at most half the work left, so it repays that
+# cost only when twice as much is left; the threshold is three times that.
 _FORK_WORK_S = 0.06
 
 
@@ -362,169 +372,24 @@ def _split(shape: _Shape, keys, size: int):
     The caller runs the tasks inline, in order.  Before each task it
     predicts the work left as the mean time of its tasks so far times
     the tasks left; once that reaches _FORK_WORK_S and two tasks or more
-    are left, it shares them with size - 1 forked helpers (_share).  The
-    first task always runs inline, unless _FORK_WORK_S is 0.  So a short
-    search forks nothing and a long one forks after a task or a few.
+    are left, it shares them with size - 1 forked helpers
+    (_forked._share, loaded only then).  The first task always runs
+    inline, unless _FORK_WORK_S is 0.  So a short search forks nothing,
+    and loads no fork code, and a long one forks after a task or a few.
     Either way the outcomes are those of an inline run, in the same order.
     """
     busy = 0.0
     for j, key in enumerate(keys):
         left = len(keys) - j
         if left > 1 and busy * left >= _FORK_WORK_S * max(j, 1):
-            yield from _share(shape, keys[j:], min(size, left))
+            from ._forked import _share
+
+            yield from _share(lambda key: _task(shape, key).outcome(), keys[j:], min(size, left))
             return
         start = perf_counter()
         outcome = _task(shape, key).outcome()
         busy += perf_counter() - start
         yield outcome
-
-
-def _share(shape: _Shape, keys, size: int):
-    """Yield the outcome of each task in task order, the tasks shared among size processes.
-
-    Each process claims the next task not yet claimed (_Tickets) as soon
-    as it is free, so one that runs slower or draws longer tasks claims
-    fewer.  Process 0 is the caller, which runs the tasks it claims
-    inline; the others are forked children (_fork), which send each
-    outcome with its task number as soon as they have it.  The caller
-    takes what the children sent after each task of its own, and waits
-    for them once no task is left to claim; it yields task j as soon as
-    tasks 0..j are all in.  Whatever ends the generator (its last
-    outcome, a task's exception re-raised here, or close() when the
-    consumer stops), every pipe is closed and every child reaped when
-    it ends; a child is killed first unless every outcome has arrived.
-    """
-    import select
-    import signal
-
-    tickets = _Tickets(len(keys))
-    children: dict[int, int] = {}  # the read end of each child's pipe: its pid
-    outcomes: dict[int, tuple | Exception] = {}
-    done = False
-    try:
-        for _ in range(1, size):
-            fd, pid = _fork(shape, keys, tickets, children)
-            children[fd] = pid
-        for j in range(len(keys)):
-            while j not in outcomes:
-                mine = tickets.claim()
-                if mine is not None:
-                    outcomes[mine] = _task(shape, keys[mine]).outcome()
-                # Poll after a task of the caller's; block when none is left.
-                timeout = 0 if mine is not None else None
-                for fd in select.select(list(children), [], [], timeout)[0]:
-                    _receive(fd, children, outcomes)
-            outcome = outcomes.pop(j)
-            if isinstance(outcome, Exception):
-                raise outcome
-            yield outcome
-        done = True
-    finally:
-        tickets.close()
-        for fd, pid in children.items():
-            os.close(fd)
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-class _Tickets:
-    """The number of the next task to claim, shared by forked processes.
-
-    A pipe holds it as one 8-byte message: a claim reads it, which no
-    other process can do until the claim writes back the next number.
-    """
-
-    def __init__(self, count: int) -> None:
-        self.count = count
-        self.r, self.w = os.pipe()
-        os.write(self.w, bytes(8))
-
-    def claim(self) -> int | None:
-        """The task number claimed, or None once every task is claimed."""
-        j = int.from_bytes(os.read(self.r, 8), "little")
-        os.write(self.w, (j + 1).to_bytes(8, "little"))
-        return j if j < self.count else None
-
-    def close(self) -> None:
-        os.close(self.r)
-        os.close(self.w)
-
-
-def _fork(shape: _Shape, keys, tickets: _Tickets, siblings) -> tuple[int, int]:
-    """Fork a child that runs the tasks it claims; the read end of its pipe and its pid.
-
-    The child sends each task's number and outcome, or the exception the
-    task raised, after which it stops: an 8-byte length, then the pickle.
-    It leaves through os._exit, so it never returns into the caller's
-    stack, runs no atexit handler and flushes no buffer it inherited.
-    siblings are the read ends of the children forked before, which the
-    child closes.
-    """
-    import pickle
-
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            for fd in siblings:
-                os.close(fd)
-            with open(w, "wb") as out:
-                while (j := tickets.claim()) is not None:
-                    try:
-                        outcome = _task(shape, keys[j]).outcome()
-                    except Exception as exc:
-                        outcome = exc
-                    message = pickle.dumps((j, outcome))
-                    out.write(len(message).to_bytes(8, "little") + message)
-                    out.flush()
-                    if isinstance(outcome, Exception):
-                        break
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return r, pid
-
-
-def _receive(fd: int, children: dict[int, int], outcomes: dict) -> None:
-    """Take the next message on a child's pipe into outcomes, or reap the child at its end.
-
-    A child that ends with a nonzero status took a task it did not send.
-    """
-    import pickle
-
-    head = _read(fd, 8)
-    if not head:
-        pid = children.pop(fd)
-        os.close(fd)
-        _, status = os.waitpid(pid, 0)
-        if status:
-            raise RuntimeError(
-                f"search worker {pid} ended before sending its results"
-                f" (exit status {os.waitstatus_to_exitcode(status)})"
-            )
-        return
-    j, outcome = pickle.loads(_read(fd, int.from_bytes(head, "little")))
-    outcomes[j] = outcome
-
-
-def _read(fd: int, n: int) -> bytes:
-    """n bytes from fd, or fewer at its end."""
-    data = b""
-    while len(data) < n:
-        chunk = os.read(fd, n - len(data))
-        if not chunk:
-            break
-        data += chunk
-    return data
 
 
 def _collect(shape: _Shape, outcomes, sink) -> EnumerationResult:
@@ -578,7 +443,6 @@ class _Walk:
         hi: int,
         total=None,
         classes=None,
-        fits=None,
         first=None,
     ):
         """Yield each non-decreasing extension of head to length entries in 1..hi, with counts.
@@ -589,11 +453,9 @@ class _Walk:
         With classes, the class counts of head (_grow_classes), the counts
         are carried along: a value that gives some class more than k
         members is not placed, so is not a node, and its subtree is
-        skipped.  Without, every extension comes with None.  With fits (a
-        predicate on the entries placed and their counts), a value it
-        rejects is not placed either.  With first, the next slot takes only
-        that value, which must be one of its _slot_values: the tasks are
-        exactly the first slot's values.
+        skipped.  Without, every extension comes with None.  With first,
+        the next slot takes only that value, which must be one of its
+        _slot_values: the tasks are exactly the first slot's values.
         """
         if len(head) == length:
             if total is None or sum(head) == total:
@@ -607,16 +469,50 @@ class _Walk:
             placed = head + (value,)
             grown = None
             if classes is not None:
-                grown = _grow_classes(classes, placed, self.shape.query.k)
-                if grown is None:
+                changed = _grow_classes(classes, placed, self.shape.query.k)
+                if changed is None:
                     continue
-            if fits is not None and not fits(placed, grown):
-                continue
+                grown = {**classes, **changed}
             self.nodes += 1
             if last:
                 yield placed, grown
             else:
-                yield from self.tuples(placed, length, hi, total, grown, fits)
+                yield from self.tuples(placed, length, hi, total, grown)
+
+    def tails(self, head, m, classes, last_only, total, tail_hi, bans):
+        """Yield each tail vector extending head under LastWeight at k >= 2, with its counts.
+
+        head is m middles and the tails placed so far, classes its class
+        counts, last_only the lcm of its last-only classes (_tails_fit; 1
+        before the first tail) and bans whether the weights are banned as
+        degrees.  Of the tails _tail_trials leaves to try, one is placed
+        only when the prefix it ends passes _tails_fit and the degree
+        slack test, _slots_fit with the tails not yet placed as free
+        slots; on a whole vector that is the walk's test before its first
+        degree, so _task does not run it again.  The new tail changes the
+        counts of the classes it divides only (_grow_classes), and only
+        those need _tails_fit against the prefix's last_only.
+        """
+        k = self.shape.query.k
+        for t, prefix_lcm in _tail_trials(head, m, classes, last_only, total, k, tail_hi, bans):
+            placed = head + (t,)
+            touched = _grow_classes(classes, placed, k)
+            if touched is None:
+                continue
+            banned = placed if bans else ()
+            tails = placed[m:]
+            lone = _tails_fit(tails, total, touched.items(), banned, k, tail_hi, prefix_lcm)
+            if not lone:
+                continue
+            grown = {**classes, **touched}
+            free = k - len(tails)
+            if not _slots_fit(tails, total, t, grown.items(), banned, 0, free):
+                continue
+            self.nodes += 1
+            if free:
+                yield from self.tails(placed, m, grown, lone, total, tail_hi, bans)
+            else:
+                yield placed, grown
 
     def degrees(self, floors, total, min_last, pending, banned, head=()):
         """Yield the non-decreasing degrees d_j = floors[j] + e_j extending head.
@@ -624,9 +520,11 @@ class _Walk:
         Every e_j >= 1, the e_j of the unplaced degrees sum to total, and
         the last e_j >= min_last >= 1.  Each (g, c) in pending asks c > 0
         more degrees divisible by g (GcdCover), with c at most the number
-        of unplaced degrees; while one is, a free slot is filled only when
+        of unplaced degrees; while one is, free slots are walked only when
         the unplaced degrees fit their sum (_slots_fit; with none, the slot
-        ranges hold the slack).  A class whose c equals that number must
+        ranges hold the slack): the caller checks the slots of head, and
+        the walk those left after each degree it places, before it walks
+        them.  A class whose c equals that number must
         divide the next degree, so only multiples of the lcm of those
         classes are placed, and the bound holds again after each degree.
         No degree is in banned (LinearCone).  The last degree is forced by
@@ -650,8 +548,6 @@ class _Walk:
                 self.nodes += 1
                 yield head + (d,)
             return
-        if pending and not _slots_fit(floors[j:], total, min_last, pending, banned, prev):
-            return
         step = lcm(*(g for g, c in pending if c == last + 1 - j))
         lo = max(floors[j] + 1, prev)
         hi = floors[j] + total - (last - 1 - j + min_last)
@@ -661,6 +557,9 @@ class _Walk:
             self.nodes += 1
             rest = tuple((g, c - (d % g == 0)) for g, c in pending if c > 1 or d % g)
             left = total + floors[j] - d
+            if j + 1 < last and rest:
+                if not _slots_fit(floors[j + 1 :], left, min_last, rest, banned, d):
+                    continue
             yield from self.degrees(floors, left, min_last, rest, banned, head + (d,))
 
     def test(self, weights: tuple[int, ...], ds: tuple[int, ...]) -> None:
@@ -686,36 +585,81 @@ def _slot_values(head: tuple[int, ...], length: int, hi: int, total: int | None)
     return range(max(start, left) if slots == 1 else start, min(hi, left // slots) + 1)
 
 
+def _tail_trials(head, m, classes, last_only, total, k, tail_hi, bans):
+    """The next tails worth a trial after head, each with the lcm of head's last-only classes at it.
+
+    The arguments are those of _Walk.tails.  In the window terms of
+    _tails_fit, with top = total - k + 2 and the last window [2 t, reach],
+    reach = tail_hi + top - 1 <= 2 top - 2, a tail t is left out only
+    when the prefix head + (t,) fails _tails_fit, so leaving it untried
+    moves no node:
+    - Past the first tail the first window is fixed, so head's last-only
+      classes are too, and a multiple of their lcm must lie in [2 t,
+      reach], which only shrinks as t grows: no t above half the largest
+      multiple of last_only up to reach is tried.  Every weight is at
+      most t, so banned holds no such multiple.
+    - At the first tail the first window, [t + 1, top], only shrinks as t
+      grows, so head's last-only classes (found by _tails_fit on head's
+      own classes and bans) only grow, their lcm with them, and the last
+      window shrinks: once they fail, every larger t fails, and no more
+      is tried.
+    - A t with 2 t > top that is the first tail or banned is a last-only
+      class itself: no multiple of t outside banned lies in the first
+      window, since 2 t > top and t lies below the window or is banned.
+      So no weight before it may equal t, and the last degree, a multiple
+      of t in [2 t, reach], that is 2 t or 3 t as reach < 4 t, must be
+      one that last_only divides.
+    """
+    top = total - k + 2
+    reach = tail_hi + top - 1
+    prior = head if bans else ()
+    first = len(head) == m
+    hi = tail_hi if first else min(tail_hi, (reach - reach % last_only) // 2)
+    for t in range(head[-1] if head else 1, hi + 1):
+        if first:
+            last_only = _tails_fit((t,), total, classes.items(), prior, k, tail_hi)
+            if not last_only:
+                return
+        if (
+            2 * t > top
+            and (bans or first)
+            and (t in head or 2 * t % last_only and (3 * t > reach or 3 * t % last_only))
+        ):
+            continue
+        yield t, last_only
+
+
 def _grow_classes(
     classes: dict[int, int], placed: tuple[int, ...], k: int
 ) -> dict[int, int] | None:
-    """The class counts of the weights placed, from those of placed[:-1].
+    """The class counts that placed[-1] changes, from the counts classes of placed[:-1].
 
     The counts map every gcd g > 1 of the gcd closure of the weights to
     the number of weights g divides, GcdCover's required count.  The new
     weight a = placed[-1] changes exactly the counts of _gcds_added(classes,
     a): a class g joins it iff gcd(a, g) == g, so each such g already a
     class gains a member, and each other value above 1 is a new class,
-    counted by one scan of placed.  A unit weight changes nothing.  None
-    when some count exceeds k: that class needs more divisible degrees
-    than there are, and neither the closure nor a count shrinks as
-    weights are appended.
+    counted by one scan of placed.  So the classes it changes are exactly
+    those a divides, and a unit weight changes none; the counts of placed
+    are classes updated with them.  None when some count exceeds k: that
+    class needs more divisible degrees than there are, and neither the
+    closure nor a count shrinks as weights are appended.
     """
     a = placed[-1]
+    changed: dict[int, int] = {}
     if a == 1:
-        return classes
-    grown = dict(classes)
+        return changed
     for g in _gcds_added(classes, a):
         if g > 1:
             count = classes[g] + 1 if g in classes else [w % g for w in placed].count(0)
             if count > k:
                 return None
-            grown[g] = count
-    return grown
+            changed[g] = count
+    return changed
 
 
-def _tails_fit(tails, total, classes, banned, k, tail_hi) -> bool:
-    """False only when no completion of a tail prefix has a degree tuple.
+def _tails_fit(tails, total, classes, banned, k, tail_hi, last_only=1) -> int:
+    """0 only when no completion of a tail prefix has a degree tuple; else a last-only lcm.
 
     Under LastWeight (the last excess is at least the last tail): tails
     are t_1 <= ... <= t_cur placed so far, all k of them at the last
@@ -731,23 +675,30 @@ def _tails_fit(tails, total, classes, banned, k, tail_hi) -> bool:
     has no completion, and every last-only class divides the last
     degree, so their lcm needs a multiple outside banned in the last
     window.  So not placing the tail that ends a failing prefix loses no
-    survivor.  The walk calls it at k >= 2 only; at k = 1, where every
-    class is last-only, it stays sound but checks only the classes it
-    finds last-only.
+    survivor.
+
+    Otherwise the result is the lcm of last_only and the last-only
+    classes found.  _Walk.tails passes only the classes that t_cur
+    changed, those it divides (_grow_classes), and the lcm of the
+    last-only classes of the prefix before it.  Past t_1 the first window
+    is fixed, and a class that t_cur does not divide keeps its count and
+    its multiples outside banned, so it is last-only in both prefixes or
+    in neither; at t_1 the lcm is that of the earlier classes in the
+    window t_1 opens (_tail_trials).  Either way the verdict and the lcm
+    are those of the check on every class.
     """
     top = total - k + 2
-    last_only = 1
     for g, c in classes:
         if _least_multiple(tails[0] + 1, g, banned) > top:
             if c >= 2:
-                return False
+                return 0
             last_only = lcm(last_only, g)
-    if last_only == 1:
-        return True
-    return _least_multiple(2 * tails[-1], last_only, banned) <= tail_hi + top - 1
+    if last_only > 1 and _least_multiple(2 * tails[-1], last_only, banned) > tail_hi + top - 1:
+        return 0
+    return last_only
 
 
-def _slots_fit(floors, total, min_last, pending, banned, prev) -> bool:
+def _slots_fit(floors, total, min_last, pending, banned, prev, free=0) -> bool:
     """False only when _Walk.degrees fills no slots left after the degree prev.
 
     floors are the floors of the unplaced slots, total the sum of their
@@ -763,15 +714,31 @@ def _slots_fit(floors, total, min_last, pending, banned, prev) -> bool:
     below its lo_j, so the slack is at least the sum of the c smallest
     inc_j.  Before the first degree this is the test of a whole vector.
     So not filling slots that fail loses no survivor.
+
+    With free, floors are the placed slots of a tail prefix under
+    LastWeight and the last free slots are not placed yet (_Walk.tails,
+    with prev 0 and min_last the last tail placed).  In any completion
+    the floor of a free slot, the tail it pairs with, is at least
+    floors[-1], and so is the last excess; taking them at that least
+    value only raises the slack, to total - (k - 1) - t_cur.  A free slot
+    may need no raise, so a class is charged its c - free smallest inc_j
+    over the placed slots only, and a class with c <= free nothing.  The
+    class counts and banned only grow as weights are appended, so a
+    prefix that fails has no completion.
     """
-    lo = [f + 1 for f in floors]
+    if free:
+        pending = [(g, c - free) for g, c in pending if c > free]
+        if not pending:
+            return True
+    lo = [f + 1 for f in floors] + [floors[-1] + 1] * free
     lo[-1] += min_last - 1
     lo = list(accumulate(lo, max, initial=prev))[1:]
-    slack = sum(floors) + total - sum(lo)
+    slack = sum(floors) + free * floors[-1] + total - sum(lo)
     if slack < 0:
         return False
+    placed = lo[: len(floors)]
     for g, c in pending:
-        incs = [_least_multiple(x, g, banned) - x for x in lo]
+        incs = [_least_multiple(x, g, banned) - x for x in placed]
         if sum(sorted(incs)[:c]) > slack:
             return False
     return True
@@ -801,22 +768,22 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
         tail_hi, touched = _capped(cap, last_weight_bound, shape.weight_bound)
         if shape.tails and touched:
             walk.touched = True
-        fits = None
+        # The degrees are walked only when their slots fit (_slots_fit):
+        # the tail stage checks its vectors, this loop the others.
+        check = k >= 2
         if k >= 2 and shape.last_weight and counts is not None:
-            # Each tail placed, the last one included, must leave the
-            # degrees room (_tails_fit on the tails so far).  The unit
-            # prefix needs no ban: every degree exceeds a tail.
-            def fits(placed, classes, m=len(ms)):
-                banned = placed if bans_weights else ()
-                return _tails_fit(placed[m:], total, classes.items(), banned, k, tail_hi)
-
-        vectors = walk.tuples(ms, len(ms) + shape.tails, tail_hi, classes=counts, fits=fits)
+            vectors = walk.tails(ms, len(ms), counts, 1, total, tail_hi, bans_weights)
+            check = False
+        else:
+            vectors = walk.tuples(ms, len(ms) + shape.tails, tail_hi, classes=counts)
         for ws, classes in vectors:
             weights = shape.prefix + ws
             floors = ws[len(ms) :] if shape.tails else (0,) * k
             min_last = ws[-1] if shape.last_weight else 1
             pending = tuple(classes.items()) if classes else ()
             banned = weights if bans_weights else ()
+            if check and pending and not _slots_fit(floors, total, min_last, pending, banned, 0):
+                continue
             for ds in walk.degrees(floors, total, min_last, pending, banned):
                 walk.test(weights, ds)
     return walk

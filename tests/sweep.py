@@ -12,7 +12,8 @@ survivors as their count and a sha256 prefix) and node count; --against
 reads such a file and prints the queries whose facts moved, grouped by
 k, with how many moved on each fact and which way (tested fell or rose,
 a flag went true -> false or false -> true), then those whose nodes
-moved, with how many fell and rose.  The queries: every profile at n 1..3,
+moved, with how many fell and rose, then the nodes of every query summed
+by k, before -> after.  The queries: every profile at n 1..3,
 k 0..n+1, index 0..n+2 and cap 5; k = 1 and 2 slices up to n = 6 under
 five profiles; the benchmark's slices with 1 and 2 workers.  Not
 collected by pytest, like grid_oracle.py.
@@ -134,12 +135,15 @@ def report_facts(before: dict[str, dict], after: dict[str, dict]) -> None:
 
 
 def report_nodes(before: dict[str, dict], after: dict[str, dict]) -> None:
-    """The queries whose nodes moved, grouped by k, with how many fell and rose."""
+    """The queries whose nodes moved, grouped by k, with how many fell and rose; the sums by k."""
     moved = defaultdict(lambda: [0, 0, []])
+    sums = defaultdict(lambda: [0, 0])
     for name, new in after.items():
         old, count = before[name]["nodes"], new["nodes"]
+        k = by_k(name)
+        sums[k][0] += old
+        sums[k][1] += count
         if count != old:
-            k = by_k(name)
             moved[k][count > old] += 1
             moved[k][2].append(f"{name}: {old} -> {count}")
     print(f"nodes moved on {sum(fell + rose for fell, rose, _ in moved.values())} queries")
@@ -148,6 +152,9 @@ def report_nodes(before: dict[str, dict], after: dict[str, dict]) -> None:
         print(f"k={k}: {fell} fell, {rose} rose")
         for line in lines[:5]:
             print(f"  {line}")
+    print("nodes summed by k")
+    for k, (old, new) in sorted(sums.items()):
+        print(f"k={k}: {old:,} -> {new:,}")
 
 
 if __name__ == "__main__":

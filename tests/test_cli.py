@@ -473,13 +473,14 @@ class TestModuleEntryPoint:
             ),
             (
                 "['enumerate', '--dim', '3', '--index', '2', '--codim', '1']",
-                ["wcifano.verify", "wcifano.transforms", "concurrent.futures", "dataclasses",
-                 "inspect"],
+                ["wcifano.verify", "wcifano.transforms", "wcifano._forked", "concurrent.futures",
+                 "dataclasses", "inspect"],
             ),
             (
-                "['enumerate', '--dim', '6', '--index', '1', '--codim', '4', '--workers', '2']",
-                ["wcifano.verify", "wcifano.transforms", "concurrent.futures", "dataclasses",
-                 "inspect"],
+                "['enumerate', '--dim', '6', '--index', '1', '--codim', '4', '--max-weight', '20',"
+                " '--workers', '2']",
+                ["wcifano.verify", "wcifano.transforms", "wcifano._forked", "concurrent.futures",
+                 "dataclasses", "inspect"],
             ),
             (
                 "['verify', '--case', 'hypersurface']",
@@ -505,7 +506,9 @@ class TestModuleEntryPoint:
         # only what it runs: `import wcifano` no submodule (a name loads
         # its module on first use), each subcommand its own modules, none
         # of them dataclasses, which loads inspect and its imports, and
-        # verify and transform, which print no JSON, not json
+        # verify and transform, which print no JSON, not json.  A search
+        # too short to fork (the survey's two-worker call among them) does
+        # not load the fork code either
         if call.startswith("["):
             call = f"from wcifano.cli import main\nassert main({call}) == 0"
         script = f"import sys\n{call}\nsys.stderr.write('\\nmodules ' + ' '.join(sys.modules))"

@@ -20,6 +20,7 @@ from grid_oracle import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import wcifano._forked
 import wcifano.core
 import wcifano.enumerator
 import wcifano.filters
@@ -31,6 +32,7 @@ from wcifano.enumerator import (
     InvalidQuery,
     SearchStats,
     _grow_classes,
+    _tail_trials,
     _Shape,
     _slots_fit,
     _tails_fit,
@@ -107,11 +109,11 @@ class TestFrozenSlices:
     @pytest.mark.parametrize(
         "n, index, k, cap, profile, expected",
         [
-            (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (453, 3, 3, True)),
+            (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (306, 3, 3, True)),
             (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (42, 4, 4, False)),
-            (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (12, 1, 1, False)),
+            (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (11, 1, 1, False)),
             (2, 3, 0, None, SMOOTH_FANO_PROFILE, (0, 1, 1, False)),
-            (2, 0, 2, 6, CALABI_YAU_PROFILE, (12, 1, 1, False)),
+            (2, 0, 2, 6, CALABI_YAU_PROFILE, (11, 1, 1, False)),
             (
                 2,
                 1,
@@ -383,13 +385,21 @@ class TestDegreeSumBound:
 
     @staticmethod
     def prefix_fits(k, middles, tails, total, tail_hi, bans):
-        """The bound on the walk's tail prefix middles + tails (None: the weight cut skips it)."""
+        """The walk's test of its tail prefix middles + tails (None: the weight cut skips it).
+
+        _tails_fit, then the degree slack of _slots_fit with the tails not
+        yet placed as free slots.
+        """
         weights = middles + tails
         classes = TestWeightStageCut.class_counts(weights, k)
         if classes is None:
             return None
         banned = weights if bans else ()
-        return _tails_fit(tails, total, classes.items(), banned, k, tail_hi)
+        free = k - len(tails)
+        return bool(
+            _tails_fit(tails, total, classes.items(), banned, k, tail_hi)
+            and _slots_fit(tails, total, tails[-1], classes.items(), banned, 0, free)
+        )
 
     @classmethod
     def live_completions(cls, k, middles, tails, total, tail_hi, bans):
@@ -421,9 +431,10 @@ class TestDegreeSumBound:
     def test_a_skipped_tail_prefix_has_no_completion(self, data):
         # tail prefixes under LastWeight: middles, then the first tails,
         # with the class counts and the bans of the weights so far; when
-        # the bound rejects the prefix, no completion of its tails has a
-        # degree tuple.  The walk checks them at k >= 2; at k = 1 the one
-        # tail is the whole prefix, and the bound must hold there too.
+        # the bound or the degree slack rejects the prefix, no completion
+        # of its tails has a degree tuple.  The walk checks them at k >= 2;
+        # at k = 1 the one tail is the whole prefix, and the bound must
+        # hold there too.
         k, middles, tail_hi, total, bans = self.draw_middles(data)
         placed = data.draw(st.integers(1, k))
         tail = st.integers(middles[-1], tail_hi)
@@ -437,8 +448,9 @@ class TestDegreeSumBound:
         # every tail prefix at k 1..3 after one middle up to 5, tails up
         # to 7 and the total up to 3 above its least: an off-by-one in
         # either window or a first window that starts at the last tail
-        # placed would skip a live prefix here
-        rejected = 0
+        # placed would skip a live prefix here, and so would a degree
+        # slack that charges a free slot or takes too few raises
+        rejected = slack_only = 0
         for k, middle, bans in itertools.product((1, 2, 3), range(1, 6), (False, True)):
             for tail_hi, placed in itertools.product(range(middle, 8), range(1, k + 1)):
                 for total, tails in itertools.product(
@@ -447,49 +459,163 @@ class TestDegreeSumBound:
                     case = (k, (middle,), tails, total, tail_hi, bans)
                     if self.prefix_fits(*case) is False:
                         rejected += 1
+                        classes = TestWeightStageCut.class_counts((middle, *tails), k)
+                        banned = (middle, *tails) if bans else ()
+                        fit = _tails_fit(tails, total, classes.items(), banned, k, tail_hi)
+                        slack_only += bool(fit) and placed < k
                         assert self.live_completions(*case) == [], case
         assert rejected > 1000
+        assert slack_only > 50
 
     def test_the_bound_skips_vectors_and_only_saves_nodes(self, monkeypatch):
-        # at (5, 1, 3, 12) the bound rejects tail prefixes and stops the
-        # degree walk where the classes fit the slots left but not the
-        # degree sum: the walk places 453 nodes, 542 with the prefix part
-        # alone and 2,916 with neither, for the same tested tuples,
+        # at (5, 1, 3, 12) the bound rejects tail prefixes, the degree
+        # slack rejects tail prefixes with free tails left and whole
+        # vectors, and the degree walk stops where the classes fit the
+        # slots left but not the degree sum: the walk places 306 nodes,
+        # 358 with the slack on whole vectors only, 542 with the prefix
+        # part alone and 2,916 with neither, for the same tested tuples,
         # survivors and cap flag
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=12)
         tails_fit, slots_fit = wcifano.enumerator._tails_fit, wcifano.enumerator._slots_fit
-        prefixes, skipped = [], []
+        prefixes, short, skipped = [], [], []
 
-        def recording_tails_fit(tails, total, classes, banned, k, tail_hi):
-            fits = tails_fit(tails, total, classes, banned, k, tail_hi)
+        def recording_tails_fit(tails, total, classes, banned, k, tail_hi, last_only=1):
+            fits = tails_fit(tails, total, classes, banned, k, tail_hi, last_only)
             if not fits:
                 prefixes.append(tails)
             return fits
 
-        def recording_slots_fit(floors, total, min_last, pending, banned, prev):
-            fits = slots_fit(floors, total, min_last, pending, banned, prev)
-            if not fits and slots_fit(floors, total, min_last, (), banned, prev):
+        def recording_slots_fit(floors, total, min_last, pending, banned, prev, free=0):
+            fits = slots_fit(floors, total, min_last, pending, banned, prev, free)
+            if not fits and free:
+                short.append(floors)
+            elif not fits and slots_fit(floors, total, min_last, (), banned, prev):
                 skipped.append(floors)
             return fits
+
+        def whole_vectors_only(floors, total, min_last, pending, banned, prev, free=0):
+            return free > 0 or slots_fit(floors, total, min_last, pending, banned, prev)
 
         monkeypatch.setattr(wcifano.enumerator, "_tails_fit", recording_tails_fit)
         monkeypatch.setattr(wcifano.enumerator, "_slots_fit", recording_slots_fit)
         bounded = enumerate_candidates(q)
         assert skipped
         assert any(len(tails) < q.k for tails in prefixes)
+        assert any(len(tails) < q.k for tails in short)
+        monkeypatch.setattr(wcifano.enumerator, "_slots_fit", whole_vectors_only)
+        whole_only = enumerate_candidates(q)
         monkeypatch.setattr(wcifano.enumerator, "_slots_fit", lambda *args: True)
         prefix_only = enumerate_candidates(q)
-        monkeypatch.setattr(wcifano.enumerator, "_tails_fit", lambda *args: True)
+        monkeypatch.setattr(wcifano.enumerator, "_tails_fit", lambda *args: 1)
+        monkeypatch.setattr(wcifano.enumerator, "_tail_trials", self.every_tail)
         unbounded = enumerate_candidates(q)
-        assert unbounded.survivors == prefix_only.survivors == bounded.survivors
-        assert unbounded.cap_touched is prefix_only.cap_touched is bounded.cap_touched is True
-        assert bounded.stats == SearchStats(nodes=453, tested=3)
+        results = (bounded, whole_only, prefix_only, unbounded)
+        assert len({r.survivors for r in results}) == 1
+        assert {r.cap_touched for r in results} == {True}
+        assert bounded.stats == SearchStats(nodes=306, tested=3)
+        assert whole_only.stats == SearchStats(nodes=358, tested=3)
         assert prefix_only.stats == SearchStats(nodes=542, tested=3)
         assert unbounded.stats == SearchStats(nodes=2916, tested=3)
 
+    @staticmethod
+    def every_tail(head, m, classes, last_only, total, k, tail_hi, bans):
+        """_tail_trials leaving none out: each tail up to tail_hi, with head's last-only lcm."""
+        for t in range(head[-1] if head else 1, tail_hi + 1):
+            if len(head) == m:
+                prior = head if bans else ()
+                fit = wcifano.enumerator._tails_fit
+                last_only = fit((t,), total, classes.items(), prior, k, tail_hi)
+            yield t, last_only
+
+    @pytest.mark.parametrize(
+        "n, index, k, cap, profiles",
+        [
+            (5, 1, 3, 20, [SMOOTH_FANO_PROFILE]),
+            (6, 1, 4, 20, [SMOOTH_FANO_PROFILE]),
+            (3, 1, 2, 4, ALL_PROFILES),
+            (2, 1, 3, 4, ALL_PROFILES),
+            (2, 1, 2, 5, ALL_PROFILES),
+        ],
+    )
+    def test_the_tail_limit_is_exact(self, monkeypatch, n, index, k, cap, profiles):
+        # _tail_trials leaves out only tails that end a prefix _tails_fit
+        # rejects, so trying every tail moves no node, tested tuple,
+        # survivor or flag: on the survey slices and on the k >= 2 grid
+        # slices of TestDegreeCuts under every profile.  The survey slices
+        # try fewer than half the tails
+        grow = wcifano.enumerator._grow_classes
+        tried = []
+
+        def counting_grow(classes, placed, k):
+            tried.append(placed)
+            return grow(classes, placed, k)
+
+        monkeypatch.setattr(wcifano.enumerator, "_grow_classes", counting_grow)
+        queries = [EnumerationQuery(n, index, k, cap, profile) for profile in profiles]
+        limited = [enumerate_candidates(q) for q in queries]
+        trials = len(tried)
+        tried.clear()
+        monkeypatch.setattr(wcifano.enumerator, "_tail_trials", self.every_tail)
+        assert [enumerate_candidates(q) for q in queries] == limited
+        assert trials < len(tried)
+        if cap == 20:
+            assert 2 * trials < len(tried)
+
+    @staticmethod
+    def draw_prefix(data):
+        """A tail prefix at k >= 2 that the walk extends: draw_middles, tails, counts, lcm."""
+        k, middles, tail_hi, total, bans = TestDegreeSumBound.draw_middles(data)
+        assume(k >= 2)
+        placed = data.draw(st.integers(0, k - 1))
+        tail = st.integers(middles[-1], tail_hi)
+        tails = tuple(sorted(data.draw(st.lists(tail, min_size=placed, max_size=placed))))
+        classes = TestWeightStageCut.class_counts(middles + tails, k)
+        assume(classes is not None)
+        banned = middles + tails if bans else ()
+        last_only = _tails_fit(tails, total, classes.items(), banned, k, tail_hi) if tails else 1
+        assume(last_only)
+        return k, middles, tails, total, tail_hi, bans, classes, last_only
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_a_tail_is_checked_on_the_classes_it_divides(self, data):
+        # the walk checks a new tail t with _tails_fit on the classes t
+        # divides only, against the lcm of the prefix's last-only classes:
+        # those of the prefix itself past the first tail, those of the
+        # middles at t for the first (_tail_trials).  That gives the
+        # verdict and the lcm of _tails_fit on every class
+        k, middles, tails, total, tail_hi, bans, classes, last_only = self.draw_prefix(data)
+        head = middles + tails
+        t = data.draw(st.integers(head[-1], tail_hi))
+        changed = _grow_classes(classes, head + (t,), k)
+        assume(changed is not None)
+        banned = head + (t,) if bans else ()
+        new = tails + (t,)
+        if not tails:
+            last_only = _tails_fit(new, total, classes.items(), head if bans else (), k, tail_hi)
+        whole = _tails_fit(new, total, {**classes, **changed}.items(), banned, k, tail_hi)
+        assert _tails_fit(new, total, changed.items(), banned, k, tail_hi, last_only) == whole
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_a_tail_left_untried_ends_a_failing_prefix(self, data):
+        # every tail _tail_trials leaves out gives some class more than k
+        # members or fails _tails_fit on every class
+        k, middles, tails, total, tail_hi, bans, classes, last_only = self.draw_prefix(data)
+        head = middles + tails
+        m = len(middles)
+        tried = [t for t, _ in _tail_trials(head, m, classes, last_only, total, k, tail_hi, bans)]
+        for t in sorted(set(range(head[-1], tail_hi + 1)) - set(tried)):
+            changed = _grow_classes(classes, head + (t,), k)
+            if changed is not None:
+                grown = {**classes, **changed}.items()
+                banned = head + (t,) if bans else ()
+                assert not _tails_fit(tails + (t,), total, grown, banned, k, tail_hi), t
+
     @pytest.mark.parametrize(
         "n, index, k, cap, nodes",
-        [(5, 1, 3, 20, 1167), (6, 1, 4, 20, 1799)],
+        [(5, 1, 3, 20, 772), (6, 1, 4, 20, 1012)],
+        ids=["n5i1k3c20", "n6i1k4c20"],
     )
     def test_survey_slices_keep_the_cut(self, n, index, k, cap, nodes):
         # the survey slices place few nodes once the bound cuts tail
@@ -514,9 +640,10 @@ class TestWeightStageCut:
     def class_counts(weights, k):
         classes = {}
         for p in range(1, len(weights) + 1):
-            classes = _grow_classes(classes, weights[:p], k)
-            if classes is None:
-                break
+            changed = _grow_classes(classes, weights[:p], k)
+            if changed is None:
+                return None
+            classes = {**classes, **changed}
         return classes
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=10))
@@ -528,8 +655,11 @@ class TestWeightStageCut:
             classes: dict[int, int] = {}
             for p in range(1, len(ws) + 1):
                 # no class has more members than there are weights: no cut
-                classes = _grow_classes(classes, ws[:p], len(ws))
+                changed = _grow_classes(classes, ws[:p], len(ws))
+                classes = {**classes, **changed}
                 assert sorted(classes.items()) == self.expected_counts(ws[:p])
+                # the weight changes exactly the classes it divides
+                assert changed == {g: c for g, c in classes.items() if ws[p - 1] % g == 0}
 
     @given(
         st.lists(st.integers(1, 60), min_size=1, max_size=10),
@@ -662,11 +792,11 @@ class TestDeterminism:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         calls = []
 
-        def inline_share(shape, keys, size):
+        def inline_share(run, keys, size):
             calls.append((tuple(keys), size))
-            return (wcifano.enumerator._task(shape, key).outcome() for key in keys)
+            return (run(key) for key in keys)
 
-        monkeypatch.setattr(wcifano.enumerator, "_share", inline_share)
+        monkeypatch.setattr(wcifano._forked, "_share", inline_share)
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
         assert enumerate_candidates(q, workers=3) == enumerate_candidates(q)
         assert calls == shared
@@ -701,7 +831,7 @@ class TestSplit:
         caller = os.getpid()
         gate_r, gate_w = os.pipe()
         task = wcifano.enumerator._task
-        fork = wcifano.enumerator._fork
+        fork = wcifano._forked._fork
         forked = []
         waited = []
 
@@ -719,7 +849,7 @@ class TestSplit:
                 return task(shape, first_middle)
 
             monkeypatch.setattr(wcifano.enumerator, "_task", patched)
-            monkeypatch.setattr(wcifano.enumerator, "_fork", forking)
+            monkeypatch.setattr(wcifano._forked, "_fork", forking)
 
         yield patch
         assert select.select([gate_r], [], [], 0)[0] == [gate_r], "no child ran a task"
@@ -747,13 +877,13 @@ class TestSplit:
         task_clock(monkeypatch, DOUBLING)
         monkeypatch.setattr(wcifano.enumerator, "_FORK_WORK_S", 6)
         shared = []
-        share = wcifano.enumerator._share
+        share = wcifano._forked._share
 
-        def recording_share(shape, keys, size):
+        def recording_share(run, keys, size):
             shared.append((tuple(keys), size))
-            return share(shape, keys, size)
+            return share(run, keys, size)
 
-        monkeypatch.setattr(wcifano.enumerator, "_share", recording_share)
+        monkeypatch.setattr(wcifano._forked, "_share", recording_share)
         in_children(lambda task, shape, key: task(shape, key))
         seen: list[Candidate] = []
         assert enumerate_streaming(self.SPREAD, seen.append, workers=2) == single
@@ -917,17 +1047,26 @@ class TestAgainstNaiveGrid:
         self, monkeypatch, n, index, k, cap
     ):
         # k >= 2 slices where the degree-sum bound rejects tail prefixes
-        # short of the last tail
-        fit = wcifano.enumerator._tails_fit
+        # short of the last tail, when it checks them or when _tail_trials
+        # leaves their last tail untried
+        fit, trials = wcifano.enumerator._tails_fit, wcifano.enumerator._tail_trials
         rejected: list[tuple[int, ...]] = []
 
-        def recording_fit(tails, total, classes, banned, k, tail_hi):
-            fits = fit(tails, total, classes, banned, k, tail_hi)
+        def recording_fit(tails, total, classes, banned, k, tail_hi, last_only=1):
+            fits = fit(tails, total, classes, banned, k, tail_hi, last_only)
             if not fits and len(tails) < k:
                 rejected.append(tails)
             return fits
 
+        def recording_trials(head, m, classes, last_only, total, k, tail_hi, bans):
+            tried = list(trials(head, m, classes, last_only, total, k, tail_hi, bans))
+            start = head[-1] if head else 1
+            if len(head) - m + 1 < k and len(tried) < tail_hi + 1 - start:
+                rejected.append(head[m:])
+            return tried
+
         monkeypatch.setattr(wcifano.enumerator, "_tails_fit", recording_fit)
+        monkeypatch.setattr(wcifano.enumerator, "_tail_trials", recording_trials)
         q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=CALABI_YAU_PROFILE)
         survivors = enumerate_candidates(q).survivors
         assert rejected
