@@ -55,24 +55,31 @@ class NotNormalized(ValueError):
 class _Value:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields, in order, as its __slots__ and sets
-    them in its own __init__ through _set.  Two values are equal when
-    they have the same class and equal fields, and hash as their field
-    tuple; repr prints Name(field=value, ...).  Fields cannot be
-    assigned or deleted, and pickling rebuilds a value through its
-    class, so copy and deepcopy work too.  A class pattern in a match
-    statement takes the fields positionally, in order.  Values cannot be
-    weakly referenced: the slots hold the fields only.
+    A subclass declares its fields once, in order, as a __slots__ dict
+    of name to type text, which help() prints, and the defaults of its
+    last fields in a _defaults dict; _Value gives it a plain __init__
+    that sets each field from its argument.  Only a type that validates
+    or converts its arguments writes its own, setting each field through
+    _set.  Two values are equal when they have the same class and equal
+    fields, and hash as their field tuple; repr prints Name(field=value, ...).
+    Fields cannot be assigned or deleted, and pickling rebuilds a value
+    through its class, so copy and deepcopy work too.  A class pattern in
+    a match statement takes the fields positionally, in order.  Values
+    cannot be weakly referenced: the slots hold the fields only.
     """
 
     __slots__ = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls) -> None:
+        fields = tuple(cls.__slots__)
         # _fields reads the field tuple in one call: attrgetter returns a
         # tuple for two names or more.
-        get = attrgetter(*cls.__slots__)
-        cls._fields = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
-        cls.__match_args__ = cls.__slots__
+        get = attrgetter(*fields)
+        cls._fields = property(get if len(fields) > 1 else lambda self: (get(self),))
+        cls.__match_args__ = fields
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _plain_init(cls, fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -100,6 +107,22 @@ class _Value:
 _set = object.__setattr__
 
 
+def _plain_init(cls, fields: tuple[str, ...]):
+    """An __init__ for cls that sets each field from its argument, compiled once as namedtuple's.
+
+    Its name and module are those of a method written in cls, so a bad
+    call raises the TypeError text such a method would.
+    """
+    params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in fields)
+    body = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+    namespace = {"_set": _set, "_defaults": cls._defaults}
+    exec(f"def __init__(self, {params}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
+
+
 class Candidate(_Value):
     """A (weights, degrees) pair with derived dimension data.
 
@@ -109,7 +132,7 @@ class Candidate(_Value):
     no geometric condition is implied.
     """
 
-    __slots__ = ("weights", "degrees")
+    __slots__ = {"weights": "tuple[int, ...]", "degrees": "tuple[int, ...]"}
 
     def __init__(self, weights: tuple[int, ...], degrees: tuple[int, ...] = ()) -> None:
         weights = tuple(weights)
@@ -158,12 +181,7 @@ class GcdClass(_Value):
     construction.
     """
 
-    __slots__ = ("delta", "member_indices", "class_gcd")
-
-    def __init__(self, delta: int, member_indices: frozenset[int], class_gcd: int) -> None:
-        _set(self, "delta", delta)
-        _set(self, "member_indices", member_indices)
-        _set(self, "class_gcd", class_gcd)
+    __slots__ = {"delta": "int", "member_indices": "frozenset[int]", "class_gcd": "int"}
 
 
 def new_candidate(weights, degrees=()) -> Candidate:

@@ -139,7 +139,10 @@ class EnumerationQuery(_Value):
     is complete.  k may be 0 (ambient spaces); k <= n + 1 is enforced.
     """
 
-    __slots__ = ("n", "index", "k", "max_weight", "profile")
+    __slots__ = {
+        "n": "int", "index": "int", "k": "int", "max_weight": "int",
+        "profile": "frozenset[FilterId]",
+    }
 
     def __init__(
         self,
@@ -150,6 +153,7 @@ class EnumerationQuery(_Value):
         profile: frozenset[FilterId] = SMOOTH_FANO_PROFILE,
     ) -> None:
         profile = frozenset(profile)
+        _require_ints(n=n, index=index, k=k)
         if n < 1:
             raise InvalidQuery(f"dimension n must be >= 1, got {n}")
         if index < 0:
@@ -158,6 +162,7 @@ class EnumerationQuery(_Value):
             raise InvalidQuery(f"codimension k must lie in 0..n+1, got k={k} at n={n}")
         if max_weight is None:
             max_weight = 4 * (n + k + index)
+        _require_ints(max_weight=max_weight)
         if max_weight < 1:
             raise CapTooSmall(f"max_weight must be >= 1, got {max_weight}")
         _set(self, "n", n)
@@ -165,6 +170,13 @@ class EnumerationQuery(_Value):
         _set(self, "k", k)
         _set(self, "max_weight", max_weight)
         _set(self, "profile", profile)
+
+
+def _require_ints(**values) -> None:
+    """Raise InvalidQuery unless each value is an int, never a bool (Candidate's rule)."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidQuery(f"{name} must be an integer, got {value!r}")
 
 
 class SearchStats(_Value):
@@ -175,52 +187,14 @@ class SearchStats(_Value):
     full rule).
     """
 
-    __slots__ = ("nodes", "tested")
-
-    def __init__(self, nodes: int, tested: int) -> None:
-        _set(self, "nodes", nodes)
-        _set(self, "tested", tested)
+    __slots__ = {"nodes": "int", "tested": "int"}
 
 
 class EnumerationResult(_Value):
-    __slots__ = ("query", "survivors", "cap_touched", "prefix_infeasible", "stats")
-
-    def __init__(
-        self,
-        query: EnumerationQuery,
-        survivors: tuple[Candidate, ...],
-        cap_touched: bool,
-        prefix_infeasible: bool,
-        stats: SearchStats,
-    ) -> None:
-        _set(self, "query", query)
-        _set(self, "survivors", survivors)
-        _set(self, "cap_touched", cap_touched)
-        _set(self, "prefix_infeasible", prefix_infeasible)
-        _set(self, "stats", stats)
-
-
-# Filters that justify capping a single middle weight at 2: with the
-# unit prefix and one middle m, the Deltas tails lie in {m, m+1} and
-# the forced excess split makes every m >= 3 fail GcdCover and every
-# m = 2 fail GcdCover or LinearCone unless k = 1 with all tails m+1.
-# Survivors beyond the bound cannot exist, so the cap is not considered
-# touched by it.
-_CLOSURE_FILTERS = frozenset(
-    {
-        FilterId.UNIT_PREFIX,
-        FilterId.DELTAS,
-        FilterId.LAST_WEIGHT,
-        FilterId.GCD_COVER,
-        FilterId.LINEAR_CONE,
+    __slots__ = {
+        "query": "EnumerationQuery", "survivors": "tuple[Candidate, ...]", "cap_touched": "bool",
+        "prefix_infeasible": "bool", "stats": "SearchStats",
     }
-)
-
-
-def _middle_bound(middle_count: int, profile: frozenset[FilterId]) -> int | None:
-    if middle_count == 1 and _CLOSURE_FILTERS <= profile:
-        return 2
-    return None
 
 
 # The work left, in seconds, that repays forking the helpers (_split).
@@ -249,10 +223,25 @@ class _Shape:
     tuples.  predicates: the profile's other screens, run on each tuple
     tested, in FILTER_ORDER.
 
+    middle_bound: 2 at k >= 1 with one middle when the profile holds
+    UnitPrefix, Deltas, LastWeight, GcdCover and LinearCone, else None.
+    No survivor has its middle above it, so a cap at or above it is not
+    touched.  Proof.  Take the middle m and tails m <= t_1 <= ... <= t_k.
+    1. The index equation (with k + index units) makes the excesses sum
+       to k + m, with each e_j >= 1 and e_k >= t_k (LastWeight).  So each
+       e_j <= m + 1, t_k <= m + 1, and every degree t_j + e_j <= 2 m + 2.
+    2. Suppose m >= 2.  Then every weight above 1 is m or m + 1, coprime.
+    3. GcdCover asks for 1 + #{t_j = m} degrees divisible by m and
+       #{t_j = m + 1} divisible by m + 1: k + 1 in all, from only k
+       degrees.  So some degree is divisible by m (m + 1).
+    4. That degree is at most 2 m + 2, so m (m + 1) <= 2 m + 2: m <= 2.
+    The proof does not use LinearCone; the hypothesis keeps it so that no
+    output moves.
+
     weight_bound: max(1, n + 2 - index) at k = 1 when the profile holds
     GcdCover and one of LinearCone, Deltas and LastWeight, else None.
     No survivor has a weight above it, so it bounds the middles (as
-    _middle_bound does, tighter, where that is set) and the tail, and a
+    middle_bound does, tighter, where that is set) and the tail, and a
     cap at or above it is not touched.  Proof.  At k = 1 GcdCover gives
     each gcd class at most one member, so the weights above 1, b_1 < ...
     < b_r = t, are distinct and pairwise coprime; each is a class that
@@ -284,7 +273,12 @@ class _Shape:
         bans_top = profile & {FilterId.LINEAR_CONE, FilterId.DELTAS, FilterId.LAST_WEIGHT}
         bounded = k == 1 and FilterId.GCD_COVER in profile and bans_top
         self.weight_bound = max(1, n + 2 - index) if bounded else None
-        bound = _middle_bound(self.middles, profile) if k else self.middle_sum - self.middles + 1
+        one_middle = {
+            FilterId.UNIT_PREFIX, FilterId.DELTAS, FilterId.LAST_WEIGHT, FilterId.GCD_COVER,
+            FilterId.LINEAR_CONE,
+        }
+        self.middle_bound = 2 if k and self.middles == 1 and one_middle <= profile else None
+        bound = self.middle_bound if k else self.middle_sum - self.middles + 1
         self.middle_hi, touched = _capped(cap, bound, self.weight_bound)
         # The index equation gives every tuple the query's index, so
         # FanoPositivity passes them all at index >= 1 and none at index 0.
@@ -337,6 +331,7 @@ def enumerate_streaming(
     soon after that task and every earlier one have finished, not after
     the whole search.
     """
+    _require_ints(workers=workers)
     if workers < 1:
         raise InvalidQuery(f"workers must be >= 1, got {workers}")
     shape = _Shape(query)
@@ -348,14 +343,12 @@ def enumerate_streaming(
         keys = [None]
     # The processes beyond the caller are forked together, so there are
     # no more than there are tasks or usable CPUs.
-    size = min(workers, len(keys), _usable_cpus())
-    if size > 1 and hasattr(os, "fork"):
-        outcomes = _split(shape, keys, size)
-        try:
-            return _collect(shape, outcomes, sink)
-        finally:
-            outcomes.close()
-    return _collect(shape, (_task(shape, m1).outcome() for m1 in keys), sink)
+    size = min(workers, len(keys), _usable_cpus()) if hasattr(os, "fork") else 1
+    outcomes = _split(shape, keys, size)
+    try:
+        return _collect(shape, outcomes, sink)
+    finally:
+        outcomes.close()
 
 
 def _usable_cpus() -> int:
@@ -369,19 +362,20 @@ def _usable_cpus() -> int:
 def _split(shape: _Shape, keys, size: int):
     """Yield the outcome of each task in task order, forking helpers once the work repays them.
 
-    The caller runs the tasks inline, in order.  Before each task it
-    predicts the work left as the mean time of its tasks so far times
-    the tasks left; once that reaches _FORK_WORK_S and two tasks or more
-    are left, it shares them with size - 1 forked helpers
+    The caller runs the tasks inline, in order.  With size > 1, before
+    each task it predicts the work left as the mean time of its tasks so
+    far times the tasks left; once that reaches _FORK_WORK_S and two
+    tasks or more are left, it shares them with size - 1 forked helpers
     (_forked._share, loaded only then).  The first task always runs
-    inline, unless _FORK_WORK_S is 0.  So a short search forks nothing,
-    and loads no fork code, and a long one forks after a task or a few.
-    Either way the outcomes are those of an inline run, in the same order.
+    inline, unless _FORK_WORK_S is 0.  So a short search or one of size
+    1 forks nothing, and loads no fork code, and a long one forks after a
+    task or a few.  Either way the outcomes are those of an inline run,
+    in the same order.
     """
     busy = 0.0
     for j, key in enumerate(keys):
         left = len(keys) - j
-        if left > 1 and busy * left >= _FORK_WORK_S * max(j, 1):
+        if size > 1 and left > 1 and busy * left >= _FORK_WORK_S * max(j, 1):
             from ._forked import _share
 
             yield from _share(lambda key: _task(shape, key).outcome(), keys[j:], min(size, left))

@@ -46,7 +46,6 @@ from .core import (
     _class_generators,
     _complement_gcd,
     _first_inversion,
-    _set,
 )
 
 __all__ = [
@@ -96,28 +95,17 @@ CALABI_YAU_PROFILE: frozenset[FilterId] = SMOOTH_FANO_PROFILE - {FilterId.FANO_P
 
 
 class FilterVerdict(_Value):
-    __slots__ = ("filter_id", "passed", "witness")
-
-    def __init__(self, filter_id: FilterId, passed: bool, witness: dict | None = None) -> None:
-        _set(self, "filter_id", filter_id)
-        _set(self, "passed", passed)
-        _set(self, "witness", witness)
+    __slots__ = {"filter_id": "FilterId", "passed": "bool", "witness": "dict | None"}
+    _defaults = {"witness": None}
 
 
 class FilterReport(_Value):
     """All requested verdicts for one candidate, in FILTER_ORDER."""
 
-    __slots__ = ("candidate", "verdicts", "profile")
-
-    def __init__(
-        self,
-        candidate: Candidate,
-        verdicts: tuple[FilterVerdict, ...],
-        profile: frozenset[FilterId],
-    ) -> None:
-        _set(self, "candidate", candidate)
-        _set(self, "verdicts", verdicts)
-        _set(self, "profile", profile)
+    __slots__ = {
+        "candidate": "Candidate", "verdicts": "tuple[FilterVerdict, ...]",
+        "profile": "frozenset[FilterId]",
+    }
 
     @property
     def survives(self) -> bool:

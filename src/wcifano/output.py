@@ -13,7 +13,7 @@ line does not load it.
 
 from __future__ import annotations
 
-from .core import Candidate, _set, _Value
+from .core import Candidate, _Value
 from .filters import FILTER_ORDER, FilterId, FilterReport
 
 __all__ = [
@@ -26,25 +26,10 @@ __all__ = [
 ]
 
 class OutputRecord(_Value):
-    __slots__ = ("weights", "degrees", "dim", "codim", "fano_index", "verdicts", "witnesses")
-
-    def __init__(
-        self,
-        weights: tuple[int, ...],
-        degrees: tuple[int, ...],
-        dim: int,
-        codim: int,
-        fano_index: int,
-        verdicts: dict,
-        witnesses: dict,
-    ) -> None:
-        _set(self, "weights", weights)
-        _set(self, "degrees", degrees)
-        _set(self, "dim", dim)
-        _set(self, "codim", codim)
-        _set(self, "fano_index", fano_index)
-        _set(self, "verdicts", verdicts)
-        _set(self, "witnesses", witnesses)
+    __slots__ = {
+        "weights": "tuple[int, ...]", "degrees": "tuple[int, ...]", "dim": "int", "codim": "int",
+        "fano_index": "int", "verdicts": "dict", "witnesses": "dict",
+    }
 
     @classmethod
     def from_report(cls, report: FilterReport) -> "OutputRecord":
@@ -69,7 +54,7 @@ class OutputRecord(_Value):
         return _encode({f: getattr(self, f) for f in RECORD_FIELDS})
 
 
-RECORD_FIELDS = OutputRecord.__slots__
+RECORD_FIELDS = tuple(OutputRecord.__slots__)
 
 # The column name of each screen, read per verdict.
 _NAMES = {fid: fid.value for fid in FilterId}

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import Candidate, _set, _Value, canonical_key
+from .core import Candidate, _Value, canonical_key
 from .enumerator import EnumerationQuery, EnumerationResult, enumerate_candidates
 
 __all__ = [
@@ -71,45 +71,18 @@ class Verdict(str, Enum):
 
 
 class SliceOutcome(_Value):
-    __slots__ = ("n", "index", "k", "expected", "result", "status", "counterexample")
-
-    def __init__(
-        self,
-        n: int,
-        index: int,
-        k: int,
-        expected: tuple[Candidate, ...],
-        result: EnumerationResult,
-        status: Verdict,
-        counterexample: Candidate | None = None,
-    ) -> None:
-        _set(self, "n", n)
-        _set(self, "index", index)
-        _set(self, "k", k)
-        _set(self, "expected", expected)
-        _set(self, "result", result)
-        _set(self, "status", status)
-        _set(self, "counterexample", counterexample)
+    __slots__ = {
+        "n": "int", "index": "int", "k": "int", "expected": "tuple[Candidate, ...]",
+        "result": "EnumerationResult", "status": "Verdict", "counterexample": "Candidate | None",
+    }
+    _defaults = {"counterexample": None}
 
 
 class VerificationResult(_Value):
-    __slots__ = ("case_id", "cap", "slices", "verdict", "counterexample", "notes")
-
-    def __init__(
-        self,
-        case_id: VerifyCase,
-        cap: int,
-        slices: tuple[SliceOutcome, ...],
-        verdict: Verdict,
-        counterexample: Candidate | None,
-        notes: tuple[str, ...],
-    ) -> None:
-        _set(self, "case_id", case_id)
-        _set(self, "cap", cap)
-        _set(self, "slices", slices)
-        _set(self, "verdict", verdict)
-        _set(self, "counterexample", counterexample)
-        _set(self, "notes", notes)
+    __slots__ = {
+        "case_id": "VerifyCase", "cap": "int", "slices": "tuple[SliceOutcome, ...]",
+        "verdict": "Verdict", "counterexample": "Candidate | None", "notes": "tuple[str, ...]",
+    }
 
 
 # Families whose presence the codimension survey asserts, and reference

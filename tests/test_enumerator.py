@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 import select
+import sys
 import time
 from math import lcm
 from unittest import mock
@@ -87,6 +88,37 @@ class TestQueryValidation:
         q = EnumerationQuery(n=2, index=1, k=1)
         with pytest.raises(InvalidQuery):
             enumerate_streaming(q, lambda c: None, workers=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n": 5, "index": 1, "k": 3, "max_weight": 20.5},
+            {"n": 3.0, "index": 1, "k": 2, "max_weight": 10},
+            {"n": 2, "index": 1, "k": True},
+            {"n": 2, "index": 1.0, "k": 1},
+            {"n": 2, "index": 1, "k": 1, "max_weight": True},
+            {"n": "2", "index": 1, "k": 1},
+        ],
+    )
+    def test_rejects_non_integers(self, kwargs):
+        # as Candidate's entries: an int, never a bool
+        with pytest.raises(InvalidQuery, match="must be an integer"):
+            EnumerationQuery(**kwargs)
+
+    def test_accepts_int_subclasses(self):
+        class Count(int):
+            pass
+
+        q = EnumerationQuery(n=Count(2), index=Count(1), k=Count(1), max_weight=Count(6))
+        assert (q.n, q.index, q.k, q.max_weight) == (2, 1, 1, 6)
+        assert enumerate_candidates(q, workers=Count(1)) == enumerate_candidates(q)
+
+    @pytest.mark.parametrize("workers", [2.0, True, "2"])
+    def test_rejects_a_non_integer_worker_count_before_searching(self, monkeypatch, workers):
+        monkeypatch.setattr(wcifano.enumerator, "_Shape", None)
+        q = EnumerationQuery(n=5, index=1, k=3, max_weight=20)
+        with pytest.raises(InvalidQuery, match="workers must be an integer"):
+            enumerate_candidates(q, workers=workers)
 
 
 class TestFrozenSlices:
@@ -734,28 +766,35 @@ class TestDeterminism:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        # a split that runs every share inline and records its size forks
-        # no process
+        # every search goes through _split, which records its size here (the
+        # one-worker reference run records 1); a split that shares its tasks
+        # runs them inline, so forks no process
         sizes: list[int] = []
+        split = wcifano.enumerator._split
 
-        def inline_split(shape, keys, size):
+        def recording_split(shape, keys, size):
             sizes.append(size)
-            return (wcifano.enumerator._task(shape, key).outcome() for key in keys)
+            return split(shape, keys, size)
 
-        monkeypatch.setattr(wcifano.enumerator, "_split", inline_split)
+        monkeypatch.setattr(wcifano.enumerator, "_split", recording_split)
+        monkeypatch.setattr(wcifano._forked, "_share", lambda run, keys, size: map(run, keys))
         return sizes
 
     def test_pool_is_clamped_to_the_task_count(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
         assert enumerate_candidates(q, workers=5000) == enumerate_candidates(q)
-        assert pool_sizes == [10]
+        assert pool_sizes == [10, 1]
 
-    @pytest.mark.parametrize("cpus, sizes", [(3, [3]), (1, [])])
+    @pytest.mark.parametrize("cpus, sizes", [(3, [3, 1]), (1, [1, 1])])
     def test_pool_is_clamped_to_the_usable_cpus(self, monkeypatch, pool_sizes, cpus, sizes):
         # ten tasks on three usable CPUs get three workers; on one CPU the
-        # tasks run inline, with no pool
+        # tasks run inline, and the fork code is not even loaded, although
+        # the caller would fork before its first task if it could
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        if cpus == 1:
+            monkeypatch.setattr(wcifano.enumerator, "_FORK_WORK_S", 0)
+            monkeypatch.setitem(sys.modules, "wcifano._forked", None)
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
         assert enumerate_candidates(q, workers=5000) == enumerate_candidates(q)
         assert pool_sizes == sizes
@@ -765,7 +804,7 @@ class TestDeterminism:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
         assert enumerate_candidates(q, workers=5000) == enumerate_candidates(q)
-        assert pool_sizes == [3]
+        assert pool_sizes == [3, 1]
 
     @pytest.mark.parametrize(
         "durations, work, shared",
@@ -787,6 +826,8 @@ class TestDeterminism:
         # task 9, but one task left is run alone.  The caller shares the
         # tasks left once the prediction reaches work, with no more helpers
         # than tasks.
+        # the one-worker reference reads the clock too, so it runs first
+        single = enumerate_candidates(EnumerationQuery(n=5, index=1, k=3, max_weight=10))
         task_clock(monkeypatch, durations)
         monkeypatch.setattr(wcifano.enumerator, "_FORK_WORK_S", work)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
@@ -798,7 +839,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(wcifano._forked, "_share", inline_share)
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
-        assert enumerate_candidates(q, workers=3) == enumerate_candidates(q)
+        assert enumerate_candidates(q, workers=3) == single
         assert calls == shared
 
     def test_repeat_runs_agree(self):
@@ -924,8 +965,10 @@ class TestSplit:
             enumerate_candidates(self.SPREAD, workers=2)
 
     def test_without_fork_the_search_runs_inline(self, monkeypatch):
+        # _split runs it at size 1, which loads no fork code, though the
+        # caller would fork before its first task if it could
         monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(wcifano.enumerator, "_split", None)
+        monkeypatch.setitem(sys.modules, "wcifano._forked", None)
         assert enumerate_candidates(self.SPREAD, workers=3) == enumerate_candidates(self.SPREAD)
 
 
@@ -1181,6 +1224,35 @@ class TestWeightBound:
         assert unbounded.stats == SearchStats(uncut, tested)
         assert unbounded.cap_touched is True
 
+    def test_one_middle_lies_at_most_at_two(self):
+        # the middle bound (proof in _Shape's docstring): under its hypothesis,
+        # on every slice with one middle (n = index + k), no grid survivor has
+        # its middle above 2, and the walk equals the grid without touching
+        # the cap
+        hypothesis = frozenset(
+            {
+                FilterId.UNIT_PREFIX,
+                FilterId.DELTAS,
+                FilterId.LAST_WEIGHT,
+                FilterId.GCD_COVER,
+                FilterId.LINEAR_CONE,
+            }
+        )
+        cap = 5
+        middles = []
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                index = n - k
+                q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=hypothesis)
+                assert (_Shape(q).middles, _Shape(q).middle_bound) == (1, 2)
+                survivors = naive_survivors(n, index, k, cap, hypothesis)
+                middles += [c.weights[k + index] for c in survivors]
+                result = enumerate_candidates(q)
+                assert result.survivors == survivors
+                assert result.cap_touched is False, (n, index, k)
+        assert max(middles) == 2
+        assert (len(middles), middles.count(2)) == (18, 4)
+
     @pytest.mark.parametrize("n, index, k", [(3, 1, 1), (2, 0, 1), (3, 1, 2), (3, 1, 0)])
     def test_no_bound_is_set_outside_its_hypothesis(self, n, index, k):
         # only at k = 1, and only with GcdCover and one screen that bans d = a_N
@@ -1191,26 +1263,6 @@ class TestWeightBound:
 
 
 class TestPruningHonesty:
-    def test_middle_bound_is_conservative(self, monkeypatch):
-        # disabling the single-middle closure bound must change no survivor,
-        # only the cap_touched claim (the bound is what makes it exhaustive);
-        # at k = 2, where no weight bound stands in for it
-        q = EnumerationQuery(n=3, index=1, k=2, max_weight=50)
-        bounded = enumerate_candidates(q)
-        monkeypatch.setattr(wcifano.enumerator, "_middle_bound", lambda mc, profile: None)
-        unbounded = enumerate_candidates(q)
-        assert unbounded.survivors == bounded.survivors
-        assert bounded.cap_touched is False
-        assert unbounded.cap_touched is True
-
-    def test_middle_bound_conservative_at_higher_dimension(self, monkeypatch):
-        q = EnumerationQuery(n=6, index=4, k=2, max_weight=15)
-        bounded = enumerate_candidates(q)
-        monkeypatch.setattr(wcifano.enumerator, "_middle_bound", lambda mc, profile: None)
-        unbounded = enumerate_candidates(q)
-        assert unbounded.survivors == bounded.survivors
-        assert bounded.cap_touched is False
-
     def test_without_closure_filters_cap_is_reported_touched(self):
         profile = frozenset({FilterId.UNIT_PREFIX, FilterId.DELTAS})
         result = enumerate_candidates(

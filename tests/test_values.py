@@ -7,6 +7,7 @@ frozen dataclasses; the types keep that text.
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -173,6 +174,45 @@ CASES = [
 ]
 
 
+REQUIRED = inspect.Parameter.empty
+
+# The constructor parameters of each type, in order, with their defaults.
+SIGNATURES = {
+    Candidate: [("weights", REQUIRED), ("degrees", ())],
+    GcdClass: [("delta", REQUIRED), ("member_indices", REQUIRED), ("class_gcd", REQUIRED)],
+    FilterVerdict: [("filter_id", REQUIRED), ("passed", REQUIRED), ("witness", None)],
+    FilterReport: [("candidate", REQUIRED), ("verdicts", REQUIRED), ("profile", REQUIRED)],
+    OutputRecord: [
+        (name, REQUIRED)
+        for name in ("weights", "degrees", "dim", "codim", "fano_index", "verdicts", "witnesses")
+    ],
+    EnumerationQuery: [
+        ("n", REQUIRED),
+        ("index", REQUIRED),
+        ("k", REQUIRED),
+        ("max_weight", None),
+        ("profile", SMOOTH_FANO_PROFILE),
+    ],
+    SearchStats: [("nodes", REQUIRED), ("tested", REQUIRED)],
+    EnumerationResult: [
+        (name, REQUIRED)
+        for name in ("query", "survivors", "cap_touched", "prefix_infeasible", "stats")
+    ],
+    SliceOutcome: [
+        *((name, REQUIRED) for name in ("n", "index", "k", "expected", "result", "status")),
+        ("counterexample", None),
+    ],
+    VerificationResult: [
+        (name, REQUIRED)
+        for name in ("case_id", "cap", "slices", "verdict", "counterexample", "notes")
+    ],
+    VeroneseStep: [("factor", REQUIRED), ("divided_positions", REQUIRED)],
+    PairRemovalStep: [("weight_pos", REQUIRED), ("degree_pos", REQUIRED), ("value", REQUIRED)],
+    SectionStep: [("removed_pos", REQUIRED)],
+    TransformTrace: [(name, REQUIRED) for name in ("kind", "before", "after", "steps")],
+}
+
+
 @pytest.fixture(params=CASES, ids=[case[0].__name__ for case in CASES])
 def case(request):
     return request.param
@@ -180,6 +220,23 @@ def case(request):
 
 def test_every_value_type_is_covered():
     assert len(CASES) == 14
+
+
+def test_constructors_take_their_parameters_in_order_with_their_defaults(case):
+    cls = case[0]
+    parameters = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.default) for p in parameters] == SIGNATURES[cls]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters)
+
+
+def test_a_call_without_the_first_field_names_it(case):
+    cls, fields, _, _, _ = case
+    first, *rest = fields
+    with pytest.raises(TypeError) as info:
+        cls(**{name: fields[name] for name in rest})
+    assert str(info.value) == (
+        f"{cls.__name__}.__init__() missing 1 required positional argument: '{first}'"
+    )
 
 
 def test_repr_is_the_dataclass_text(case):
