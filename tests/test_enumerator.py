@@ -1263,6 +1263,42 @@ class TestWeightBound:
 
 
 class TestPruningHonesty:
+    @staticmethod
+    def drop_middle_bound(monkeypatch):
+        # from here on, build each shape with its middle bound dropped: the
+        # first bound _Shape hands _capped is the middle bound, so the cap
+        # alone bounds the one middle; the tail's own _capped call is kept
+        shape, capped = wcifano.enumerator._Shape, wcifano.enumerator._capped
+
+        def unbounded_shape(query):
+            with monkeypatch.context() as m:
+                m.setattr(wcifano.enumerator, "_capped", lambda c, *b: capped(c, None, *b[1:]))
+                built = shape(query)
+            assert built.middle_bound == 2
+            return built
+
+        monkeypatch.setattr(wcifano.enumerator, "_Shape", unbounded_shape)
+
+    def test_middle_bound_is_conservative(self, monkeypatch):
+        # disabling the single-middle closure bound must change no survivor,
+        # only the cap_touched claim (the bound is what makes it exhaustive);
+        # at k = 2, where no weight bound stands in for it
+        q = EnumerationQuery(n=3, index=1, k=2, max_weight=50)
+        bounded = enumerate_candidates(q)
+        self.drop_middle_bound(monkeypatch)
+        unbounded = enumerate_candidates(q)
+        assert unbounded.survivors == bounded.survivors
+        assert bounded.cap_touched is False
+        assert unbounded.cap_touched is True
+
+    def test_middle_bound_conservative_at_higher_dimension(self, monkeypatch):
+        q = EnumerationQuery(n=6, index=4, k=2, max_weight=15)
+        bounded = enumerate_candidates(q)
+        self.drop_middle_bound(monkeypatch)
+        unbounded = enumerate_candidates(q)
+        assert unbounded.survivors == bounded.survivors
+        assert bounded.cap_touched is False
+
     def test_without_closure_filters_cap_is_reported_touched(self):
         profile = frozenset({FilterId.UNIT_PREFIX, FilterId.DELTAS})
         result = enumerate_candidates(
