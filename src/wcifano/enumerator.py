@@ -63,8 +63,9 @@ of the slots paired with the tails placed as the unplaced tails' slots
 cannot hold for it, must fit what the degree sum leaves above the least
 degrees (_slots_fit with those slots free).  On a whole vector that is
 the degree walk's test before its first degree, which is not run twice.
-A tail that fails the first cut for sure, as the last window only
-shrinks when the next tail grows, is not even tried (_tail_trials).
+A tail that fails the first cut for sure, as a class only the last
+degree can serve, is not even tried (_skips), nor any first tail past
+one at which the middles' classes already fail it.
 While a class is pending, the degree walk fills a slot only when the
 slots left fit what is left of that sum (_slots_fit): the least degree
 each can hold, plus the least raise to an admissible multiple that each
@@ -165,6 +166,10 @@ class EnumerationQuery(_Value):
         _require_ints(max_weight=max_weight)
         if max_weight < 1:
             raise CapTooSmall(f"max_weight must be >= 1, got {max_weight}")
+        try:
+            _predicates(profile)  # the profile's cached plan rejects an entry that is no screen
+        except ValueError as error:
+            raise InvalidQuery(str(error)) from None
         _set(self, "n", n)
         _set(self, "index", index)
         _set(self, "k", k)
@@ -463,10 +468,9 @@ class _Walk:
             placed = head + (value,)
             grown = None
             if classes is not None:
-                changed = _grow_classes(classes, placed, self.shape.query.k)
-                if changed is None:
+                grown = _grow_classes(classes, placed, self.shape.query.k)
+                if grown is None:
                     continue
-                grown = {**classes, **changed}
             self.nodes += 1
             if last:
                 yield placed, grown
@@ -477,28 +481,34 @@ class _Walk:
         """Yield each tail vector extending head under LastWeight at k >= 2, with its counts.
 
         head is m middles and the tails placed so far, classes its class
-        counts, last_only the lcm of its last-only classes (_tails_fit; 1
-        before the first tail) and bans whether the weights are banned as
-        degrees.  Of the tails _tail_trials leaves to try, one is placed
-        only when the prefix it ends passes _tails_fit and the degree
-        slack test, _slots_fit with the tails not yet placed as free
+        counts, last_only the lcm of its last-only classes (_tails_fit;
+        unused before the first tail) and bans whether the weights are
+        banned as degrees.  Each tail up to tail_hi that _skips leaves is
+        placed only when the prefix it ends passes _tails_fit and the
+        degree slack test, _slots_fit with the tails not yet placed as free
         slots; on a whole vector that is the walk's test before its first
-        degree, so _task does not run it again.  The new tail changes the
-        counts of the classes it divides only (_grow_classes), and only
-        those need _tails_fit against the prefix's last_only.
+        degree, so _task does not run it again.
         """
         k = self.shape.query.k
-        for t, prefix_lcm in _tail_trials(head, m, classes, last_only, total, k, tail_hi, bans):
+        top = total - k + 2
+        first = len(head) == m
+        for t in range(head[-1] if head else 1, tail_hi + 1):
+            if first:
+                # The first window shrinks as t grows: once the middles fail, all larger t do.
+                last_only = _tails_fit((t,), total, classes.items(), head if bans else (), k, tail_hi)
+                if not last_only:
+                    return
+            if _skips(t, head, last_only, top, tail_hi + top - 1, bans or first):
+                continue
             placed = head + (t,)
-            touched = _grow_classes(classes, placed, k)
-            if touched is None:
+            grown = _grow_classes(classes, placed, k)
+            if grown is None:
                 continue
             banned = placed if bans else ()
             tails = placed[m:]
-            lone = _tails_fit(tails, total, touched.items(), banned, k, tail_hi, prefix_lcm)
+            lone = _tails_fit(tails, total, grown.items(), banned, k, tail_hi)
             if not lone:
                 continue
-            grown = {**classes, **touched}
             free = k - len(tails)
             if not _slots_fit(tails, total, t, grown.items(), banned, 0, free):
                 continue
@@ -579,54 +589,27 @@ def _slot_values(head: tuple[int, ...], length: int, hi: int, total: int | None)
     return range(max(start, left) if slots == 1 else start, min(hi, left // slots) + 1)
 
 
-def _tail_trials(head, m, classes, last_only, total, k, tail_hi, bans):
-    """The next tails worth a trial after head, each with the lcm of head's last-only classes at it.
+def _skips(t, head, last_only, top, reach, own_class) -> bool:
+    """True only when the tail prefix head + (t,) fails _tails_fit, so t need not be tried.
 
-    The arguments are those of _Walk.tails.  In the window terms of
-    _tails_fit, with top = total - k + 2 and the last window [2 t, reach],
-    reach = tail_hi + top - 1 <= 2 top - 2, a tail t is left out only
-    when the prefix head + (t,) fails _tails_fit, so leaving it untried
-    moves no node:
-    - Past the first tail the first window is fixed, so head's last-only
-      classes are too, and a multiple of their lcm must lie in [2 t,
-      reach], which only shrinks as t grows: no t above half the largest
-      multiple of last_only up to reach is tried.  Every weight is at
-      most t, so banned holds no such multiple.
-    - At the first tail the first window, [t + 1, top], only shrinks as t
-      grows, so head's last-only classes (found by _tails_fit on head's
-      own classes and bans) only grow, their lcm with them, and the last
-      window shrinks: once they fail, every larger t fails, and no more
-      is tried.
-    - A t with 2 t > top that is the first tail or banned is a last-only
-      class itself: no multiple of t outside banned lies in the first
-      window, since 2 t > top and t lies below the window or is banned.
-      So no weight before it may equal t, and the last degree, a multiple
-      of t in [2 t, reach], that is 2 t or 3 t as reach < 4 t, must be
-      one that last_only divides.
+    top = total - k + 2 and reach = tail_hi + top - 1 <= 2 top - 2 bound
+    the windows of _tails_fit; last_only is the lcm of head's last-only
+    classes (the middles' at t for the first tail), which stay last-only.
+    With own_class (t is the first tail or banned) and 2 t > top, no
+    multiple of t outside banned lies in the first window, as t lies below
+    it or is banned, so t is a last-only class: no weight before it may
+    equal t, and the last degree, 2 t or 3 t in [2 t, reach] as reach <
+    4 t, must be one that last_only divides.
     """
-    top = total - k + 2
-    reach = tail_hi + top - 1
-    prior = head if bans else ()
-    first = len(head) == m
-    hi = tail_hi if first else min(tail_hi, (reach - reach % last_only) // 2)
-    for t in range(head[-1] if head else 1, hi + 1):
-        if first:
-            last_only = _tails_fit((t,), total, classes.items(), prior, k, tail_hi)
-            if not last_only:
-                return
-        if (
-            2 * t > top
-            and (bans or first)
-            and (t in head or 2 * t % last_only and (3 * t > reach or 3 * t % last_only))
-        ):
-            continue
-        yield t, last_only
+    return own_class and 2 * t > top and (
+        t in head or 2 * t % last_only and (3 * t > reach or 3 * t % last_only)
+    )
 
 
 def _grow_classes(
     classes: dict[int, int], placed: tuple[int, ...], k: int
 ) -> dict[int, int] | None:
-    """The class counts that placed[-1] changes, from the counts classes of placed[:-1].
+    """The class counts of placed, from the counts classes of placed[:-1], or None on a cut.
 
     The counts map every gcd g > 1 of the gcd closure of the weights to
     the number of weights g divides, GcdCover's required count.  The new
@@ -634,26 +617,25 @@ def _grow_classes(
     a): a class g joins it iff gcd(a, g) == g, so each such g already a
     class gains a member, and each other value above 1 is a new class,
     counted by one scan of placed.  So the classes it changes are exactly
-    those a divides, and a unit weight changes none; the counts of placed
-    are classes updated with them.  None when some count exceeds k: that
-    class needs more divisible degrees than there are, and neither the
-    closure nor a count shrinks as weights are appended.
+    those a divides, and a unit weight changes none.  None when some count
+    exceeds k: that class needs more divisible degrees than there are,
+    and neither the closure nor a count shrinks as weights are appended.
     """
     a = placed[-1]
-    changed: dict[int, int] = {}
     if a == 1:
-        return changed
+        return classes
+    grown = dict(classes)
     for g in _gcds_added(classes, a):
         if g > 1:
             count = classes[g] + 1 if g in classes else [w % g for w in placed].count(0)
             if count > k:
                 return None
-            changed[g] = count
-    return changed
+            grown[g] = count
+    return grown
 
 
-def _tails_fit(tails, total, classes, banned, k, tail_hi, last_only=1) -> int:
-    """0 only when no completion of a tail prefix has a degree tuple; else a last-only lcm.
+def _tails_fit(tails, total, classes, banned, k, tail_hi) -> int:
+    """0 only when no completion of a tail prefix has a degree tuple; else its last-only lcm.
 
     Under LastWeight (the last excess is at least the last tail): tails
     are t_1 <= ... <= t_cur placed so far, all k of them at the last
@@ -670,18 +652,9 @@ def _tails_fit(tails, total, classes, banned, k, tail_hi, last_only=1) -> int:
     degree, so their lcm needs a multiple outside banned in the last
     window.  So not placing the tail that ends a failing prefix loses no
     survivor.
-
-    Otherwise the result is the lcm of last_only and the last-only
-    classes found.  _Walk.tails passes only the classes that t_cur
-    changed, those it divides (_grow_classes), and the lcm of the
-    last-only classes of the prefix before it.  Past t_1 the first window
-    is fixed, and a class that t_cur does not divide keeps its count and
-    its multiples outside banned, so it is last-only in both prefixes or
-    in neither; at t_1 the lcm is that of the earlier classes in the
-    window t_1 opens (_tail_trials).  Either way the verdict and the lcm
-    are those of the check on every class.
     """
     top = total - k + 2
+    last_only = 1
     for g, c in classes:
         if _least_multiple(tails[0] + 1, g, banned) > top:
             if c >= 2:

@@ -237,12 +237,16 @@ class _Plan:
     FILTER_ORDER.  predicates: the same predicates alone.  reads: the
     names of the profile's screens of _READS_POSITIONS, in FILTER_ORDER,
     joined for NotNormalized's message ("" when none), with degrees and
-    without (LastWeight reads no position at k = 0).
+    without (LastWeight reads no position at k = 0).  A profile entry that
+    is no screen raises ValueError, the CLI's message.
     """
 
     __slots__ = ("steps", "predicates", "reads", "reads_ambient")
 
     def __init__(self, profile: frozenset[FilterId]) -> None:
+        unknown = profile - SMOOTH_FANO_PROFILE
+        if unknown:
+            raise ValueError(f"unknown filter id {min(unknown, key=repr)!r}")
         screens = [fid for fid in FILTER_ORDER if fid in profile]
         self.steps = tuple((fid, _PREDICATES[fid], _PASSED[fid]) for fid in screens)
         self.predicates = tuple(_PREDICATES[fid] for fid in screens)

@@ -13,7 +13,8 @@ reads such a file and prints the queries whose facts moved, grouped by
 k, with how many moved on each fact and which way (tested fell or rose,
 a flag went true -> false or false -> true), then those whose nodes
 moved, with how many fell and rose, then the nodes of every query summed
-by k, before -> after.  The queries: every profile at n 1..3,
+by k, before -> after; it exits 1 when the facts of any query moved, and 0
+otherwise.  The queries: every profile at n 1..3,
 k 0..n+1, index 0..n+2 and cap 5; k = 1 and 2 slices up to n = 6 under
 five profiles; the benchmark's slices with 1 and 2 workers.  Not
 collected by pytest, like grid_oracle.py.
@@ -90,8 +91,10 @@ def main() -> None:
     if args.against:
         with open(args.against) as f:
             before = json.load(f)
-        report_facts(before, saved)
+        moved = report_facts(before, saved)
         report_nodes(before, saved)
+        if moved:
+            raise SystemExit(1)
 
 
 def by_k(name: str) -> int:
@@ -115,8 +118,11 @@ def tally(fact: str, ways: Counter) -> str:
     return text
 
 
-def report_facts(before: dict[str, dict], after: dict[str, dict]) -> None:
-    """The queries whose facts moved, grouped by k, with how many moved on each fact and which way."""
+def report_facts(before: dict[str, dict], after: dict[str, dict]) -> int:
+    """Print the queries whose facts moved, grouped by k, with how many moved on each fact and which way.
+
+    Returns how many queries moved.
+    """
     moved = defaultdict(lambda: [{f: Counter() for f in FACTS}, []])
     for name, new in after.items():
         old = before[name]
@@ -126,12 +132,14 @@ def report_facts(before: dict[str, dict], after: dict[str, dict]) -> None:
             for f in changed:
                 counts[f][way(old[f], new[f])] += 1
             lines.append(f"{name}: " + ", ".join(f"{f} {old[f]} -> {new[f]}" for f in changed))
-    print(f"facts moved on {sum(len(lines) for _, lines in moved.values())} queries")
+    total = sum(len(lines) for _, lines in moved.values())
+    print(f"facts moved on {total} queries")
     for k in sorted(moved):
         counts, lines = moved[k]
         print(f"k={k}: {len(lines)} queries; " + ", ".join(tally(f, c) for f, c in counts.items()))
         for line in lines[:5]:
             print(f"  {line}")
+    return total
 
 
 def report_nodes(before: dict[str, dict], after: dict[str, dict]) -> None:

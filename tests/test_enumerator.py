@@ -33,8 +33,8 @@ from wcifano.enumerator import (
     InvalidQuery,
     SearchStats,
     _grow_classes,
-    _tail_trials,
     _Shape,
+    _skips,
     _slots_fit,
     _tails_fit,
     _capped,
@@ -83,6 +83,19 @@ class TestQueryValidation:
     def test_rejects_tiny_cap(self):
         with pytest.raises(CapTooSmall):
             EnumerationQuery(n=2, index=1, k=1, max_weight=0)
+
+    @pytest.mark.parametrize("profile", [{"Deltas", "bogus"}, {"bogus"}, {FilterId.DELTAS, "bogus"}])
+    def test_rejects_unknown_profile_entries(self, profile):
+        with pytest.raises(InvalidQuery, match="^unknown filter id 'bogus'$"):
+            EnumerationQuery(n=2, index=1, k=1, max_weight=6, profile=profile)
+
+    def test_accepts_screen_names_given_as_strings(self):
+        q = EnumerationQuery(n=2, index=1, k=1, max_weight=6, profile={"Deltas"})
+        result = enumerate_candidates(q)
+        assert result == enumerate_candidates(
+            EnumerationQuery(n=2, index=1, k=1, max_weight=6, profile={FilterId.DELTAS})
+        )
+        assert len(result.survivors) == 126
 
     def test_rejects_bad_worker_count(self):
         q = EnumerationQuery(n=2, index=1, k=1)
@@ -511,8 +524,8 @@ class TestDegreeSumBound:
         tails_fit, slots_fit = wcifano.enumerator._tails_fit, wcifano.enumerator._slots_fit
         prefixes, short, skipped = [], [], []
 
-        def recording_tails_fit(tails, total, classes, banned, k, tail_hi, last_only=1):
-            fits = tails_fit(tails, total, classes, banned, k, tail_hi, last_only)
+        def recording_tails_fit(tails, total, classes, banned, k, tail_hi):
+            fits = tails_fit(tails, total, classes, banned, k, tail_hi)
             if not fits:
                 prefixes.append(tails)
             return fits
@@ -539,7 +552,7 @@ class TestDegreeSumBound:
         monkeypatch.setattr(wcifano.enumerator, "_slots_fit", lambda *args: True)
         prefix_only = enumerate_candidates(q)
         monkeypatch.setattr(wcifano.enumerator, "_tails_fit", lambda *args: 1)
-        monkeypatch.setattr(wcifano.enumerator, "_tail_trials", self.every_tail)
+        monkeypatch.setattr(wcifano.enumerator, "_skips", self.never)
         unbounded = enumerate_candidates(q)
         results = (bounded, whole_only, prefix_only, unbounded)
         assert len({r.survivors for r in results}) == 1
@@ -550,14 +563,9 @@ class TestDegreeSumBound:
         assert unbounded.stats == SearchStats(nodes=2916, tested=3)
 
     @staticmethod
-    def every_tail(head, m, classes, last_only, total, k, tail_hi, bans):
-        """_tail_trials leaving none out: each tail up to tail_hi, with head's last-only lcm."""
-        for t in range(head[-1] if head else 1, tail_hi + 1):
-            if len(head) == m:
-                prior = head if bans else ()
-                fit = wcifano.enumerator._tails_fit
-                last_only = fit((t,), total, classes.items(), prior, k, tail_hi)
-            yield t, last_only
+    def never(*args):
+        """_skips leaving no tail out."""
+        return False
 
     @pytest.mark.parametrize(
         "n, index, k, cap, profiles",
@@ -570,7 +578,7 @@ class TestDegreeSumBound:
         ],
     )
     def test_the_tail_limit_is_exact(self, monkeypatch, n, index, k, cap, profiles):
-        # _tail_trials leaves out only tails that end a prefix _tails_fit
+        # _skips leaves out only tails that end a prefix _tails_fit
         # rejects, so trying every tail moves no node, tested tuple,
         # survivor or flag: on the survey slices and on the k >= 2 grid
         # slices of TestDegreeCuts under every profile.  The survey slices
@@ -587,7 +595,7 @@ class TestDegreeSumBound:
         limited = [enumerate_candidates(q) for q in queries]
         trials = len(tried)
         tried.clear()
-        monkeypatch.setattr(wcifano.enumerator, "_tail_trials", self.every_tail)
+        monkeypatch.setattr(wcifano.enumerator, "_skips", self.never)
         assert [enumerate_candidates(q) for q in queries] == limited
         assert trials < len(tried)
         if cap == 20:
@@ -610,39 +618,54 @@ class TestDegreeSumBound:
 
     @given(st.data())
     @settings(max_examples=500, deadline=None)
-    def test_a_tail_is_checked_on_the_classes_it_divides(self, data):
-        # the walk checks a new tail t with _tails_fit on the classes t
-        # divides only, against the lcm of the prefix's last-only classes:
-        # those of the prefix itself past the first tail, those of the
-        # middles at t for the first (_tail_trials).  That gives the
-        # verdict and the lcm of _tails_fit on every class
-        k, middles, tails, total, tail_hi, bans, classes, last_only = self.draw_prefix(data)
-        head = middles + tails
-        t = data.draw(st.integers(head[-1], tail_hi))
-        changed = _grow_classes(classes, head + (t,), k)
-        assume(changed is not None)
-        banned = head + (t,) if bans else ()
-        new = tails + (t,)
-        if not tails:
-            last_only = _tails_fit(new, total, classes.items(), head if bans else (), k, tail_hi)
-        whole = _tails_fit(new, total, {**classes, **changed}.items(), banned, k, tail_hi)
-        assert _tails_fit(new, total, changed.items(), banned, k, tail_hi, last_only) == whole
-
-    @given(st.data())
-    @settings(max_examples=500, deadline=None)
     def test_a_tail_left_untried_ends_a_failing_prefix(self, data):
-        # every tail _tail_trials leaves out gives some class more than k
-        # members or fails _tails_fit on every class
+        # every tail _skips leaves out gives some class more than k
+        # members or fails _tails_fit on every class; at the first tail it
+        # reads the lcm of the middles' last-only classes at t, as the
+        # walk hands it
         k, middles, tails, total, tail_hi, bans, classes, last_only = self.draw_prefix(data)
         head = middles + tails
-        m = len(middles)
-        tried = [t for t, _ in _tail_trials(head, m, classes, last_only, total, k, tail_hi, bans)]
-        for t in sorted(set(range(head[-1], tail_hi + 1)) - set(tried)):
-            changed = _grow_classes(classes, head + (t,), k)
-            if changed is not None:
-                grown = {**classes, **changed}.items()
-                banned = head + (t,) if bans else ()
-                assert not _tails_fit(tails + (t,), total, grown, banned, k, tail_hi), t
+        top = total - k + 2
+        for t in range(head[-1], tail_hi + 1):
+            if not tails:
+                prior = head if bans else ()
+                last_only = _tails_fit((t,), total, classes.items(), prior, k, tail_hi)
+                if not last_only:
+                    continue
+            if _skips(t, head, last_only, top, tail_hi + top - 1, bans or not tails):
+                grown = _grow_classes(classes, head + (t,), k)
+                if grown is not None:
+                    banned = head + (t,) if bans else ()
+                    assert not _tails_fit(tails + (t,), total, grown.items(), banned, k, tail_hi), t
+
+    def test_no_first_tail_fits_past_one_the_middles_fail(self):
+        # _Walk.tails stops at the first tail t at which the middles'
+        # last-only classes fail _tails_fit: every larger first tail then
+        # gives some class more than k members or fails _tails_fit on the
+        # prefix it ends.  Every k 2..4, one or two middles up to 7, tails
+        # up to 10 and the total up to 4 above its least
+        stops = 0
+        for k, size, bans in itertools.product((2, 3, 4), (1, 2), (False, True)):
+            for middles in sorted_tuples(size, 1, 7):
+                classes = TestWeightStageCut.class_counts(middles, k)
+                if classes is None:
+                    continue
+                prior = middles if bans else ()
+                for tail_hi in range(middles[-1], 11):
+                    for total in range(tail_hi + k - 1, tail_hi + k + 4):
+                        fails = [
+                            t
+                            for t in range(middles[-1], tail_hi + 1)
+                            if not _tails_fit((t,), total, classes.items(), prior, k, tail_hi)
+                        ]
+                        stops += bool(fails)
+                        for t in range(fails[0] + 1, tail_hi + 1) if fails else ():
+                            grown = _grow_classes(classes, middles + (t,), k)
+                            if grown is not None:
+                                banned = middles + (t,) if bans else ()
+                                fit = _tails_fit((t,), total, grown.items(), banned, k, tail_hi)
+                                assert not fit, (k, middles, t, total, tail_hi, bans)
+        assert stops > 1000
 
     @pytest.mark.parametrize(
         "n, index, k, cap, nodes",
@@ -672,10 +695,9 @@ class TestWeightStageCut:
     def class_counts(weights, k):
         classes = {}
         for p in range(1, len(weights) + 1):
-            changed = _grow_classes(classes, weights[:p], k)
-            if changed is None:
+            classes = _grow_classes(classes, weights[:p], k)
+            if classes is None:
                 return None
-            classes = {**classes, **changed}
         return classes
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=10))
@@ -687,11 +709,11 @@ class TestWeightStageCut:
             classes: dict[int, int] = {}
             for p in range(1, len(ws) + 1):
                 # no class has more members than there are weights: no cut
-                changed = _grow_classes(classes, ws[:p], len(ws))
-                classes = {**classes, **changed}
-                assert sorted(classes.items()) == self.expected_counts(ws[:p])
-                # the weight changes exactly the classes it divides
-                assert changed == {g: c for g, c in classes.items() if ws[p - 1] % g == 0}
+                grown = _grow_classes(classes, ws[:p], len(ws))
+                assert sorted(grown.items()) == self.expected_counts(ws[:p])
+                # the weight leaves the count of every class it does not divide
+                assert all(grown[g] == c for g, c in classes.items() if ws[p - 1] % g)
+                classes = grown
 
     @given(
         st.lists(st.integers(1, 60), min_size=1, max_size=10),
@@ -1090,27 +1112,27 @@ class TestAgainstNaiveGrid:
         self, monkeypatch, n, index, k, cap
     ):
         # k >= 2 slices where the degree-sum bound rejects tail prefixes
-        # short of the last tail, when it checks them or when _tail_trials
+        # short of the last tail, when it checks them or when _skips
         # leaves their last tail untried
-        fit, trials = wcifano.enumerator._tails_fit, wcifano.enumerator._tail_trials
+        fit, skips = wcifano.enumerator._tails_fit, wcifano.enumerator._skips
+        q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=CALABI_YAU_PROFILE)
+        m = _Shape(q).middles
         rejected: list[tuple[int, ...]] = []
 
-        def recording_fit(tails, total, classes, banned, k, tail_hi, last_only=1):
-            fits = fit(tails, total, classes, banned, k, tail_hi, last_only)
+        def recording_fit(tails, total, classes, banned, k, tail_hi):
+            fits = fit(tails, total, classes, banned, k, tail_hi)
             if not fits and len(tails) < k:
                 rejected.append(tails)
             return fits
 
-        def recording_trials(head, m, classes, last_only, total, k, tail_hi, bans):
-            tried = list(trials(head, m, classes, last_only, total, k, tail_hi, bans))
-            start = head[-1] if head else 1
-            if len(head) - m + 1 < k and len(tried) < tail_hi + 1 - start:
-                rejected.append(head[m:])
-            return tried
+        def recording_skips(t, head, *args):
+            skipped = skips(t, head, *args)
+            if skipped and len(head) - m + 1 < k:
+                rejected.append(head[m:] + (t,))
+            return skipped
 
         monkeypatch.setattr(wcifano.enumerator, "_tails_fit", recording_fit)
-        monkeypatch.setattr(wcifano.enumerator, "_tail_trials", recording_trials)
-        q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=CALABI_YAU_PROFILE)
+        monkeypatch.setattr(wcifano.enumerator, "_skips", recording_skips)
         survivors = enumerate_candidates(q).survivors
         assert rejected
         assert survivors == naive_survivors(n, index, k, cap, CALABI_YAU_PROFILE)

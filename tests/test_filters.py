@@ -60,6 +60,22 @@ class TestProfiles:
         assert SMOOTH_FANO_PROFILE == frozenset(FilterId)
         assert CALABI_YAU_PROFILE == SMOOTH_FANO_PROFILE - {FilterId.FANO_POSITIVITY}
 
+    @pytest.mark.parametrize("profile", [{"Deltas", "bogus"}, {"bogus"}, {FilterId.DELTAS, "bogus"}])
+    def test_unknown_entries_are_rejected(self, profile):
+        # with the CLI's message, by run_all and passes_profile alike
+        c = Candidate((1, 1, 1, 2), (4,))
+        with pytest.raises(ValueError, match="^unknown filter id 'bogus'$"):
+            run_all(c, profile)
+        with pytest.raises(ValueError, match="^unknown filter id 'bogus'$"):
+            passes_profile(c, profile)
+
+    def test_screen_names_given_as_strings_still_work(self):
+        c = Candidate((1, 1, 1, 2), (4,))
+        names = {fid.value for fid in SMOOTH_FANO_PROFILE}
+        assert run_all(c, names).verdicts == run_all(c, SMOOTH_FANO_PROFILE).verdicts
+        assert run_all(c, {"Deltas"}).verdicts == run_all(c, {FilterId.DELTAS}).verdicts
+        assert passes_profile(c, names) == passes_profile(c, SMOOTH_FANO_PROFILE)
+
 
 class TestNormalizedFilter:
     def test_pass(self):
