@@ -51,13 +51,17 @@ fixes bounds each stage.  At k = 1, GcdCover with any screen that bans
 the one degree from equalling the top weight (LinearCone, Deltas or
 LastWeight) leaves no survivor with a weight above n + 2 - index
 (_Shape.weight_bound), so neither the middles nor the tail are walked
-above it.  At k >= 2, under LastWeight, a tail is placed only when the
-tail prefix it ends passes two cuts, both sound because the class
-counts, the gcd closure and the banned weights only grow as weights are
-appended.  It must leave each class a degree outside the last slot or a
-share of the last degree: a class that only the last degree can serve
-may have one member, and all such classes must divide one degree in the
-last slot's window (_tails_fit).  And its degree slack must hold: the
+above it.  With one middle at k >= 1, or two at k >= 2, UnitPrefix,
+Deltas, LastWeight, GcdCover and LinearCone leave no survivor with a
+middle above 2 (_Shape.middle_bound).  LastWeight bounds the tails by
+the middle sum + 1, at most 5, so such a slice, the survey's among
+them, touches no cap of 5 or more.  At k >= 2, under LastWeight, a tail
+is placed only when the tail prefix it ends passes two cuts, both sound
+because the class counts, the gcd closure and the banned weights only
+grow as weights are appended.  It must leave each class a degree
+outside the last slot or a share of the last degree: a class that only
+the last degree can serve may have one member, and all such classes
+must divide one degree in the last slot's window (_tails_fit).  And its degree slack must hold: the
 least raise to an admissible multiple that each class needs, in as many
 of the slots paired with the tails placed as the unplaced tails' slots
 cannot hold for it, must fit what the degree sum leaves above the least
@@ -132,12 +136,16 @@ class EnumerationQuery(_Value):
     """Target dimension n, Fano index, codimension k, weight cap, profile.
 
     max_weight defaults to 4 * (n + k + index).  That default is not
-    proved to contain every survivor: (5, 1, 3) at its default 36 and
-    (6, 1, 4) at 44 report cap_touched, so only cap_touched False says a
-    listing is complete.  At k = 1 the default 4 * (n + 1 + index) is at
-    least the weight bound n + 2 - index (_Shape.weight_bound), so under
-    GcdCover with LinearCone, Deltas or LastWeight the default listing
-    is complete.  k may be 0 (ambient spaces); k <= n + 1 is enforced.
+    proved to contain every survivor: (5, 1, 2), with three middles,
+    reports cap_touched at its default 32, so only cap_touched False
+    says a listing is complete.  At k = 1 the default 4 * (n + 1 +
+    index) is at least the weight bound n + 2 - index
+    (_Shape.weight_bound), so under GcdCover with LinearCone, Deltas or
+    LastWeight the default listing is complete.  So is it, at 8 or more,
+    with one middle at k >= 1 or two at k >= 2 under UnitPrefix, Deltas,
+    LastWeight, GcdCover and LinearCone (_Shape.middle_bound), as at
+    (5, 1, 3) and (6, 1, 4).  k may be 0 (ambient spaces); k <= n + 1 is
+    enforced.
     """
 
     __slots__ = {
@@ -228,20 +236,56 @@ class _Shape:
     tuples.  predicates: the profile's other screens, run on each tuple
     tested, in FILTER_ORDER.
 
-    middle_bound: 2 at k >= 1 with one middle when the profile holds
-    UnitPrefix, Deltas, LastWeight, GcdCover and LinearCone, else None.
-    No survivor has its middle above it, so a cap at or above it is not
-    touched.  Proof.  Take the middle m and tails m <= t_1 <= ... <= t_k.
-    1. The index equation (with k + index units) makes the excesses sum
-       to k + m, with each e_j >= 1 and e_k >= t_k (LastWeight).  So each
-       e_j <= m + 1, t_k <= m + 1, and every degree t_j + e_j <= 2 m + 2.
+    middle_bound: 2 with one middle at k >= 1 or two middles at k >= 2,
+    when the profile holds UnitPrefix, Deltas, LastWeight, GcdCover and
+    LinearCone, else None.  No survivor has a middle above it, so a cap
+    at or above it is not touched.  In both proofs the index equation
+    (with k + index units) makes the excesses e_j = d_j - t_j >= 1 sum
+    to k + S, S the sum of the middles, with e_k >= t_k (LastWeight).
+
+    Proof for one middle m, with tails m <= t_1 <= ... <= t_k.
+    1. So each e_j <= m + 1, t_k <= m + 1, and every degree t_j + e_j <=
+       2 m + 2.
     2. Suppose m >= 2.  Then every weight above 1 is m or m + 1, coprime.
     3. GcdCover asks for 1 + #{t_j = m} degrees divisible by m and
        #{t_j = m + 1} divisible by m + 1: k + 1 in all, from only k
        degrees.  So some degree is divisible by m (m + 1).
     4. That degree is at most 2 m + 2, so m (m + 1) <= 2 m + 2: m <= 2.
-    The proof does not use LinearCone; the hypothesis keeps it so that no
-    output moves.
+    This proof does not use LinearCone; the hypothesis keeps it so that
+    no output moves.
+
+    Proof for two middles a <= b, with tails b <= t_1 <= ... <= t_k = T
+    and k >= 2.  Suppose b >= 3, and let E = sum over j < k of e_j - 1.
+    1. T <= e_k = S + 1 - E, so each d_j with j < k is at most T + 1 + E
+       <= S + 2 <= 2 b + 2 < 3 b, and d_k = T + e_k <= 2 S + 2 <= 4 b + 2
+       < 5 b.
+    2. Let X be the weights b, t_1, ..., t_k, all >= b.  LinearCone bans
+       each of them as a degree.  So a d_j with j < k that some x in X
+       divides is 2 x, as 3 x >= 3 b: it serves one value of X at most.
+       And d_k / y is 2, 3 or 4 for each y in X that divides d_k.
+    3. 2 b is no weight: else the class of b has two members, and the
+       only degrees b may divide are 2 b, banned, and d_k.
+    4. GcdCover gives each value of X at least as many degrees it divides
+       as it has copies among the weights.  Summed over the values, with
+       Y the values that divide d_k and w the d_j (j < k) serving none:
+       k + 1 + [a = b] <= k - 1 - w + |Y|.  All three of d_k / 2, d_k / 3
+       and d_k / 4 in Y asks b <= d_k / 4 <= b + 1/2, so d_k = 4 b and
+       2 b is a weight, against 3.  So |Y| = 2, a < b and w = 0.
+    5. Now S + 2 <= 2 b + 1, so each d_j (j < k) is 2 x <= 2 b + 1 with x
+       >= b: d_j = 2 b, and no other value of X divides it, by 3.  The
+       count of 4 is an equality, so each value has exactly as many
+       copies as degrees it divides: b has k - 1 + [b in Y], and each
+       other value one, in Y.
+    6. If b is in Y: t_1 = ... = t_(k-1) = b < T, so each e_j (j < k) is
+       b and (k - 1)(b - 1) = E <= S + 1 - T <= a <= b - 1.  So k = 2,
+       and then T = b + 1, a = b - 1, e_k = b + 1 and d_k = 2 b + 2, which
+       b must divide: b divides 2.
+    7. If b is not in Y: Y holds the tails y < T above b, the other tails
+       are b, and E = (k - 2)(b - 1) + 2 b - y - 1 <= S + 1 - T <= 2 b -
+       T.  So (k - 2)(b - 1) <= y + 1 - T <= 0: k = 2 and T = y + 1.  The
+       coprime y and y + 1 both divide d_k, so (b + 1)(b + 2) <= y (y +
+       1) <= d_k <= 4 b + 2, and b <= 1.
+    Both cases contradict b >= 3, so a <= b <= 2.
 
     weight_bound: max(1, n + 2 - index) at k = 1 when the profile holds
     GcdCover and one of LinearCone, Deltas and LastWeight, else None.
@@ -278,11 +322,12 @@ class _Shape:
         bans_top = profile & {FilterId.LINEAR_CONE, FilterId.DELTAS, FilterId.LAST_WEIGHT}
         bounded = k == 1 and FilterId.GCD_COVER in profile and bans_top
         self.weight_bound = max(1, n + 2 - index) if bounded else None
-        one_middle = {
+        five_screens = {
             FilterId.UNIT_PREFIX, FilterId.DELTAS, FilterId.LAST_WEIGHT, FilterId.GCD_COVER,
             FilterId.LINEAR_CONE,
         }
-        self.middle_bound = 2 if k and self.middles == 1 and one_middle <= profile else None
+        proved = self.middles == 1 and k >= 1 or self.middles == 2 and k >= 2
+        self.middle_bound = 2 if proved and five_screens <= profile else None
         bound = self.middle_bound if k else self.middle_sum - self.middles + 1
         self.middle_hi, touched = _capped(cap, bound, self.weight_bound)
         # The index equation gives every tuple the query's index, so

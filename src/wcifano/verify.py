@@ -29,9 +29,14 @@ The survey's verdict follows the same _aggregate precedence, and its
 counterexample is the canonical-least missing named family, but its
 Verified is weaker: every named family was found, whatever the cap and
 the other survivors.  Where no family is named, as at (5, 1), it is
-Verified with nothing checked, the cap touched or not.  Its slices at
-the other indices carry status Verified and expected () without any
-check; they only feed the count.
+Verified with nothing checked.  Its first slice has two middle weights
+(k = n - index - 1), and a proved bound closes its range (the weight
+bound n + 2 - index = 4 at k = 1, the middle bound 2 with tails at most
+5 at k >= 2; enumerator._Shape), so at any cap of 5 or more that slice
+is complete and a named family missing from it refutes.  Its slices at the other indices carry status Verified and
+expected () without any check; they only feed the count, and with
+three middles or more (an index below the requested one) they may
+still touch the cap.
 """
 
 from __future__ import annotations

@@ -157,6 +157,22 @@ class TestEnumerate:
             " max_weight=1000000000000\n"
         )
 
+    def test_a_two_middle_slice_stops_at_the_middle_bound_under_any_cap(self, capsys):
+        # at k >= 2 with two middles no smooth-Fano survivor has a middle
+        # above 2, so LastWeight keeps the tails at 5 at most and a cap of
+        # 10^12 is walked no further than that
+        code, out, err = run_cli(
+            capsys,
+            "enumerate",
+            "--dim", "4", "--index", "1", "--codim", "2", "--max-weight", "1000000000000",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 7
+        assert err == (
+            "survivors=7 nodes=34 tested=7 cap_touched=false complete_within_cap=true"
+            " max_weight=1000000000000\n"
+        )
+
     def test_readme_summary_line_matches_the_cli(self, capsys):
         # the README shows this slice's summary under its first example
         argv = ("enumerate", "--dim", "3", "--index", "2", "--codim", "1", "--max-weight", "50")
@@ -320,8 +336,10 @@ class TestVerify:
     def test_inconclusive_survey_exits_three_with_the_counterexample(self, capsys, monkeypatch):
         bogus = Candidate((1,) * 8 + (7,), (2, 2, 10))
         monkeypatch.setitem(wcifano.verify.NAMED_SURVEY_FAMILIES, (5, 1), (bogus,))
+        # the survey's first slice has two middles, which no survivor lifts
+        # above 2; a cap of 1 cuts them
         code, out, _ = run_cli(
-            capsys, "verify", "--case", "survey", "--dim", "5", "--index", "1", "--max-weight", "10"
+            capsys, "verify", "--case", "survey", "--dim", "5", "--index", "1", "--max-weight", "1"
         )
         assert code == 3
         lines = out.splitlines()
@@ -331,6 +349,25 @@ class TestVerify:
             " counterexample=(1,1,1,1,1,1,1,1,7;2,2,10)"
         )
         assert lines[-1] == "verdict: InconclusiveCapTouched"
+
+    def test_a_survey_missing_a_named_family_exits_one_with_the_counterexample(
+        self, capsys, monkeypatch
+    ):
+        # at --max-weight 10 the first slice is cap-free, so a family it
+        # misses refutes
+        bogus = Candidate((1,) * 8 + (7,), (2, 2, 10))
+        monkeypatch.setitem(wcifano.verify.NAMED_SURVEY_FAMILIES, (5, 1), (bogus,))
+        code, out, _ = run_cli(
+            capsys, "verify", "--case", "survey", "--dim", "5", "--index", "1", "--max-weight", "10"
+        )
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1] == (
+            "slice n=5 i=1 k=3: survivors=3 expected=1 cap_touched=false status=Refuted"
+            " counterexample=(1,1,1,1,1,1,1,1,7;2,2,10)"
+        )
+        assert not any(line.startswith("note: cap touched") for line in lines)
+        assert lines[-1] == "verdict: Refuted"
 
     def test_survey_needs_dim_and_index(self, capsys):
         assert run_cli(capsys, "verify", "--case", "survey", "--dim", "5")[0] == 2

@@ -56,6 +56,19 @@ from wcifano.transforms import hyperplane_section
 ALL_PROFILES = [
     frozenset(c) for r in range(len(FILTER_ORDER) + 1) for c in itertools.combinations(FILTER_ORDER, r)
 ]
+# The smooth-Fano profile without LinearCone: the middle bound does not
+# hold there, so the cap bounds the middles of the survey slices.
+NO_CONE = SMOOTH_FANO_PROFILE - {FilterId.LINEAR_CONE}
+# The hypothesis of _Shape.middle_bound.
+FIVE_SCREENS = frozenset(
+    {
+        FilterId.UNIT_PREFIX,
+        FilterId.DELTAS,
+        FilterId.LAST_WEIGHT,
+        FilterId.GCD_COVER,
+        FilterId.LINEAR_CONE,
+    }
+)
 
 
 class TestQueryValidation:
@@ -134,6 +147,24 @@ class TestQueryValidation:
             enumerate_candidates(q, workers=workers)
 
 
+def drop_middle_bound(monkeypatch):
+    """From here on, build each shape with its middle bound dropped.
+
+    The first bound _Shape hands _capped is the middle bound, so the cap
+    alone bounds the middles; the tail's own _capped call is kept.
+    """
+    shape, capped = wcifano.enumerator._Shape, wcifano.enumerator._capped
+
+    def unbounded_shape(query):
+        with monkeypatch.context() as m:
+            m.setattr(wcifano.enumerator, "_capped", lambda c, *b: capped(c, None, *b[1:]))
+            built = shape(query)
+        assert built.middle_bound == 2
+        return built
+
+    monkeypatch.setattr(wcifano.enumerator, "_Shape", unbounded_shape)
+
+
 class TestFrozenSlices:
     def test_index_two_hypersurfaces_in_dimension_three(self):
         result = enumerate_candidates(EnumerationQuery(n=3, index=2, k=1, max_weight=50))
@@ -154,7 +185,7 @@ class TestFrozenSlices:
     @pytest.mark.parametrize(
         "n, index, k, cap, profile, expected",
         [
-            (5, 1, 3, 12, SMOOTH_FANO_PROFILE, (306, 3, 3, True)),
+            (5, 1, 3, 12, NO_CONE, (512, 8, 8, True)),
             (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (42, 4, 4, False)),
             (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (11, 1, 1, False)),
             (2, 3, 0, None, SMOOTH_FANO_PROFILE, (0, 1, 1, False)),
@@ -173,7 +204,9 @@ class TestFrozenSlices:
     )
     def test_search_counts_are_pinned(self, n, index, k, cap, profile, expected):
         # nodes, tested, survivors and cap_touched of profiles with and
-        # without the unit-prefix structure, ambient-only slices included
+        # without the unit-prefix structure, ambient-only slices included;
+        # without LinearCone the cap, not the middle bound, bounds the
+        # middles of (5, 1, 3)
         q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
         result = enumerate_candidates(q)
         nodes, tested, survivors, touched = expected
@@ -513,14 +546,15 @@ class TestDegreeSumBound:
         assert slack_only > 50
 
     def test_the_bound_skips_vectors_and_only_saves_nodes(self, monkeypatch):
-        # at (5, 1, 3, 12) the bound rejects tail prefixes, the degree
-        # slack rejects tail prefixes with free tails left and whole
-        # vectors, and the degree walk stops where the classes fit the
-        # slots left but not the degree sum: the walk places 306 nodes,
-        # 358 with the slack on whole vectors only, 542 with the prefix
-        # part alone and 2,916 with neither, for the same tested tuples,
-        # survivors and cap flag
-        q = EnumerationQuery(n=5, index=1, k=3, max_weight=12)
+        # at (5, 1, 3, 12) without LinearCone, where the cap bounds the
+        # two middles, the bound rejects tail prefixes, the degree slack
+        # rejects tail prefixes with free tails left and whole vectors,
+        # and the degree walk stops where the classes fit the slots left
+        # but not the degree sum: the walk places 512 nodes, 578 with the
+        # slack on whole vectors only, 1,627 with the prefix part alone and
+        # 3,701 with neither, for the same tested tuples, survivors and
+        # cap flag
+        q = EnumerationQuery(n=5, index=1, k=3, max_weight=12, profile=NO_CONE)
         tails_fit, slots_fit = wcifano.enumerator._tails_fit, wcifano.enumerator._slots_fit
         prefixes, short, skipped = [], [], []
 
@@ -557,10 +591,10 @@ class TestDegreeSumBound:
         results = (bounded, whole_only, prefix_only, unbounded)
         assert len({r.survivors for r in results}) == 1
         assert {r.cap_touched for r in results} == {True}
-        assert bounded.stats == SearchStats(nodes=306, tested=3)
-        assert whole_only.stats == SearchStats(nodes=358, tested=3)
-        assert prefix_only.stats == SearchStats(nodes=542, tested=3)
-        assert unbounded.stats == SearchStats(nodes=2916, tested=3)
+        assert bounded.stats == SearchStats(nodes=512, tested=8)
+        assert whole_only.stats == SearchStats(nodes=578, tested=8)
+        assert prefix_only.stats == SearchStats(nodes=1627, tested=8)
+        assert unbounded.stats == SearchStats(nodes=3701, tested=8)
 
     @staticmethod
     def never(*args):
@@ -581,8 +615,11 @@ class TestDegreeSumBound:
         # _skips leaves out only tails that end a prefix _tails_fit
         # rejects, so trying every tail moves no node, tested tuple,
         # survivor or flag: on the survey slices and on the k >= 2 grid
-        # slices of TestDegreeCuts under every profile.  The survey slices
-        # try fewer than half the tails
+        # slices of TestDegreeCuts under every profile.  The survey slices,
+        # walked with the cap bounding their two middles (the middle bound
+        # dropped), try fewer than half the tails
+        if cap == 20:
+            drop_middle_bound(monkeypatch)
         grow = wcifano.enumerator._grow_classes
         tried = []
 
@@ -668,16 +705,19 @@ class TestDegreeSumBound:
         assert stops > 1000
 
     @pytest.mark.parametrize(
-        "n, index, k, cap, nodes",
-        [(5, 1, 3, 20, 772), (6, 1, 4, 20, 1012)],
+        "n, index, k, cap, nodes, tested",
+        [(5, 1, 3, 20, 2454, 8), (6, 1, 4, 20, 6962, 16)],
         ids=["n5i1k3c20", "n6i1k4c20"],
     )
-    def test_survey_slices_keep_the_cut(self, n, index, k, cap, nodes):
-        # the survey slices place few nodes once the bound cuts tail
-        # prefixes; a search that loses the cut places many times more
-        result = enumerate_candidates(EnumerationQuery(n=n, index=index, k=k, max_weight=cap))
-        assert result.stats == SearchStats(nodes=nodes, tested=3)
-        assert len(result.survivors) == 3
+    def test_survey_slices_keep_the_cut(self, n, index, k, cap, nodes, tested):
+        # without LinearCone the cap bounds the survey slices' two middles,
+        # and they place few nodes once the bound cuts tail prefixes; a
+        # search that loses the cut places many times more (36,392 and
+        # 200,927 nodes without _tails_fit, _skips and _slots_fit)
+        q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=NO_CONE)
+        result = enumerate_candidates(q)
+        assert result.stats == SearchStats(nodes=nodes, tested=tested)
+        assert len(result.survivors) == tested
         assert result.cap_touched is True
 
 
@@ -804,27 +844,28 @@ class TestDeterminism:
 
     def test_pool_is_clamped_to_the_task_count(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
+        q = EnumerationQuery(n=5, index=1, k=2, max_weight=10)
         assert enumerate_candidates(q, workers=5000) == enumerate_candidates(q)
         assert pool_sizes == [10, 1]
 
     @pytest.mark.parametrize("cpus, sizes", [(3, [3, 1]), (1, [1, 1])])
     def test_pool_is_clamped_to_the_usable_cpus(self, monkeypatch, pool_sizes, cpus, sizes):
-        # ten tasks on three usable CPUs get three workers; on one CPU the
-        # tasks run inline, and the fork code is not even loaded, although
-        # the caller would fork before its first task if it could
+        # ten tasks (the first of three middles, up to the cap) on three
+        # usable CPUs get three workers; on one CPU the tasks run inline,
+        # and the fork code is not even loaded, although the caller would
+        # fork before its first task if it could
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         if cpus == 1:
             monkeypatch.setattr(wcifano.enumerator, "_FORK_WORK_S", 0)
             monkeypatch.setitem(sys.modules, "wcifano._forked", None)
-        q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
+        q = EnumerationQuery(n=5, index=1, k=2, max_weight=10)
         assert enumerate_candidates(q, workers=5000) == enumerate_candidates(q)
         assert pool_sizes == sizes
 
     def test_the_cpu_count_stands_in_without_an_affinity_mask(self, monkeypatch, pool_sizes):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
+        q = EnumerationQuery(n=5, index=1, k=2, max_weight=10)
         assert enumerate_candidates(q, workers=5000) == enumerate_candidates(q)
         assert pool_sizes == [3, 1]
 
@@ -848,8 +889,9 @@ class TestDeterminism:
         # task 9, but one task left is run alone.  The caller shares the
         # tasks left once the prediction reaches work, with no more helpers
         # than tasks.
-        # the one-worker reference reads the clock too, so it runs first
-        single = enumerate_candidates(EnumerationQuery(n=5, index=1, k=3, max_weight=10))
+        # the one-worker reference reads the clock too, so it runs first;
+        # (5, 1, 2) has three middles, so cap 10 gives ten tasks
+        single = enumerate_candidates(EnumerationQuery(n=5, index=1, k=2, max_weight=10))
         task_clock(monkeypatch, durations)
         monkeypatch.setattr(wcifano.enumerator, "_FORK_WORK_S", work)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
@@ -860,7 +902,7 @@ class TestDeterminism:
             return (run(key) for key in keys)
 
         monkeypatch.setattr(wcifano._forked, "_share", inline_share)
-        q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
+        q = EnumerationQuery(n=5, index=1, k=2, max_weight=10)
         assert enumerate_candidates(q, workers=3) == single
         assert calls == shared
 
@@ -1026,8 +1068,9 @@ class TestStreaming:
         assert survivors == sorted(survivors, key=canonical_key)
 
     def test_sink_runs_before_the_last_task(self, monkeypatch):
-        # (5, 1, 3) has two middle weights, so cap 10 gives ten tasks, one
-        # per first middle weight; every survivor has first middle 1.
+        # (5, 1, 2) has three middle weights, which the middle bound does
+        # not reach, so cap 10 gives ten tasks, one per first middle weight;
+        # every survivor has first middle 1.
         started: list[int] = []
         task = wcifano.enumerator._task
 
@@ -1037,10 +1080,10 @@ class TestStreaming:
 
         monkeypatch.setattr(wcifano.enumerator, "_task", counting_task)
         tasks_started_at_sink: list[int] = []
-        q = EnumerationQuery(n=5, index=1, k=3, max_weight=10)
+        q = EnumerationQuery(n=5, index=1, k=2, max_weight=10)
         result = enumerate_streaming(q, lambda c: tasks_started_at_sink.append(len(started)))
         assert len(started) == 10
-        assert len(tasks_started_at_sink) == len(result.survivors) == 3
+        assert len(tasks_started_at_sink) == len(result.survivors) == 6
         assert tasks_started_at_sink[0] == 1
 
 
@@ -1175,7 +1218,11 @@ class TestWeightBound:
     LastWeight (the proof is in _Shape's docstring), so the walk stops
     every range there and does not touch a cap at or above it.  Checked
     against the grid oracle at caps 2 above the bound, on n 1..4 and
-    index 0..n+1 for the bound and n 1..3 for the walk.
+    index 0..n+1 for the bound and n 1..3 for the walk.  The middle
+    bound (no middle above 2, with one middle at k >= 1 or two at k >=
+    2, under UnitPrefix, Deltas, LastWeight, GcdCover and LinearCone) is
+    checked against the grid at cap 5 and, for two middles, against the
+    screens' predicates with the larger middle up to 8.
     """
 
     BANS_TOP = (FilterId.LINEAR_CONE, FilterId.DELTAS, FilterId.LAST_WEIGHT)
@@ -1251,23 +1298,14 @@ class TestWeightBound:
         # on every slice with one middle (n = index + k), no grid survivor has
         # its middle above 2, and the walk equals the grid without touching
         # the cap
-        hypothesis = frozenset(
-            {
-                FilterId.UNIT_PREFIX,
-                FilterId.DELTAS,
-                FilterId.LAST_WEIGHT,
-                FilterId.GCD_COVER,
-                FilterId.LINEAR_CONE,
-            }
-        )
         cap = 5
         middles = []
         for n in range(1, 5):
             for k in range(1, n + 1):
                 index = n - k
-                q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=hypothesis)
+                q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=FIVE_SCREENS)
                 assert (_Shape(q).middles, _Shape(q).middle_bound) == (1, 2)
-                survivors = naive_survivors(n, index, k, cap, hypothesis)
+                survivors = naive_survivors(n, index, k, cap, FIVE_SCREENS)
                 middles += [c.weights[k + index] for c in survivors]
                 result = enumerate_candidates(q)
                 assert result.survivors == survivors
@@ -1275,39 +1313,97 @@ class TestWeightBound:
         assert max(middles) == 2
         assert (len(middles), middles.count(2)) == (18, 4)
 
-    @pytest.mark.parametrize("n, index, k", [(3, 1, 1), (2, 0, 1), (3, 1, 2), (3, 1, 0)])
+    def test_two_middles_lie_at_most_at_two(self):
+        # the middle bound with two middles (proof in _Shape's docstring):
+        # under its hypothesis, on every slice with two middles at k >= 2
+        # (n = index + k + 1), no grid survivor has a middle above 2, and
+        # the walk equals the grid without touching the cap
+        cap = 5
+        middles = []
+        for n in range(1, 5):
+            for k in range(2, n):
+                index = n - k - 1
+                q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=FIVE_SCREENS)
+                assert (_Shape(q).middles, _Shape(q).middle_bound) == (2, 2)
+                survivors = naive_survivors(n, index, k, cap, FIVE_SCREENS)
+                middles += [c.weights[k + index : k + index + 2] for c in survivors]
+                result = enumerate_candidates(q)
+                assert result.survivors == survivors
+                assert result.cap_touched is False, (n, index, k)
+        assert max(b for a, b in middles) == 2
+        assert (len(middles), [b for a, b in middles].count(2)) == (17, 4)
+
+    def test_no_two_middle_tuple_above_two_passes_the_screens(self):
+        # past any cap, by the screens' own predicates: every tuple of the
+        # two-middle shape at index 1 and k 2..4 with b <= 8, that is k + 1
+        # units, middles a <= b, tails b <= t_1 <= ... <= t_k = T and
+        # excesses e_j >= 1 summing to k + a + b with e_k >= T (LastWeight,
+        # so T <= a + b + 1), each degree d_j = t_j + e_j.  Normalized and
+        # the five screens of the hypothesis pass none with b >= 3, and those
+        # with b <= 2 are the walk's survivors
+        screens = FIVE_SCREENS | {FilterId.NORMALIZED}
+        predicates = [_PREDICATES[f] for f in FILTER_ORDER if f in screens]
+        tried = survivors = 0
+        for k in range(2, 5):
+            found = []
+            for b in range(1, 9):
+                for a in range(1, b + 1):
+                    s = a + b
+                    for tails in sorted_tuples(k, b, s + 1):
+                        weights = (1,) * (k + 1) + (a, b) + tails
+                        slack = s + 1 - tails[-1]
+                        for head in itertools.product(range(1, slack + 2), repeat=k - 1):
+                            if sum(head) - (k - 1) > slack:
+                                continue
+                            excesses = head + (k + s - sum(head),)
+                            degrees = tuple(t + e for t, e in zip(tails, excesses))
+                            tried += 1
+                            if all(p(weights, degrees) is None for p in predicates):
+                                found.append(Candidate(weights, degrees))
+            assert all(c.weights[k + 2] <= 2 for c in found)
+            q = EnumerationQuery(n=k + 2, index=1, k=k, max_weight=8, profile=FIVE_SCREENS)
+            assert enumerate_candidates(q).survivors == tuple(sorted(found, key=canonical_key))
+            survivors += len(found)
+        assert (tried, survivors) == (61870, 13)
+
+    @pytest.mark.parametrize(
+        "n, index, k, cap, nodes, tested",
+        [(5, 1, 3, 20, 45, 3), (6, 1, 4, 20, 64, 3)],
+    )
+    def test_two_middle_slices_end_at_the_bound(self, n, index, k, cap, nodes, tested):
+        # the survey slices walk no middle above 2 and so no tail above 5
+        # (LastWeight), and touch no cap
+        result = enumerate_candidates(EnumerationQuery(n=n, index=index, k=k, max_weight=cap))
+        assert result.stats == SearchStats(nodes, tested)
+        assert len(result.survivors) == tested
+        assert result.cap_touched is False
+        assert max(max(c.weights) for c in result.survivors) <= 5
+
+    @pytest.mark.parametrize(
+        "n, index, k", [(3, 1, 1), (2, 0, 1), (3, 1, 2), (3, 1, 0), (4, 1, 2), (5, 1, 2)]
+    )
     def test_no_bound_is_set_outside_its_hypothesis(self, n, index, k):
-        # only at k = 1, and only with GcdCover and one screen that bans d = a_N
+        # the weight bound only at k = 1, and only with GcdCover and one
+        # screen that bans d = a_N; the middle bound only under its five
+        # screens, with one middle at k >= 1 or two at k >= 2 (the middles
+        # under UnitPrefix and Deltas are n + 1 - k - index)
+        middles = n + 1 - k - index
+        proved = middles == 1 and k >= 1 or middles == 2 and k >= 2
         for profile in ALL_PROFILES:
             held = k == 1 and FilterId.GCD_COVER in profile and profile & set(self.BANS_TOP)
             shape = _Shape(EnumerationQuery(n=n, index=index, k=k, profile=profile))
             assert shape.weight_bound == (self.bound(n, index) if held else None)
+            assert shape.middle_bound == (2 if proved and FIVE_SCREENS <= profile else None)
 
 
 class TestPruningHonesty:
-    @staticmethod
-    def drop_middle_bound(monkeypatch):
-        # from here on, build each shape with its middle bound dropped: the
-        # first bound _Shape hands _capped is the middle bound, so the cap
-        # alone bounds the one middle; the tail's own _capped call is kept
-        shape, capped = wcifano.enumerator._Shape, wcifano.enumerator._capped
-
-        def unbounded_shape(query):
-            with monkeypatch.context() as m:
-                m.setattr(wcifano.enumerator, "_capped", lambda c, *b: capped(c, None, *b[1:]))
-                built = shape(query)
-            assert built.middle_bound == 2
-            return built
-
-        monkeypatch.setattr(wcifano.enumerator, "_Shape", unbounded_shape)
-
     def test_middle_bound_is_conservative(self, monkeypatch):
         # disabling the single-middle closure bound must change no survivor,
         # only the cap_touched claim (the bound is what makes it exhaustive);
         # at k = 2, where no weight bound stands in for it
         q = EnumerationQuery(n=3, index=1, k=2, max_weight=50)
         bounded = enumerate_candidates(q)
-        self.drop_middle_bound(monkeypatch)
+        drop_middle_bound(monkeypatch)
         unbounded = enumerate_candidates(q)
         assert unbounded.survivors == bounded.survivors
         assert bounded.cap_touched is False
@@ -1316,7 +1412,7 @@ class TestPruningHonesty:
     def test_middle_bound_conservative_at_higher_dimension(self, monkeypatch):
         q = EnumerationQuery(n=6, index=4, k=2, max_weight=15)
         bounded = enumerate_candidates(q)
-        self.drop_middle_bound(monkeypatch)
+        drop_middle_bound(monkeypatch)
         unbounded = enumerate_candidates(q)
         assert unbounded.survivors == bounded.survivors
         assert bounded.cap_touched is False

@@ -126,20 +126,22 @@ class TestSliceComparator:
         assert outcome.status is Verdict.REFUTED
         assert outcome.counterexample == bogus
 
+    # (5, 1, 2) has three middle weights, which no bound reaches, so it
+    # touches its cap
     def test_missing_family_with_cap_touched_is_inconclusive(self):
         survivors = enumerate_candidates(
-            EnumerationQuery(n=4, index=1, k=2, max_weight=8)
+            EnumerationQuery(n=5, index=1, k=2, max_weight=8)
         ).survivors
-        bogus = Candidate((1,) * 6 + (5,), (2, 8))
-        outcome = _check_slice(4, 1, 2, expected=survivors + (bogus,), cap=8)
+        bogus = Candidate((1,) * 7 + (5,), (2, 9))
+        outcome = _check_slice(5, 1, 2, expected=survivors + (bogus,), cap=8)
         assert outcome.status is Verdict.INCONCLUSIVE_CAP_TOUCHED
         assert outcome.counterexample == bogus
 
     def test_exact_match_with_cap_touched_is_inconclusive(self):
         survivors = enumerate_candidates(
-            EnumerationQuery(n=4, index=1, k=2, max_weight=8)
+            EnumerationQuery(n=5, index=1, k=2, max_weight=8)
         ).survivors
-        outcome = _check_slice(4, 1, 2, expected=survivors, cap=8)
+        outcome = _check_slice(5, 1, 2, expected=survivors, cap=8)
         assert outcome.status is Verdict.INCONCLUSIVE_CAP_TOUCHED
         assert outcome.counterexample is None
 
@@ -147,11 +149,11 @@ class TestSliceComparator:
         verified = _check_slice(2, 2, 1, expected=(Candidate((1, 1, 1, 1), (2,)),), cap=15)
         refuted = _check_slice(3, 2, 1, expected=(), cap=50)
         inconclusive = _check_slice(
-            4,
+            5,
             1,
             2,
             expected=enumerate_candidates(
-                EnumerationQuery(n=4, index=1, k=2, max_weight=8)
+                EnumerationQuery(n=5, index=1, k=2, max_weight=8)
             ).survivors,
             cap=8,
         )
@@ -181,14 +183,31 @@ class TestSurvey:
         survivors = set(result.slices[0].result.survivors)
         assert all(family in survivors for family in named)
 
+    # The survey's first slice at (5, 1) has two middles, which no
+    # survivor lifts above 2, and so tails of 5 at most: a cap of 5 or
+    # more leaves it untouched, and a cap of 1 cuts its middles.
+
     def test_missing_named_family_goes_inconclusive_under_cap(self, monkeypatch):
         import wcifano.verify
 
         bogus = Candidate((1,) * 8 + (7,), (2, 2, 10))
         monkeypatch.setitem(wcifano.verify.NAMED_SURVEY_FAMILIES, (5, 1), (bogus,))
-        result = survey_codim(5, 1, cap=10)
+        result = survey_codim(5, 1, cap=1)
         assert result.verdict is Verdict.INCONCLUSIVE_CAP_TOUCHED
         assert result.counterexample == bogus
+
+    @pytest.mark.parametrize("cap", [5, 10**12])
+    def test_missing_named_family_refutes_on_the_cap_free_slice(self, monkeypatch, cap):
+        import wcifano.verify
+
+        bogus = Candidate((1,) * 8 + (7,), (2, 2, 10))
+        monkeypatch.setitem(wcifano.verify.NAMED_SURVEY_FAMILIES, (5, 1), (bogus,))
+        result = survey_codim(5, 1, cap=cap)
+        assert result.slices[0].result.cap_touched is False
+        assert result.slices[0].status is Verdict.REFUTED
+        assert result.verdict is Verdict.REFUTED
+        assert result.counterexample == bogus
+        assert not any(note.startswith("cap touched") for note in result.notes)
 
     def test_the_counterexample_is_the_least_missing_family(self, monkeypatch):
         import wcifano.verify
@@ -197,7 +216,7 @@ class TestSurvey:
         seven = Candidate((1,) * 8 + (7,), (2, 2, 10))
         six = Candidate((1,) * 8 + (6,), (2, 2, 9))
         monkeypatch.setitem(wcifano.verify.NAMED_SURVEY_FAMILIES, (5, 1), (seven, six))
-        result = survey_codim(5, 1, cap=10)
+        result = survey_codim(5, 1, cap=1)
         assert result.verdict is Verdict.INCONCLUSIVE_CAP_TOUCHED
         assert result.slices[0].counterexample == six
         assert result.counterexample == six
