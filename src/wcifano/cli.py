@@ -32,6 +32,7 @@ from .filters import (
     CALABI_YAU_PROFILE,
     FilterId,
     SMOOTH_FANO_PROFILE,
+    _plan,
     run_all,
 )
 from .output import OutputRecord, encode_csv, encode_jsonl, encode_table
@@ -144,14 +145,9 @@ def _parse_int_list(text: str, label: str) -> tuple[int, ...]:
 def _parse_profile(text: str) -> frozenset[FilterId]:
     if text in _PROFILE_NAMES:
         return _PROFILE_NAMES[text]
-    ids = []
-    for part in text.split(","):
-        part = part.strip()
-        try:
-            ids.append(FilterId(part))
-        except ValueError:
-            raise ValueError(f"unknown filter id {part!r}") from None
-    return frozenset(ids)
+    profile = frozenset(part.strip() for part in text.split(","))
+    _plan(profile)  # raises ValueError on an entry that names no screen
+    return frozenset(map(FilterId, profile))
 
 
 def _parse_span(text: str, label: str) -> tuple[int, int]:
@@ -285,8 +281,6 @@ def _print_verification(result: VerificationResult) -> None:
                 f"{','.join(map(str, outcome.counterexample.degrees))})"
             )
         print(line)
-    for note in result.notes:
-        print(f"note: {note}")
     print(f"verdict: {result.verdict.value}")
 
 

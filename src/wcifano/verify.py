@@ -11,32 +11,23 @@ classification predicts:
 - "hypersurface": k = 1 at index n - 1 leaves the cubic, the quartic
               with one weight-2 coordinate, and the sextic with weights
               2 and 3.
-- "survey":   k = n - index - 1; checks containment of named families
-              and reports the survivor count summed over every
-              admissible index at that k against a reference count.
-              The screens are necessary conditions only, so a count
-              mismatch is flagged in the notes, never failed.
+- "survey":   k = n - index - 1 leaves exactly survey_families(n, k).
 
-Verdicts of cases i-iii and hypersurface: Verified (exact match, cap
-untouched), Refuted (an extra survivor, or a missing family the cap
-cannot excuse; carries the canonical-least extra, else missing family),
-InconclusiveCapTouched (the cap may hide the answer).  Ranges that
-select no slice raise ValueError: nothing checked verifies nothing.  So
-does a case i index range reaching an index that no dimension of the
-range admits.
+Verdicts of every case: Verified (exact match, cap untouched), Refuted
+(an extra survivor, or a missing family the cap cannot excuse; carries
+the canonical-least extra, else missing family), InconclusiveCapTouched
+(the cap may hide the answer).  Ranges that select no slice raise
+ValueError: nothing checked verifies nothing.  So does a case i index
+range reaching an index that no dimension of the range admits.
 
-The survey's verdict follows the same _aggregate precedence, and its
-counterexample is the canonical-least missing named family, but its
-Verified is weaker: every named family was found, whatever the cap and
-the other survivors.  Where no family is named, as at (5, 1), it is
-Verified with nothing checked.  Its first slice has two middle weights
-(k = n - index - 1), and a proved bound closes its range (the weight
-bound n + 2 - index = 4 at k = 1, the middle bound 2 with tails at most
-5 at k >= 2; enumerator._Shape), so at any cap of 5 or more that slice
-is complete and a named family missing from it refutes.  Its slices at the other indices carry status Verified and
-expected () without any check; they only feed the count, and with
-three middles or more (an index below the requested one) they may
-still touch the cap.
+The survey's families are the survivors the screens were observed to
+leave on every survey slice with n <= 9, not a theorem of the paper.
+The screens are necessary conditions only, so a survivor is a
+candidate, not a certified smooth family.  The survey slice has two
+middle weights (k = n - index - 1), and a proved bound closes its range
+(the weight bound n + 2 - index = 4 at k = 1, the middle bound 2 with
+tails at most 5 at k >= 2; enumerator._Shape), so at any cap of 5 or
+more the cap stays untouched and the verdict is Verified or Refuted.
 """
 
 from __future__ import annotations
@@ -44,11 +35,9 @@ from __future__ import annotations
 from enum import Enum
 
 from .core import Candidate, _Value, canonical_key
-from .enumerator import EnumerationQuery, EnumerationResult, enumerate_candidates
+from .enumerator import EnumerationQuery, enumerate_candidates
 
 __all__ = [
-    "NAMED_SURVEY_FAMILIES",
-    "SURVEY_REFERENCE_COUNTS",
     "SliceOutcome",
     "Verdict",
     "VerificationResult",
@@ -86,20 +75,8 @@ class SliceOutcome(_Value):
 class VerificationResult(_Value):
     __slots__ = {
         "case_id": "VerifyCase", "cap": "int", "slices": "tuple[SliceOutcome, ...]",
-        "verdict": "Verdict", "counterexample": "Candidate | None", "notes": "tuple[str, ...]",
+        "verdict": "Verdict", "counterexample": "Candidate | None",
     }
-
-
-# Families whose presence the codimension survey asserts, and reference
-# survivor counts, summed over every index of the survey's codimension,
-# that it reports against (count mismatches are noted only).
-NAMED_SURVEY_FAMILIES: dict[tuple[int, int], tuple[Candidate, ...]] = {
-    (6, 1): (Candidate((1,) * 10 + (3,), (2, 2, 2, 6)),),
-}
-SURVEY_REFERENCE_COUNTS: dict[tuple[int, int], int] = {
-    (5, 1): 5,
-    (6, 1): 5,
-}
 
 
 def all_quadrics_family(n: int, k: int) -> Candidate:
@@ -110,6 +87,30 @@ def all_quadrics_family(n: int, k: int) -> Candidate:
 def quadrics_cubic_family(n: int, k: int) -> Candidate:
     """(1^(n+k+1); 2^(k-1), 3), the unique survivor at k = n - index >= 2."""
     return Candidate((1,) * (n + k + 1), (2,) * (k - 1) + (3,))
+
+
+def survey_families(n: int, k: int) -> tuple[Candidate, ...]:
+    """The survivors at k = n - index - 1 >= 1, in canonical order.
+
+    Observed, not proved, and no theorem of the paper: these are the
+    survivors the screens leave on every survey slice with n <= 9, at
+    caps 5 to 10**12 (the cap is never touched there).
+    """
+    if k == 1:
+        return (Candidate((1,) * (n + 2), (4,)), Candidate((1,) * (n + 1) + (3,), (6,)))
+    families = (
+        Candidate((1,) * (n + k + 1), (2,) * (k - 1) + (4,)),
+        Candidate((1,) * (n + k + 1), (2,) * (k - 2) + (3, 3)),
+        Candidate((1,) * (n + k) + (3,), (2,) * (k - 1) + (6,)),
+    )
+    if k == 2:
+        families += (
+            Candidate((1,) * (n + 2) + (2,), (3, 4)),
+            Candidate((1,) * (n + 1) + (2, 2), (4, 4)),
+            Candidate((1,) * n + (2, 2, 3), (4, 6)),
+            Candidate((1,) * (n - 1) + (2, 2, 3, 3), (6, 6)),
+        )
+    return tuple(sorted(families, key=canonical_key))
 
 
 def index_hypersurface_families(n: int) -> tuple[Candidate, ...]:
@@ -187,51 +188,15 @@ def verify_hypersurface_remark(
 
 
 def survey_codim(n: int, index: int, cap: int = 20) -> VerificationResult:
-    """Survey codimension k = n - index - 1: containment plus a count report.
-
-    Named families missing from the survivors of the requested index
-    refute (or, with the cap touched, leave the survey inconclusive).
-    The codimension-k slices of every admissible index 1..n-k+1 follow
-    it in slices, and their summed survivor count is compared against
-    the reference count in the notes only: the screens are necessary
-    conditions, so extra tuples need not carry smooth families and a
-    count mismatch is not a failure.  So Verified only says that every
-    named family was found (the module docstring has the details).
-    """
+    """At k = n - index - 1 >= 1 exactly the survey families survive."""
     if index < 1:
         raise ValueError(f"survey needs index >= 1, got {index}")
     k = n - index - 1
     if k < 1:
         raise ValueError(f"survey needs k = n - index - 1 >= 1, got k = {k}")
-    indices = [index] + [i for i in range(1, n - k + 2) if i != index]
-    results = [
-        enumerate_candidates(EnumerationQuery(n=n, index=i, k=k, max_weight=cap)) for i in indices
-    ]
-    result = results[0]
-    named = NAMED_SURVEY_FAMILIES.get((n, index), ())
-    counterexample = _least(f for f in named if f not in result.survivors)
-    status = Verdict.VERIFIED if counterexample is None else _missing(result)
-    slices = [SliceOutcome(n, index, k, tuple(named), result, status, counterexample)]
-    slices += [SliceOutcome(n, i, k, (), r, Verdict.VERIFIED) for i, r in zip(indices[1:], results[1:])]
-    total = sum(len(r.survivors) for r in results)
-    notes = [
-        "screens are necessary conditions only; surviving tuples are candidates, "
-        "not certified smooth families",
-        f"survivors at cap {cap}: {len(result.survivors)}",
-        f"survivors at codimension {k} summed over indices 1..{n - k + 1}: {total}",
-    ]
-    reference = SURVEY_REFERENCE_COUNTS.get((n, index))
-    if reference is not None:
-        if total == reference:
-            notes.append(f"reference count {reference}: match")
-        else:
-            notes.append(
-                f"reference count {reference}: MISMATCH (flagged, not failed; "
-                f"see the necessary-conditions note)"
-            )
-    if any(r.cap_touched for r in results):
-        notes.append("cap touched: raising max_weight could reveal further tuples")
-    return _aggregate(VerifyCase.SURVEY, cap, slices, tuple(notes))
+    return _aggregate(
+        VerifyCase.SURVEY, cap, [_check_slice(n, index, k, survey_families(n, k), cap)]
+    )
 
 
 def _span(n_range: tuple[int, int], minimum: int, what: str) -> range:
@@ -253,11 +218,11 @@ def _check_slice(
     missing = _least(expected_set - survivors)
     if extra is not None:
         status, counterexample = Verdict.REFUTED, extra
-    elif missing is not None:
-        status, counterexample = _missing(result), missing
     elif result.cap_touched:
-        # Exact match so far, but the cap may hide extra survivors.
-        status = Verdict.INCONCLUSIVE_CAP_TOUCHED
+        # The cap may hide extra survivors, or the missing family.
+        status, counterexample = Verdict.INCONCLUSIVE_CAP_TOUCHED, missing
+    elif missing is not None:
+        status, counterexample = Verdict.REFUTED, missing
     return SliceOutcome(
         n=n,
         index=index,
@@ -274,14 +239,7 @@ def _least(families) -> Candidate | None:
     return min(families, key=canonical_key, default=None)
 
 
-def _missing(result: EnumerationResult) -> Verdict:
-    """The status of a slice missing an expected family: a touched cap may hide it."""
-    return Verdict.INCONCLUSIVE_CAP_TOUCHED if result.cap_touched else Verdict.REFUTED
-
-
-def _aggregate(
-    case_id: VerifyCase, cap: int, slices: list[SliceOutcome], notes: tuple[str, ...] = ()
-) -> VerificationResult:
+def _aggregate(case_id: VerifyCase, cap: int, slices: list[SliceOutcome]) -> VerificationResult:
     if not slices:
         raise ValueError(f"case {case_id.value}: the given ranges select no slice")
     verdict = Verdict.VERIFIED
@@ -298,5 +256,4 @@ def _aggregate(
         slices=tuple(slices),
         verdict=verdict,
         counterexample=counterexample,
-        notes=notes,
     )

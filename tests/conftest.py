@@ -20,3 +20,16 @@ def checkout_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return env
+
+
+@pytest.fixture
+def extend_survey_families(monkeypatch):
+    """A function that patches verify.survey_families to the true families and the given ones."""
+    import wcifano.verify
+
+    true = wcifano.verify.survey_families
+
+    def extend(*extra):
+        monkeypatch.setattr(wcifano.verify, "survey_families", lambda n, k: true(n, k) + extra)
+
+    return extend

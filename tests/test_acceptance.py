@@ -27,12 +27,12 @@ from wcifano.filters import (
 )
 from wcifano.transforms import hyperplane_section, replay_trace, unconize, wellformize
 from wcifano.verify import (
-    NAMED_SURVEY_FAMILIES,
     Verdict,
     all_quadrics_family,
     index_hypersurface_families,
     quadrics_cubic_family,
     survey_codim,
+    survey_families,
     verify_case_i,
     verify_case_ii,
     verify_case_iii,
@@ -121,32 +121,19 @@ def test_criterion_4_index_hypersurface_triple(capsys):
 
 
 def test_criterion_5_codimension_survey_containment(capsys):
-    with Criterion(capsys, 5, "survey slices contain the named family; counts reported") as c:
+    with Criterion(capsys, 5, "survey slices hold exactly their families, cap untouched") as c:
         start = time.perf_counter()
-        survey_6 = survey_codim(6, 1, cap=20)
-        survey_5 = survey_codim(5, 1, cap=20)
+        surveys = [survey_codim(n, index, cap=20) for n, index in ((5, 1), (6, 1), (6, 2), (8, 3))]
         elapsed = time.perf_counter() - start
-        survivors_6 = survey_6.slices[0].result.survivors
-        for family in NAMED_SURVEY_FAMILIES[(6, 1)]:
-            assert family in survivors_6
-        assert Candidate((1,) * 10 + (3,), (2, 2, 2, 6)) in survivors_6
-        assert survey_6.verdict is Verdict.VERIFIED
-        # both reports must state the necessary-conditions caveat and
-        # compare their count against the reference value 5; a mismatch
-        # is flagged in the notes, never failed
-        for report in (survey_5, survey_6):
-            assert any("necessary conditions" in note for note in report.notes)
-            assert any(note.startswith("reference count 5:") for note in report.notes)
-            assert any(note.startswith("survivors at cap 20:") for note in report.notes)
-            for note in report.notes:
-                if note.startswith("reference count 5:") and "MISMATCH" in note:
-                    assert "flagged, not failed" in note
+        for report in surveys:
+            assert report.verdict is Verdict.VERIFIED
+            (s,) = report.slices
+            assert s.result.survivors == survey_families(s.n, s.k)
+            assert s.result.cap_touched is False
+        assert Candidate((1,) * 10 + (3,), (2, 2, 2, 6)) in surveys[1].slices[0].result.survivors
         assert elapsed < 60.0
-        counts = (
-            len(survey_5.slices[0].result.survivors),
-            len(survivors_6),
-        )
-        c.detail = f"slice counts {counts[0]}/{counts[1]} vs reference 5, {elapsed:.1f}s"
+        counts = "/".join(str(len(r.slices[0].result.survivors)) for r in surveys)
+        c.detail = f"(5,1) (6,1) (6,2) (8,3) exact, counts {counts}, {elapsed:.2f}s"
 
 
 def test_criterion_6_divisibility_oracle_equivalence(capsys):

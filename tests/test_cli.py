@@ -275,6 +275,15 @@ class TestEnumerate:
             == 2
         )
 
+    def test_unknown_profile_entry_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--dim", "2", "--index", "1", "--codim", "1", "--profile", "Deltas,bogus"
+        )
+        assert (code, out, err) == (2, "", "error: unknown filter id 'bogus'\n")
+        # the profile is checked before the candidate, whose zero weight would fail too
+        code, out, err = run_cli(capsys, "check", "--weights", "1,0,2", "--profile", " Bogus ")
+        assert (code, out, err) == (2, "", "error: unknown filter id 'Bogus'\n")
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -308,15 +317,18 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--case", "iii", "--dim", "3..4")[0] == 0
         assert run_cli(capsys, "verify", "--case", "hypersurface", "--dim", "3..4")[0] == 0
 
-    def test_survey_reports_notes(self, capsys):
+    def test_survey_prints_one_slice_and_no_note(self, capsys):
         code, out, _ = run_cli(
             capsys,
             "verify",
             "--case", "survey", "--dim", "5", "--index", "1", "--max-weight", "12",
         )
         assert code == 0
-        assert "note: screens are necessary conditions only" in out
-        assert "note: survivors at cap 12: 3" in out
+        assert out.splitlines() == [
+            "case survey  cap=12",
+            "slice n=5 i=1 k=3: survivors=3 expected=3 cap_touched=false status=Verified",
+            "verdict: Verified",
+        ]
 
     def test_refuted_case_exits_one_with_the_counterexample(self, capsys, monkeypatch):
         # with a wrong family each slice's one true survivor is an extra
@@ -333,11 +345,14 @@ class TestVerify:
         )
         assert lines[-1] == "verdict: Refuted"
 
-    def test_inconclusive_survey_exits_three_with_the_counterexample(self, capsys, monkeypatch):
-        bogus = Candidate((1,) * 8 + (7,), (2, 2, 10))
-        monkeypatch.setitem(wcifano.verify.NAMED_SURVEY_FAMILIES, (5, 1), (bogus,))
-        # the survey's first slice has two middles, which no survivor lifts
-        # above 2; a cap of 1 cuts them
+    def test_inconclusive_survey_exits_three_with_the_counterexample(
+        self, capsys, extend_survey_families
+    ):
+        # the survey slice has two middles, which no survivor lifts above
+        # 2; a cap of 1 cuts them, and hides the true (1^8, 3; 2, 2, 6),
+        # which lies above the bogus family
+        bogus = Candidate((1,) * 8 + (2,), (2, 2, 5))
+        extend_survey_families(bogus)
         code, out, _ = run_cli(
             capsys, "verify", "--case", "survey", "--dim", "5", "--index", "1", "--max-weight", "1"
         )
@@ -346,32 +361,31 @@ class TestVerify:
         assert lines[1].startswith("slice n=5 i=1 k=3: ")
         assert lines[1].endswith(
             " cap_touched=true status=InconclusiveCapTouched"
-            " counterexample=(1,1,1,1,1,1,1,1,7;2,2,10)"
+            " counterexample=(1,1,1,1,1,1,1,1,2;2,2,5)"
         )
         assert lines[-1] == "verdict: InconclusiveCapTouched"
 
     def test_a_survey_missing_a_named_family_exits_one_with_the_counterexample(
-        self, capsys, monkeypatch
+        self, capsys, extend_survey_families
     ):
-        # at --max-weight 10 the first slice is cap-free, so a family it
+        # at --max-weight 10 the survey slice is cap-free, so a family it
         # misses refutes
         bogus = Candidate((1,) * 8 + (7,), (2, 2, 10))
-        monkeypatch.setitem(wcifano.verify.NAMED_SURVEY_FAMILIES, (5, 1), (bogus,))
+        extend_survey_families(bogus)
         code, out, _ = run_cli(
             capsys, "verify", "--case", "survey", "--dim", "5", "--index", "1", "--max-weight", "10"
         )
         assert code == 1
         lines = out.splitlines()
         assert lines[1] == (
-            "slice n=5 i=1 k=3: survivors=3 expected=1 cap_touched=false status=Refuted"
+            "slice n=5 i=1 k=3: survivors=3 expected=4 cap_touched=false status=Refuted"
             " counterexample=(1,1,1,1,1,1,1,1,7;2,2,10)"
         )
-        assert not any(line.startswith("note: cap touched") for line in lines)
-        assert lines[-1] == "verdict: Refuted"
+        assert lines[2:] == ["verdict: Refuted"]
 
     def test_survey_needs_dim_and_index(self, capsys):
         assert run_cli(capsys, "verify", "--case", "survey", "--dim", "5")[0] == 2
-        # index 0 lies outside the indices 1..n-k+1 the survey sums
+        # at index 0 the smooth-Fano profile leaves nothing to survey
         code, out, err = run_cli(capsys, "verify", "--case", "survey", "--dim", "2", "--index", "0")
         assert (code, out, err) == (2, "", "error: survey needs index >= 1, got 0\n")
 
@@ -586,5 +600,8 @@ class TestModuleEntryPoint:
             env=checkout_env,
         )
         assert proc.returncode == 0
-        assert "verdict: Verified" in proc.stdout
-        assert "survivors at cap 20: " in proc.stdout
+        assert proc.stdout.splitlines() == [
+            "case survey  cap=20",
+            "slice n=6 i=1 k=4: survivors=3 expected=3 cap_touched=false status=Verified",
+            "verdict: Verified",
+        ]

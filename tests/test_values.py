@@ -135,12 +135,11 @@ CASES = [
             "slices": (SLICE,),
             "verdict": Verdict.REFUTED,
             "counterexample": C,
-            "notes": ("a note",),
         },
-        ("notes", ()),
+        ("counterexample", None),
         True,
         f"VerificationResult(case_id=<VerifyCase.CASE_II: 'ii'>, cap=15, slices=({SLICE_REPR},),"
-        f" verdict=<Verdict.REFUTED: 'Refuted'>, counterexample={C_REPR}, notes=('a note',))",
+        f" verdict=<Verdict.REFUTED: 'Refuted'>, counterexample={C_REPR})",
     ),
     (
         VeroneseStep,
@@ -204,7 +203,7 @@ SIGNATURES = {
     ],
     VerificationResult: [
         (name, REQUIRED)
-        for name in ("case_id", "cap", "slices", "verdict", "counterexample", "notes")
+        for name in ("case_id", "cap", "slices", "verdict", "counterexample")
     ],
     VeroneseStep: [("factor", REQUIRED), ("divided_positions", REQUIRED)],
     PairRemovalStep: [("weight_pos", REQUIRED), ("degree_pos", REQUIRED), ("value", REQUIRED)],

@@ -1,14 +1,13 @@
-"""Classification harness: verdict logic, quick verified ranges, survey notes."""
+"""Classification harness: verdict logic, quick verified ranges, the survey families."""
 
 from __future__ import annotations
 
 import pytest
 
+import wcifano.verify
 from wcifano.core import Candidate, fano_index
 from wcifano.enumerator import EnumerationQuery, enumerate_candidates
 from wcifano.verify import (
-    NAMED_SURVEY_FAMILIES,
-    SURVEY_REFERENCE_COUNTS,
     Verdict,
     VerifyCase,
     _aggregate,
@@ -17,6 +16,7 @@ from wcifano.verify import (
     index_hypersurface_families,
     quadrics_cubic_family,
     survey_codim,
+    survey_families,
     verify_case_i,
     verify_case_ii,
     verify_case_iii,
@@ -166,60 +166,76 @@ class TestSliceComparator:
         assert clean.verdict is Verdict.VERIFIED
 
 
+# Every survey slice (k = n - index - 1 >= 1) with n <= 9.
+SURVEY_SLICES = [(n, n - k - 1, k) for n in range(3, 10) for k in range(1, n - 1)]
+
+
+class TestSurveyFamilies:
+    @pytest.mark.parametrize("cap", [5, 10**12])
+    @pytest.mark.parametrize("n, index, k", SURVEY_SLICES)
+    def test_the_survivors_are_the_survey_families(self, n, index, k, cap):
+        result = enumerate_candidates(EnumerationQuery(n=n, index=index, k=k, max_weight=cap))
+        assert result.survivors == survey_families(n, k)
+        assert result.cap_touched is False
+
+
 class TestSurvey:
-    def test_reports_necessary_conditions_and_count(self):
+    def test_checks_one_exact_slice(self):
         result = survey_codim(5, 1, cap=12)
         assert result.verdict is Verdict.VERIFIED
-        assert any("necessary conditions" in note for note in result.notes)
-        assert "survivors at cap 12: 3" in result.notes
-        # the reference count applies to all indices of this (dim, codim),
-        # and the survey compares it with the count summed over them
-        assert "reference count 5: match" in result.notes
+        (outcome,) = result.slices
+        assert (outcome.n, outcome.index, outcome.k) == (5, 1, 3)
+        assert outcome.expected == survey_families(5, 3)
+        assert outcome.result.survivors == outcome.expected
+        assert outcome.result.cap_touched is False
 
     def test_named_family_containment(self):
         result = survey_codim(6, 1, cap=20)
         assert result.verdict is Verdict.VERIFIED
-        named = NAMED_SURVEY_FAMILIES[(6, 1)]
         survivors = set(result.slices[0].result.survivors)
-        assert all(family in survivors for family in named)
+        assert Candidate((1,) * 10 + (3,), (2, 2, 2, 6)) in survivors
+        assert survivors == set(survey_families(6, 4))
 
-    # The survey's first slice at (5, 1) has two middles, which no
-    # survivor lifts above 2, and so tails of 5 at most: a cap of 5 or
-    # more leaves it untouched, and a cap of 1 cuts its middles.
+    # The survey slice at (5, 1) has two middles, which no survivor lifts
+    # above 2, and so tails of 5 at most: a cap of 5 or more leaves it
+    # untouched, and a cap of 1 cuts its middles (and hides the true
+    # family (1^8, 3; 2, 2, 6), so the bogus families there lie below it).
 
-    def test_missing_named_family_goes_inconclusive_under_cap(self, monkeypatch):
-        import wcifano.verify
-
-        bogus = Candidate((1,) * 8 + (7,), (2, 2, 10))
-        monkeypatch.setitem(wcifano.verify.NAMED_SURVEY_FAMILIES, (5, 1), (bogus,))
+    def test_missing_named_family_goes_inconclusive_under_cap(self, extend_survey_families):
+        bogus = Candidate((1,) * 8 + (2,), (2, 2, 5))
+        extend_survey_families(bogus)
         result = survey_codim(5, 1, cap=1)
         assert result.verdict is Verdict.INCONCLUSIVE_CAP_TOUCHED
         assert result.counterexample == bogus
 
     @pytest.mark.parametrize("cap", [5, 10**12])
-    def test_missing_named_family_refutes_on_the_cap_free_slice(self, monkeypatch, cap):
-        import wcifano.verify
-
+    def test_missing_named_family_refutes_on_the_cap_free_slice(self, extend_survey_families, cap):
         bogus = Candidate((1,) * 8 + (7,), (2, 2, 10))
-        monkeypatch.setitem(wcifano.verify.NAMED_SURVEY_FAMILIES, (5, 1), (bogus,))
+        extend_survey_families(bogus)
         result = survey_codim(5, 1, cap=cap)
         assert result.slices[0].result.cap_touched is False
         assert result.slices[0].status is Verdict.REFUTED
         assert result.verdict is Verdict.REFUTED
         assert result.counterexample == bogus
-        assert not any(note.startswith("cap touched") for note in result.notes)
 
-    def test_the_counterexample_is_the_least_missing_family(self, monkeypatch):
-        import wcifano.verify
-
-        # both fail GcdCover; the canonical-least one is listed second
-        seven = Candidate((1,) * 8 + (7,), (2, 2, 10))
-        six = Candidate((1,) * 8 + (6,), (2, 2, 9))
-        monkeypatch.setitem(wcifano.verify.NAMED_SURVEY_FAMILIES, (5, 1), (seven, six))
+    def test_the_counterexample_is_the_least_missing_family(self, extend_survey_families):
+        # both fail LinearCone; the canonical-least one is listed second
+        larger = Candidate((1,) * 8 + (2,), (2, 3, 4))
+        least = Candidate((1,) * 8 + (2,), (2, 2, 5))
+        extend_survey_families(larger, least)
         result = survey_codim(5, 1, cap=1)
         assert result.verdict is Verdict.INCONCLUSIVE_CAP_TOUCHED
-        assert result.slices[0].counterexample == six
-        assert result.counterexample == six
+        assert result.slices[0].counterexample == least
+        assert result.counterexample == least
+
+    @pytest.mark.parametrize("dropped", range(3))
+    def test_a_survivor_missing_from_the_families_refutes(self, monkeypatch, dropped):
+        true = survey_families(5, 3)
+        kept = true[:dropped] + true[dropped + 1:]
+        monkeypatch.setattr(wcifano.verify, "survey_families", lambda n, k: kept)
+        result = survey_codim(5, 1, cap=20)
+        assert result.verdict is Verdict.REFUTED
+        assert result.counterexample == true[dropped]
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -227,7 +243,7 @@ class TestSurvey:
         with pytest.raises(ValueError):
             survey_codim(3, 2)  # k = 0
         with pytest.raises(ValueError):
-            survey_codim(2, 0)  # index 0 lies outside the summed indices 1..n-k+1
+            survey_codim(2, 0)  # index 0: the smooth-Fano profile leaves nothing
 
     def test_index_one_hypersurface_slice_count(self):
         # dimension-3 regression value: the k = 1 slice at index 1 holds
@@ -240,16 +256,24 @@ class TestSurvey:
 
 
 class TestAllIndexFamilyCounts:
-    @pytest.mark.parametrize("n, k, expected_total", [(5, 3, 5), (6, 4, 5)])
+    @pytest.mark.parametrize(
+        "n, k, expected_total", [(4, 2, 9), (5, 3, 5), (6, 4, 5), (7, 2, 9), (9, 6, 5)]
+    )
     def test_codimension_totals_across_indices(self, n, k, expected_total):
-        # summing the k-codimension survivors over every admissible index
-        # reproduces the reference family count the survey reports against
+        # at codimension k >= 2, index i = n - k - 1 and the two above it
+        # leave the survey, quadrics-and-a-cubic and all-quadrics families,
+        # and every higher index (case i) leaves nothing
+        survey_index = n - k - 1
+        families = {
+            survey_index: survey_families(n, k),
+            survey_index + 1: (quadrics_cubic_family(n, k),),
+            survey_index + 2: (all_quadrics_family(n, k),),
+        }
         total = 0
-        for index in range(1, n + 2):
-            if k > n - index + 1:
-                continue
+        for index in range(survey_index, n + 2):
             result = enumerate_candidates(
                 EnumerationQuery(n=n, index=index, k=k, max_weight=20)
             )
+            assert result.survivors == families.get(index, ())
             total += len(result.survivors)
-        assert total == expected_total == SURVEY_REFERENCE_COUNTS[(n, 1)]
+        assert total == expected_total
