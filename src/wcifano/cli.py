@@ -6,9 +6,11 @@ to stdout; diagnostics and the enumeration summary go to stderr, so
 stdout stays machine-parseable (one JSON record per line by default).
 
 Exit codes: 0 success / all filters passed / verified; 1 filter
-failure, transform error or refuted case; 2 malformed input; 3
-inconclusive verification (weight cap touched); 141 (128 + SIGPIPE)
-when the reader of stdout closed it early, as `| head` does.
+failure, transform error or refuted case; 2 malformed input, or a
+search that nests deeper than the interpreter allows (about a thousand
+weights or degrees, as at --dim 1000 --codim 1000); 3 inconclusive
+verification (weight cap touched); 141 (128 + SIGPIPE) when the reader
+of stdout closed it early, as `| head` does.
 
 Each handler imports the modules it runs, so a subcommand loads no
 module it does not use: check loads core, filters and output;

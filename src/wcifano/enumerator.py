@@ -55,21 +55,19 @@ above it.  With one middle at k >= 1, or two at k >= 2, UnitPrefix,
 Deltas, LastWeight, GcdCover and LinearCone leave no survivor with a
 middle above 2 (_Shape.middle_bound).  LastWeight bounds the tails by
 the middle sum + 1, at most 5, so such a slice, the survey's among
-them, touches no cap of 5 or more.  At k >= 2, under LastWeight, a tail
-is placed only when the tail prefix it ends passes two cuts, both sound
-because the class counts, the gcd closure and the banned weights only
-grow as weights are appended.  It must leave each class a degree
-outside the last slot or a share of the last degree: a class that only
-the last degree can serve may have one member, and all such classes
-must divide one degree in the last slot's window (_tails_fit).  And its degree slack must hold: the
-least raise to an admissible multiple that each class needs, in as many
-of the slots paired with the tails placed as the unplaced tails' slots
-cannot hold for it, must fit what the degree sum leaves above the least
+them, touches no cap of 5 or more.  At k >= 2, under LastWeight, the
+weight walk places a tail only when the tail prefix it ends passes two
+cuts (_prefix_fits), both sound because the class counts, the gcd
+closure and the banned weights only grow as weights are appended.  It
+must leave each class a degree outside the last slot or a share of the
+last degree: a class that only the last degree can serve may have one
+member, and all such classes must divide one degree in the last slot's
+window (_tails_fit).  And its degree slack must hold: the least raise
+to an admissible multiple that each class needs, in as many of the
+slots paired with the tails placed as the unplaced tails' slots cannot
+hold for it, must fit what the degree sum leaves above the least
 degrees (_slots_fit with those slots free).  On a whole vector that is
 the degree walk's test before its first degree, which is not run twice.
-A tail that fails the first cut for sure, as a class only the last
-degree can serve, is not even tried (_skips), nor any first tail past
-one at which the middles' classes already fail it.
 While a class is pending, the degree walk fills a slot only when the
 slots left fit what is left of that sum (_slots_fit): the least degree
 each can hold, plus the least raise to an admissible multiple that each
@@ -141,11 +139,13 @@ class EnumerationQuery(_Value):
     says a listing is complete.  At k = 1 the default 4 * (n + 1 +
     index) is at least the weight bound n + 2 - index
     (_Shape.weight_bound), so under GcdCover with LinearCone, Deltas or
-    LastWeight the default listing is complete.  So is it, at 8 or more,
-    with one middle at k >= 1 or two at k >= 2 under UnitPrefix, Deltas,
-    LastWeight, GcdCover and LinearCone (_Shape.middle_bound), as at
-    (5, 1, 3) and (6, 1, 4).  k may be 0 (ambient spaces); k <= n + 1 is
-    enforced.
+    LastWeight the default listing is complete.  So is it with one
+    middle at k >= 1 or two at k >= 2 under UnitPrefix, Deltas,
+    LastWeight, GcdCover and LinearCone (_Shape.middle_bound): no middle
+    exceeds 2 and no tail the middle sum + 1, so the cap is untouched
+    from 3 with one middle, e.g. (4, 1, 3, 3) false and (4, 1, 3, 2)
+    true, and from 5 with two, e.g. (5, 1, 3, 5) false and (5, 1, 3, 4)
+    true.  k may be 0 (ambient spaces); k <= n + 1 is enforced.
     """
 
     __slots__ = {
@@ -379,7 +379,8 @@ def enumerate_streaming(
     task j once tasks 0..j are all in, and the caller checks for outcomes
     after each task of its own, so the sink sees each task's survivors
     soon after that task and every earlier one have finished, not after
-    the whole search.
+    the whole search.  A walk that nests deeper than the recursion limit
+    allows, as at (1000, 1, 1000), raises InvalidQuery.
     """
     _require_ints(workers=workers)
     if workers < 1:
@@ -422,16 +423,26 @@ def _split(shape: _Shape, keys, size: int):
     task or a few.  Either way the outcomes are those of an inline run,
     in the same order.
     """
+    def run(key):
+        try:
+            return _task(shape, key).outcome()
+        except RecursionError:
+            q = shape.query
+            raise InvalidQuery(
+                f"the search of n={q.n}, index={q.index}, k={q.k} nests deeper than the"
+                " interpreter allows: it takes a stack frame per middle, tail and degree"
+            ) from None
+
     busy = 0.0
     for j, key in enumerate(keys):
         left = len(keys) - j
         if size > 1 and left > 1 and busy * left >= _FORK_WORK_S * max(j, 1):
             from ._forked import _share
 
-            yield from _share(lambda key: _task(shape, key).outcome(), keys[j:], min(size, left))
+            yield from _share(run, keys[j:], min(size, left))
             return
         start = perf_counter()
-        outcome = _task(shape, key).outcome()
+        outcome = run(key)
         busy += perf_counter() - start
         yield outcome
 
@@ -467,7 +478,8 @@ def _collect(shape: _Shape, outcomes, sink) -> EnumerationResult:
 class _Walk:
     """One search task: its counters, its survivors and its two generators.
 
-    The shape's cuts act in the generators: GcdCover by the class counts
+    tuples walks the middles and the tails, degrees the degrees.  The
+    shape's cuts act in the generators: GcdCover by the class counts
     carried along the weights, LinearCone by banning the weights as
     degrees.  test runs the shape's predicates on a tuple.  touched
     records that the cap cut a structurally admissible range.
@@ -488,6 +500,7 @@ class _Walk:
         total=None,
         classes=None,
         first=None,
+        fits=None,
     ):
         """Yield each non-decreasing extension of head to length entries in 1..hi, with counts.
 
@@ -497,7 +510,10 @@ class _Walk:
         With classes, the class counts of head (_grow_classes), the counts
         are carried along: a value that gives some class more than k
         members is not placed, so is not a node, and its subtree is
-        skipped.  Without, every extension comes with None.  With first,
+        skipped.  Without, every extension comes with None.  With fits, a
+        callable (placed, classes) -> bool, each extension runs through it
+        once its counts are grown, and a value it rejects is not placed
+        either (_task hands it _prefix_fits for the tails).  With first,
         the next slot takes only that value, which must be one of its
         _slot_values: the tasks are exactly the first slot's values.
         """
@@ -516,52 +532,13 @@ class _Walk:
                 grown = _grow_classes(classes, placed, self.shape.query.k)
                 if grown is None:
                     continue
+            if fits is not None and not fits(placed, grown):
+                continue
             self.nodes += 1
             if last:
                 yield placed, grown
             else:
-                yield from self.tuples(placed, length, hi, total, grown)
-
-    def tails(self, head, m, classes, last_only, total, tail_hi, bans):
-        """Yield each tail vector extending head under LastWeight at k >= 2, with its counts.
-
-        head is m middles and the tails placed so far, classes its class
-        counts, last_only the lcm of its last-only classes (_tails_fit;
-        unused before the first tail) and bans whether the weights are
-        banned as degrees.  Each tail up to tail_hi that _skips leaves is
-        placed only when the prefix it ends passes _tails_fit and the
-        degree slack test, _slots_fit with the tails not yet placed as free
-        slots; on a whole vector that is the walk's test before its first
-        degree, so _task does not run it again.
-        """
-        k = self.shape.query.k
-        top = total - k + 2
-        first = len(head) == m
-        for t in range(head[-1] if head else 1, tail_hi + 1):
-            if first:
-                # The first window shrinks as t grows: once the middles fail, all larger t do.
-                last_only = _tails_fit((t,), total, classes.items(), head if bans else (), k, tail_hi)
-                if not last_only:
-                    return
-            if _skips(t, head, last_only, top, tail_hi + top - 1, bans or first):
-                continue
-            placed = head + (t,)
-            grown = _grow_classes(classes, placed, k)
-            if grown is None:
-                continue
-            banned = placed if bans else ()
-            tails = placed[m:]
-            lone = _tails_fit(tails, total, grown.items(), banned, k, tail_hi)
-            if not lone:
-                continue
-            free = k - len(tails)
-            if not _slots_fit(tails, total, t, grown.items(), banned, 0, free):
-                continue
-            self.nodes += 1
-            if free:
-                yield from self.tails(placed, m, grown, lone, total, tail_hi, bans)
-            else:
-                yield placed, grown
+                yield from self.tuples(placed, length, hi, total, grown, fits=fits)
 
     def degrees(self, floors, total, min_last, pending, banned, head=()):
         """Yield the non-decreasing degrees d_j = floors[j] + e_j extending head.
@@ -634,23 +611,6 @@ def _slot_values(head: tuple[int, ...], length: int, hi: int, total: int | None)
     return range(max(start, left) if slots == 1 else start, min(hi, left // slots) + 1)
 
 
-def _skips(t, head, last_only, top, reach, own_class) -> bool:
-    """True only when the tail prefix head + (t,) fails _tails_fit, so t need not be tried.
-
-    top = total - k + 2 and reach = tail_hi + top - 1 <= 2 top - 2 bound
-    the windows of _tails_fit; last_only is the lcm of head's last-only
-    classes (the middles' at t for the first tail), which stay last-only.
-    With own_class (t is the first tail or banned) and 2 t > top, no
-    multiple of t outside banned lies in the first window, as t lies below
-    it or is banned, so t is a last-only class: no weight before it may
-    equal t, and the last degree, 2 t or 3 t in [2 t, reach] as reach <
-    4 t, must be one that last_only divides.
-    """
-    return own_class and 2 * t > top and (
-        t in head or 2 * t % last_only and (3 * t > reach or 3 * t % last_only)
-    )
-
-
 def _grow_classes(
     classes: dict[int, int], placed: tuple[int, ...], k: int
 ) -> dict[int, int] | None:
@@ -679,8 +639,8 @@ def _grow_classes(
     return grown
 
 
-def _tails_fit(tails, total, classes, banned, k, tail_hi) -> int:
-    """0 only when no completion of a tail prefix has a degree tuple; else its last-only lcm.
+def _tails_fit(tails, total, classes, banned, k, tail_hi) -> bool:
+    """False only when no completion of a tail prefix has a degree tuple.
 
     Under LastWeight (the last excess is at least the last tail): tails
     are t_1 <= ... <= t_cur placed so far, all k of them at the last
@@ -703,11 +663,25 @@ def _tails_fit(tails, total, classes, banned, k, tail_hi) -> int:
     for g, c in classes:
         if _least_multiple(tails[0] + 1, g, banned) > top:
             if c >= 2:
-                return 0
+                return False
             last_only = lcm(last_only, g)
-    if last_only > 1 and _least_multiple(2 * tails[-1], last_only, banned) > tail_hi + top - 1:
-        return 0
-    return last_only
+    return last_only == 1 or _least_multiple(2 * tails[-1], last_only, banned) <= tail_hi + top - 1
+
+
+def _prefix_fits(placed, m, total, classes, banned, k, tail_hi) -> bool:
+    """False only when no completion of the tail prefix placed[m:] has a degree tuple.
+
+    placed is m middles and the tails placed so far, classes its class
+    counts and banned the weights banned as degrees.  The prefix must
+    pass _tails_fit and the degree slack test, _slots_fit with the tails
+    not yet placed as free slots.  On a whole vector that is the degree
+    walk's test before its first degree, which _task then does not run.
+    """
+    tails = placed[m:]
+    classes = classes.items()
+    return _tails_fit(tails, total, classes, banned, k, tail_hi) and _slots_fit(
+        tails, total, tails[-1], classes, banned, 0, k - len(tails)
+    )
 
 
 def _slots_fit(floors, total, min_last, pending, banned, prev, free=0) -> bool:
@@ -728,7 +702,7 @@ def _slots_fit(floors, total, min_last, pending, banned, prev, free=0) -> bool:
     So not filling slots that fail loses no survivor.
 
     With free, floors are the placed slots of a tail prefix under
-    LastWeight and the last free slots are not placed yet (_Walk.tails,
+    LastWeight and the last free slots are not placed yet (_prefix_fits,
     with prev 0 and min_last the last tail placed).  In any completion
     the floor of a free slot, the tail it pairs with, is at least
     floors[-1], and so is the last excess; taking them at that least
@@ -780,21 +754,23 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
         tail_hi, touched = _capped(cap, last_weight_bound, shape.weight_bound)
         if shape.tails and touched:
             walk.touched = True
-        # The degrees are walked only when their slots fit (_slots_fit):
-        # the tail stage checks its vectors, this loop the others.
-        check = k >= 2
+        # The degrees are walked only when their slots fit (_slots_fit): at
+        # k >= 2 under LastWeight with GcdCover counts, fits checks each
+        # tail prefix, the whole vector last; this loop checks the others.
+        fits = None
         if k >= 2 and shape.last_weight and counts is not None:
-            vectors = walk.tails(ms, len(ms), counts, 1, total, tail_hi, bans_weights)
-            check = False
-        else:
-            vectors = walk.tuples(ms, len(ms) + shape.tails, tail_hi, classes=counts)
+            fits = lambda placed, grown: _prefix_fits(
+                placed, len(ms), total, grown, placed if bans_weights else (), k, tail_hi
+            )
+        vectors = walk.tuples(ms, len(ms) + shape.tails, tail_hi, classes=counts, fits=fits)
         for ws, classes in vectors:
             weights = shape.prefix + ws
             floors = ws[len(ms) :] if shape.tails else (0,) * k
             min_last = ws[-1] if shape.last_weight else 1
             pending = tuple(classes.items()) if classes else ()
             banned = weights if bans_weights else ()
-            if check and pending and not _slots_fit(floors, total, min_last, pending, banned, 0):
+            whole = fits is None and k >= 2 and pending
+            if whole and not _slots_fit(floors, total, min_last, pending, banned, 0):
                 continue
             for ds in walk.degrees(floors, total, min_last, pending, banned):
                 walk.test(weights, ds)

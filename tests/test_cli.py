@@ -275,6 +275,22 @@ class TestEnumerate:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--dim", "1000", "--index", "1", "--codim", "1000"),
+            ("--dim", "990", "--index", "991", "--codim", "0", "--profile", "Normalized"),
+        ],
+    )
+    def test_a_search_too_deep_exits_two_with_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, "enumerate", *argv, "--max-weight", "5")
+        n, index, k = argv[1], argv[3], argv[5]
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the search of n={n}, index={index}, k={k} nests deeper than the"
+            " interpreter allows: it takes a stack frame per middle, tail and degree\n"
+        )
+
     def test_unknown_profile_entry_exits_two(self, capsys):
         code, out, err = run_cli(
             capsys, "enumerate", "--dim", "2", "--index", "1", "--codim", "1", "--profile", "Deltas,bogus"

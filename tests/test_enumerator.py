@@ -33,8 +33,8 @@ from wcifano.enumerator import (
     InvalidQuery,
     SearchStats,
     _grow_classes,
+    _prefix_fits,
     _Shape,
-    _skips,
     _slots_fit,
     _tails_fit,
     _capped,
@@ -200,13 +200,17 @@ class TestFrozenSlices:
             ),
             (2, 9, 0, 9, frozenset(), (17, 7, 7, False)),
             (3, 1, 2, 8, frozenset({FilterId.UNIT_PREFIX, FilterId.DELTAS}), (944, 330, 330, True)),
+            (5, 1, 2, 12, SMOOTH_FANO_PROFILE, (1385, 6, 6, True)),
+            (6, 1, 3, 10, SMOOTH_FANO_PROFILE, (2005, 10, 10, True)),
         ],
     )
     def test_search_counts_are_pinned(self, n, index, k, cap, profile, expected):
         # nodes, tested, survivors and cap_touched of profiles with and
         # without the unit-prefix structure, ambient-only slices included;
         # without LinearCone the cap, not the middle bound, bounds the
-        # middles of (5, 1, 3)
+        # middles of (5, 1, 3), and with three middles at k >= 2 the cap
+        # bounds them under the full profile too, so every tail prefix
+        # of those slices runs through _prefix_fits
         q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
         result = enumerate_candidates(q)
         nodes, tested, survivors, touched = expected
@@ -220,6 +224,37 @@ class TestFrozenSlices:
         assert result.prefix_infeasible is True
         assert result.cap_touched is False
         assert result.stats == SearchStats(nodes=0, tested=0)
+
+
+class TestDeepQueries:
+    # the walk nests a generator frame per middle, tail and degree, so a
+    # slice about as deep as the recursion limit stops with InvalidQuery,
+    # and a deep slice within it still answers
+    TOO_DEEP = "nests deeper than the interpreter allows"
+
+    @pytest.mark.parametrize(
+        "n, index, k, profile",
+        [(1000, 1, 1000, SMOOTH_FANO_PROFILE), (990, 991, 0, {FilterId.NORMALIZED})],
+    )
+    def test_a_search_too_deep_raises_invalid_query(self, n, index, k, profile):
+        q = EnumerationQuery(n=n, index=index, k=k, max_weight=5, profile=profile)
+        message = f"^the search of n={n}, index={index}, k={k} {self.TOO_DEEP}: "
+        with pytest.raises(InvalidQuery, match=message):
+            enumerate_candidates(q)
+
+    def test_a_task_too_deep_raises_invalid_query_from_a_worker(self, fork_at_once):
+        # two tasks, first middle 1 and 2, shared among two processes
+        # where a second CPU is usable
+        q = EnumerationQuery(n=990, index=1982, k=0, max_weight=5, profile={FilterId.NORMALIZED})
+        with pytest.raises(InvalidQuery, match=self.TOO_DEEP):
+            enumerate_candidates(q, workers=2)
+
+    def test_a_deep_slice_within_the_limit_answers(self):
+        # case ii at n = 400: the one all-quadrics tuple
+        result = enumerate_candidates(EnumerationQuery(n=400, index=1, k=400, max_weight=5))
+        assert result.survivors == (Candidate((1,) * 801, (2,) * 400),)
+        assert result.stats == SearchStats(nodes=800, tested=1)
+        assert result.cap_touched is False
 
 
 class TestNoGcdClosure:
@@ -463,21 +498,13 @@ class TestDegreeSumBound:
 
     @staticmethod
     def prefix_fits(k, middles, tails, total, tail_hi, bans):
-        """The walk's test of its tail prefix middles + tails (None: the weight cut skips it).
-
-        _tails_fit, then the degree slack of _slots_fit with the tails not
-        yet placed as free slots.
-        """
+        """The walk's test of its tail prefix middles + tails (None: the weight cut skips it)."""
         weights = middles + tails
         classes = TestWeightStageCut.class_counts(weights, k)
         if classes is None:
             return None
         banned = weights if bans else ()
-        free = k - len(tails)
-        return bool(
-            _tails_fit(tails, total, classes.items(), banned, k, tail_hi)
-            and _slots_fit(tails, total, tails[-1], classes.items(), banned, 0, free)
-        )
+        return _prefix_fits(weights, len(middles), total, classes, banned, k, tail_hi)
 
     @classmethod
     def live_completions(cls, k, middles, tails, total, tail_hi, bans):
@@ -585,8 +612,7 @@ class TestDegreeSumBound:
         whole_only = enumerate_candidates(q)
         monkeypatch.setattr(wcifano.enumerator, "_slots_fit", lambda *args: True)
         prefix_only = enumerate_candidates(q)
-        monkeypatch.setattr(wcifano.enumerator, "_tails_fit", lambda *args: 1)
-        monkeypatch.setattr(wcifano.enumerator, "_skips", self.never)
+        monkeypatch.setattr(wcifano.enumerator, "_tails_fit", lambda *args: True)
         unbounded = enumerate_candidates(q)
         results = (bounded, whole_only, prefix_only, unbounded)
         assert len({r.survivors for r in results}) == 1
@@ -595,114 +621,6 @@ class TestDegreeSumBound:
         assert whole_only.stats == SearchStats(nodes=578, tested=8)
         assert prefix_only.stats == SearchStats(nodes=1627, tested=8)
         assert unbounded.stats == SearchStats(nodes=3701, tested=8)
-
-    @staticmethod
-    def never(*args):
-        """_skips leaving no tail out."""
-        return False
-
-    @pytest.mark.parametrize(
-        "n, index, k, cap, profiles",
-        [
-            (5, 1, 3, 20, [SMOOTH_FANO_PROFILE]),
-            (6, 1, 4, 20, [SMOOTH_FANO_PROFILE]),
-            (3, 1, 2, 4, ALL_PROFILES),
-            (2, 1, 3, 4, ALL_PROFILES),
-            (2, 1, 2, 5, ALL_PROFILES),
-        ],
-    )
-    def test_the_tail_limit_is_exact(self, monkeypatch, n, index, k, cap, profiles):
-        # _skips leaves out only tails that end a prefix _tails_fit
-        # rejects, so trying every tail moves no node, tested tuple,
-        # survivor or flag: on the survey slices and on the k >= 2 grid
-        # slices of TestDegreeCuts under every profile.  The survey slices,
-        # walked with the cap bounding their two middles (the middle bound
-        # dropped), try fewer than half the tails
-        if cap == 20:
-            drop_middle_bound(monkeypatch)
-        grow = wcifano.enumerator._grow_classes
-        tried = []
-
-        def counting_grow(classes, placed, k):
-            tried.append(placed)
-            return grow(classes, placed, k)
-
-        monkeypatch.setattr(wcifano.enumerator, "_grow_classes", counting_grow)
-        queries = [EnumerationQuery(n, index, k, cap, profile) for profile in profiles]
-        limited = [enumerate_candidates(q) for q in queries]
-        trials = len(tried)
-        tried.clear()
-        monkeypatch.setattr(wcifano.enumerator, "_skips", self.never)
-        assert [enumerate_candidates(q) for q in queries] == limited
-        assert trials < len(tried)
-        if cap == 20:
-            assert 2 * trials < len(tried)
-
-    @staticmethod
-    def draw_prefix(data):
-        """A tail prefix at k >= 2 that the walk extends: draw_middles, tails, counts, lcm."""
-        k, middles, tail_hi, total, bans = TestDegreeSumBound.draw_middles(data)
-        assume(k >= 2)
-        placed = data.draw(st.integers(0, k - 1))
-        tail = st.integers(middles[-1], tail_hi)
-        tails = tuple(sorted(data.draw(st.lists(tail, min_size=placed, max_size=placed))))
-        classes = TestWeightStageCut.class_counts(middles + tails, k)
-        assume(classes is not None)
-        banned = middles + tails if bans else ()
-        last_only = _tails_fit(tails, total, classes.items(), banned, k, tail_hi) if tails else 1
-        assume(last_only)
-        return k, middles, tails, total, tail_hi, bans, classes, last_only
-
-    @given(st.data())
-    @settings(max_examples=500, deadline=None)
-    def test_a_tail_left_untried_ends_a_failing_prefix(self, data):
-        # every tail _skips leaves out gives some class more than k
-        # members or fails _tails_fit on every class; at the first tail it
-        # reads the lcm of the middles' last-only classes at t, as the
-        # walk hands it
-        k, middles, tails, total, tail_hi, bans, classes, last_only = self.draw_prefix(data)
-        head = middles + tails
-        top = total - k + 2
-        for t in range(head[-1], tail_hi + 1):
-            if not tails:
-                prior = head if bans else ()
-                last_only = _tails_fit((t,), total, classes.items(), prior, k, tail_hi)
-                if not last_only:
-                    continue
-            if _skips(t, head, last_only, top, tail_hi + top - 1, bans or not tails):
-                grown = _grow_classes(classes, head + (t,), k)
-                if grown is not None:
-                    banned = head + (t,) if bans else ()
-                    assert not _tails_fit(tails + (t,), total, grown.items(), banned, k, tail_hi), t
-
-    def test_no_first_tail_fits_past_one_the_middles_fail(self):
-        # _Walk.tails stops at the first tail t at which the middles'
-        # last-only classes fail _tails_fit: every larger first tail then
-        # gives some class more than k members or fails _tails_fit on the
-        # prefix it ends.  Every k 2..4, one or two middles up to 7, tails
-        # up to 10 and the total up to 4 above its least
-        stops = 0
-        for k, size, bans in itertools.product((2, 3, 4), (1, 2), (False, True)):
-            for middles in sorted_tuples(size, 1, 7):
-                classes = TestWeightStageCut.class_counts(middles, k)
-                if classes is None:
-                    continue
-                prior = middles if bans else ()
-                for tail_hi in range(middles[-1], 11):
-                    for total in range(tail_hi + k - 1, tail_hi + k + 4):
-                        fails = [
-                            t
-                            for t in range(middles[-1], tail_hi + 1)
-                            if not _tails_fit((t,), total, classes.items(), prior, k, tail_hi)
-                        ]
-                        stops += bool(fails)
-                        for t in range(fails[0] + 1, tail_hi + 1) if fails else ():
-                            grown = _grow_classes(classes, middles + (t,), k)
-                            if grown is not None:
-                                banned = middles + (t,) if bans else ()
-                                fit = _tails_fit((t,), total, grown.items(), banned, k, tail_hi)
-                                assert not fit, (k, middles, t, total, tail_hi, bans)
-        assert stops > 1000
 
     @pytest.mark.parametrize(
         "n, index, k, cap, nodes, tested",
@@ -713,7 +631,7 @@ class TestDegreeSumBound:
         # without LinearCone the cap bounds the survey slices' two middles,
         # and they place few nodes once the bound cuts tail prefixes; a
         # search that loses the cut places many times more (36,392 and
-        # 200,927 nodes without _tails_fit, _skips and _slots_fit)
+        # 200,927 nodes without _tails_fit and _slots_fit)
         q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=NO_CONE)
         result = enumerate_candidates(q)
         assert result.stats == SearchStats(nodes=nodes, tested=tested)
@@ -1155,11 +1073,9 @@ class TestAgainstNaiveGrid:
         self, monkeypatch, n, index, k, cap
     ):
         # k >= 2 slices where the degree-sum bound rejects tail prefixes
-        # short of the last tail, when it checks them or when _skips
-        # leaves their last tail untried
-        fit, skips = wcifano.enumerator._tails_fit, wcifano.enumerator._skips
+        # short of the last tail
+        fit = wcifano.enumerator._tails_fit
         q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=CALABI_YAU_PROFILE)
-        m = _Shape(q).middles
         rejected: list[tuple[int, ...]] = []
 
         def recording_fit(tails, total, classes, banned, k, tail_hi):
@@ -1168,14 +1084,7 @@ class TestAgainstNaiveGrid:
                 rejected.append(tails)
             return fits
 
-        def recording_skips(t, head, *args):
-            skipped = skips(t, head, *args)
-            if skipped and len(head) - m + 1 < k:
-                rejected.append(head[m:] + (t,))
-            return skipped
-
         monkeypatch.setattr(wcifano.enumerator, "_tails_fit", recording_fit)
-        monkeypatch.setattr(wcifano.enumerator, "_skips", recording_skips)
         survivors = enumerate_candidates(q).survivors
         assert rejected
         assert survivors == naive_survivors(n, index, k, cap, CALABI_YAU_PROFILE)
