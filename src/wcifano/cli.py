@@ -209,8 +209,6 @@ def _cmd_enumerate(args) -> int:
         f" nodes={result.stats.nodes}"
         f" tested={result.stats.tested}"
         f" cap_touched={str(result.cap_touched).lower()}"
-        # The search decides every tuple within the cap by construction.
-        " complete_within_cap=true"
         f" max_weight={query.max_weight}"
     )
     if result.prefix_infeasible:

@@ -13,9 +13,9 @@ max_weight is decided.
   fixed, except that the forced unit prefix places none, an entry forced
   by a sum (the last degree; the last middle at k = 0) counts only when
   it is admissible, and a weight or a degree the cuts skip is not
-  placed, so not a node: nor is a tail that the degree-sum bound
-  rejects on the tail prefix it ends, nor any degree of the slots left
-  that it rejects.
+  placed, so not a node: nor is a tail that _tails_fit rejects on the
+  tail prefix it ends, nor any degree of slots that fail the degree-sum
+  test.  A whole vector is placed before that test runs on its slots.
   stats.tested counts the tuples run through the profile.
 
 Every profile runs one search shape (_Shape), derived once per query
@@ -56,22 +56,17 @@ Deltas, LastWeight, GcdCover and LinearCone leave no survivor with a
 middle above 2 (_Shape.middle_bound).  LastWeight bounds the tails by
 the middle sum + 1, at most 5, so such a slice, the survey's among
 them, touches no cap of 5 or more.  At k >= 2, under LastWeight, the
-weight walk places a tail only when the tail prefix it ends passes two
-cuts (_prefix_fits), both sound because the class counts, the gcd
-closure and the banned weights only grow as weights are appended.  It
-must leave each class a degree outside the last slot or a share of the
-last degree: a class that only the last degree can serve may have one
-member, and all such classes must divide one degree in the last slot's
-window (_tails_fit).  And its degree slack must hold: the least raise
-to an admissible multiple that each class needs, in as many of the
-slots paired with the tails placed as the unplaced tails' slots cannot
-hold for it, must fit what the degree sum leaves above the least
-degrees (_slots_fit with those slots free).  On a whole vector that is
-the degree walk's test before its first degree, which is not run twice.
-While a class is pending, the degree walk fills a slot only when the
-slots left fit what is left of that sum (_slots_fit): the least degree
-each can hold, plus the least raise to an admissible multiple that each
-class needs in as many slots as it still needs, must not exceed it.  No
+weight walk places a tail only when the tail prefix it ends leaves each
+class a degree outside the last slot or a share of the last degree: a
+class that only the last degree can serve may have one member, and all
+such classes must divide one degree in the last slot's window
+(_tails_fit).  The cut is sound because the class counts, the gcd
+closure and the banned weights only grow as weights are appended.
+While a class is pending, the degree walk enters a slot only when the
+slots left fit what is left of the degree sum (_slots_fit): the least
+degree each can hold, plus the least raise to an admissible multiple
+that each class needs in as many slots as it still needs, must not
+exceed it; before the first degree that tests the whole vector.  No
 class may need more divisible degrees than there are slots left: a
 class that needs every slot left must divide the next degree, so the
 walk steps through multiples of the lcm of those classes.  LinearCone
@@ -513,7 +508,7 @@ class _Walk:
         skipped.  Without, every extension comes with None.  With fits, a
         callable (placed, classes) -> bool, each extension runs through it
         once its counts are grown, and a value it rejects is not placed
-        either (_task hands it _prefix_fits for the tails).  With first,
+        either (_task hands it _tails_fit for the tails).  With first,
         the next slot takes only that value, which must be one of its
         _slot_values: the tasks are exactly the first slot's values.
         """
@@ -546,19 +541,21 @@ class _Walk:
         Every e_j >= 1, the e_j of the unplaced degrees sum to total, and
         the last e_j >= min_last >= 1.  Each (g, c) in pending asks c > 0
         more degrees divisible by g (GcdCover), with c at most the number
-        of unplaced degrees; while one is, free slots are walked only when
-        the unplaced degrees fit their sum (_slots_fit; with none, the slot
-        ranges hold the slack): the caller checks the slots of head, and
-        the walk those left after each degree it places, before it walks
-        them.  A class whose c equals that number must
-        divide the next degree, so only multiples of the lcm of those
-        classes are placed, and the bound holds again after each degree.
-        No degree is in banned (LinearCone).  The last degree is forced by
-        the sum, so it counts as a node only when admissible.  No floors:
-        the empty tuple, iff total == 0.
+        of unplaced degrees.  While one is, the walk checks its slots on
+        entry, the whole vector's before the first degree, and returns
+        unless they fit their sum (_slots_fit; with no class pending, the
+        slot ranges hold the slack; the last slot is forced).  A class
+        whose c equals that number must divide the next degree, so only
+        multiples of the lcm of those classes are placed.  No degree is in
+        banned (LinearCone).  The last degree is forced by the sum, so it
+        counts as a node only when admissible.  No floors: the empty
+        tuple, iff total == 0.
         """
         j, last = len(head), len(floors) - 1
         prev = head[-1] if head else 0
+        if j < last and pending:
+            if not _slots_fit(floors[j:], total, min_last, pending, banned, prev):
+                return
         if j >= last:
             if j > last:
                 if total == 0:
@@ -583,9 +580,6 @@ class _Walk:
             self.nodes += 1
             rest = tuple((g, c - (d % g == 0)) for g, c in pending if c > 1 or d % g)
             left = total + floors[j] - d
-            if j + 1 < last and rest:
-                if not _slots_fit(floors[j + 1 :], left, min_last, rest, banned, d):
-                    continue
             yield from self.degrees(floors, left, min_last, rest, banned, head + (d,))
 
     def test(self, weights: tuple[int, ...], ds: tuple[int, ...]) -> None:
@@ -668,23 +662,7 @@ def _tails_fit(tails, total, classes, banned, k, tail_hi) -> bool:
     return last_only == 1 or _least_multiple(2 * tails[-1], last_only, banned) <= tail_hi + top - 1
 
 
-def _prefix_fits(placed, m, total, classes, banned, k, tail_hi) -> bool:
-    """False only when no completion of the tail prefix placed[m:] has a degree tuple.
-
-    placed is m middles and the tails placed so far, classes its class
-    counts and banned the weights banned as degrees.  The prefix must
-    pass _tails_fit and the degree slack test, _slots_fit with the tails
-    not yet placed as free slots.  On a whole vector that is the degree
-    walk's test before its first degree, which _task then does not run.
-    """
-    tails = placed[m:]
-    classes = classes.items()
-    return _tails_fit(tails, total, classes, banned, k, tail_hi) and _slots_fit(
-        tails, total, tails[-1], classes, banned, 0, k - len(tails)
-    )
-
-
-def _slots_fit(floors, total, min_last, pending, banned, prev, free=0) -> bool:
+def _slots_fit(floors, total, min_last, pending, banned, prev) -> bool:
     """False only when _Walk.degrees fills no slots left after the degree prev.
 
     floors are the floors of the unplaced slots, total the sum of their
@@ -700,31 +678,15 @@ def _slots_fit(floors, total, min_last, pending, banned, prev, free=0) -> bool:
     below its lo_j, so the slack is at least the sum of the c smallest
     inc_j.  Before the first degree this is the test of a whole vector.
     So not filling slots that fail loses no survivor.
-
-    With free, floors are the placed slots of a tail prefix under
-    LastWeight and the last free slots are not placed yet (_prefix_fits,
-    with prev 0 and min_last the last tail placed).  In any completion
-    the floor of a free slot, the tail it pairs with, is at least
-    floors[-1], and so is the last excess; taking them at that least
-    value only raises the slack, to total - (k - 1) - t_cur.  A free slot
-    may need no raise, so a class is charged its c - free smallest inc_j
-    over the placed slots only, and a class with c <= free nothing.  The
-    class counts and banned only grow as weights are appended, so a
-    prefix that fails has no completion.
     """
-    if free:
-        pending = [(g, c - free) for g, c in pending if c > free]
-        if not pending:
-            return True
-    lo = [f + 1 for f in floors] + [floors[-1] + 1] * free
+    lo = [f + 1 for f in floors]
     lo[-1] += min_last - 1
     lo = list(accumulate(lo, max, initial=prev))[1:]
-    slack = sum(floors) + free * floors[-1] + total - sum(lo)
+    slack = sum(floors) + total - sum(lo)
     if slack < 0:
         return False
-    placed = lo[: len(floors)]
     for g, c in pending:
-        incs = [_least_multiple(x, g, banned) - x for x in placed]
+        incs = [_least_multiple(x, g, banned) - x for x in lo]
         if sum(sorted(incs)[:c]) > slack:
             return False
     return True
@@ -754,13 +716,10 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
         tail_hi, touched = _capped(cap, last_weight_bound, shape.weight_bound)
         if shape.tails and touched:
             walk.touched = True
-        # The degrees are walked only when their slots fit (_slots_fit): at
-        # k >= 2 under LastWeight with GcdCover counts, fits checks each
-        # tail prefix, the whole vector last; this loop checks the others.
         fits = None
         if k >= 2 and shape.last_weight and counts is not None:
-            fits = lambda placed, grown: _prefix_fits(
-                placed, len(ms), total, grown, placed if bans_weights else (), k, tail_hi
+            fits = lambda placed, grown: _tails_fit(
+                placed[len(ms) :], total, grown.items(), placed if bans_weights else (), k, tail_hi
             )
         vectors = walk.tuples(ms, len(ms) + shape.tails, tail_hi, classes=counts, fits=fits)
         for ws, classes in vectors:
@@ -769,9 +728,6 @@ def _task(shape: _Shape, first_middle: int | None) -> _Walk:
             min_last = ws[-1] if shape.last_weight else 1
             pending = tuple(classes.items()) if classes else ()
             banned = weights if bans_weights else ()
-            whole = fits is None and k >= 2 and pending
-            if whole and not _slots_fit(floors, total, min_last, pending, banned, 0):
-                continue
             for ds in walk.degrees(floors, total, min_last, pending, banned):
                 walk.test(weights, ds)
     return walk

@@ -8,16 +8,17 @@ Run it on two checkouts of the package and compare:
 It prints one sha256 over the facts of every query, in query order: its
 survivors, tested, cap_touched and prefix_infeasible, which a change
 that only prunes must keep.  --save writes each query's facts (the
-survivors as their count and a sha256 prefix) and node count; --against
-reads such a file and prints the queries whose facts moved, grouped by
-k, with how many moved on each fact and which way (tested fell or rose,
-a flag went true -> false or false -> true), then those whose nodes
-moved, with how many fell and rose, then the nodes of every query summed
-by k, before -> after; it exits 1 when the facts of any query moved, and 0
-otherwise.  The queries: every profile at n 1..3,
-k 0..n+1, index 0..n+2 and cap 5; k = 1 and 2 slices up to n = 6 under
-five profiles; the benchmark's slices with 1 and 2 workers.  Not
-collected by pytest, like grid_oracle.py.
+survivors as their count and a sha256 prefix), node count and seconds;
+--against reads such a file and prints the queries whose facts moved,
+grouped by k, with how many moved on each fact and which way (tested fell
+or rose, a flag went true -> false or false -> true), then those whose
+nodes moved, with how many fell and rose, then the nodes and the seconds
+of every query summed by k, before -> after; it exits 1 when the facts of
+any query moved, and 0 otherwise.  Seconds are wall time, so they vary
+from run to run: they enter neither the digest nor the exit code.  The
+queries: every profile at n 1..3, k 0..n+1, index 0..n+2 and cap 5; k =
+1 and 2 slices up to n = 6 under five profiles; the benchmark's slices
+with 1 and 2 workers.  Not collected by pytest, like grid_oracle.py.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import hashlib
 import itertools
 import json
 from collections import Counter, defaultdict
+from time import perf_counter
 
 from wcifano.enumerator import EnumerationQuery, enumerate_candidates
 from wcifano.filters import CALABI_YAU_PROFILE, FILTER_ORDER, SMOOTH_FANO_PROFILE, FilterId
@@ -75,7 +77,9 @@ def main() -> None:
     saved: dict[str, dict] = {}
     for n, index, k, cap, profile, workers in queries():
         q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
+        start = perf_counter()
         result = enumerate_candidates(q, workers=workers)
+        seconds = perf_counter() - start
         name = key(n, index, k, cap, profile, workers)
         survivors = [(c.weights, c.degrees) for c in result.survivors]
         facts = (survivors, result.stats.tested, result.cap_touched, result.prefix_infeasible)
@@ -83,6 +87,7 @@ def main() -> None:
         sha = hashlib.sha256(repr(survivors).encode()).hexdigest()[:16]
         saved[name] = dict(zip(FACTS, (f"{len(survivors)} {sha}", *facts[1:])))
         saved[name]["nodes"] = result.stats.nodes
+        saved[name]["seconds"] = seconds
     print(f"queries {len(saved)}")
     print(f"digest {digest.hexdigest()}")
     if args.save:
@@ -93,6 +98,8 @@ def main() -> None:
             before = json.load(f)
         moved = report_facts(before, saved)
         report_nodes(before, saved)
+        report_sums(before, saved, "nodes", ",")
+        report_sums(before, saved, "seconds", ".2f")
         if moved:
             raise SystemExit(1)
 
@@ -143,15 +150,12 @@ def report_facts(before: dict[str, dict], after: dict[str, dict]) -> int:
 
 
 def report_nodes(before: dict[str, dict], after: dict[str, dict]) -> None:
-    """The queries whose nodes moved, grouped by k, with how many fell and rose; the sums by k."""
+    """The queries whose nodes moved, grouped by k, with how many fell and rose."""
     moved = defaultdict(lambda: [0, 0, []])
-    sums = defaultdict(lambda: [0, 0])
     for name, new in after.items():
         old, count = before[name]["nodes"], new["nodes"]
-        k = by_k(name)
-        sums[k][0] += old
-        sums[k][1] += count
         if count != old:
+            k = by_k(name)
             moved[k][count > old] += 1
             moved[k][2].append(f"{name}: {old} -> {count}")
     print(f"nodes moved on {sum(fell + rose for fell, rose, _ in moved.values())} queries")
@@ -160,9 +164,17 @@ def report_nodes(before: dict[str, dict], after: dict[str, dict]) -> None:
         print(f"k={k}: {fell} fell, {rose} rose")
         for line in lines[:5]:
             print(f"  {line}")
-    print("nodes summed by k")
+
+
+def report_sums(before: dict[str, dict], after: dict[str, dict], field: str, spec: str) -> None:
+    """field summed over every query by k, before -> after, each sum formatted with spec."""
+    sums = defaultdict(lambda: [0, 0])
+    for name, new in after.items():
+        sums[by_k(name)][0] += before[name][field]
+        sums[by_k(name)][1] += new[field]
+    print(f"{field} summed by k")
     for k, (old, new) in sorted(sums.items()):
-        print(f"k={k}: {old:,} -> {new:,}")
+        print(f"k={k}: {old:{spec}} -> {new:{spec}}")
 
 
 if __name__ == "__main__":

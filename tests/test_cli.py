@@ -134,8 +134,7 @@ class TestEnumerate:
             ((1, 1, 1, 2, 3), (6,)),
         ]
         assert err.strip() == (
-            "survivors=3 nodes=8 tested=3 cap_touched=false"
-            " complete_within_cap=true max_weight=50"
+            "survivors=3 nodes=8 tested=3 cap_touched=false max_weight=50"
         )
 
     def test_a_hypersurface_slice_stops_at_the_weight_bound_under_any_cap(self, capsys):
@@ -153,7 +152,7 @@ class TestEnumerate:
             ((1, 1, 1, 1, 3), (6,)),
         ]
         assert err == (
-            "survivors=2 nodes=17 tested=2 cap_touched=false complete_within_cap=true"
+            "survivors=2 nodes=17 tested=2 cap_touched=false"
             " max_weight=1000000000000\n"
         )
 
@@ -169,7 +168,7 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == 7
         assert err == (
-            "survivors=7 nodes=34 tested=7 cap_touched=false complete_within_cap=true"
+            "survivors=7 nodes=35 tested=7 cap_touched=false"
             " max_weight=1000000000000\n"
         )
 
@@ -207,7 +206,7 @@ class TestEnumerate:
         code, out, err = run_cli(capsys, "enumerate", "--dim", "2", "--index", "2", "--codim", "3")
         assert (code, out) == (0, "")
         assert err == (
-            "survivors=0 nodes=0 tested=0 cap_touched=false complete_within_cap=true"
+            "survivors=0 nodes=0 tested=0 cap_touched=false"
             " max_weight=28 prefix_infeasible=true"
             " (codimension exceeds the admissible bound for this index)\n"
         )
@@ -231,8 +230,7 @@ class TestEnumerate:
         )
         assert (code, out) == (0, "")
         assert err == (
-            "survivors=0 nodes=0 tested=0 cap_touched=false complete_within_cap=true"
-            " max_weight=20\n"
+            "survivors=0 nodes=0 tested=0 cap_touched=false max_weight=20\n"
         )
 
     def test_env_var_sets_default_cap(self, capsys, monkeypatch):

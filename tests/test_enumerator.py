@@ -33,7 +33,6 @@ from wcifano.enumerator import (
     InvalidQuery,
     SearchStats,
     _grow_classes,
-    _prefix_fits,
     _Shape,
     _slots_fit,
     _tails_fit,
@@ -185,11 +184,11 @@ class TestFrozenSlices:
     @pytest.mark.parametrize(
         "n, index, k, cap, profile, expected",
         [
-            (5, 1, 3, 12, NO_CONE, (512, 8, 8, True)),
+            (5, 1, 3, 12, NO_CONE, (919, 8, 8, True)),
             (4, 1, 1, 15, SMOOTH_FANO_PROFILE, (42, 4, 4, False)),
-            (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (11, 1, 1, False)),
+            (6, 4, 2, 15, SMOOTH_FANO_PROFILE, (12, 1, 1, False)),
             (2, 3, 0, None, SMOOTH_FANO_PROFILE, (0, 1, 1, False)),
-            (2, 0, 2, 6, CALABI_YAU_PROFILE, (11, 1, 1, False)),
+            (2, 0, 2, 6, CALABI_YAU_PROFILE, (12, 1, 1, False)),
             (
                 2,
                 1,
@@ -200,8 +199,8 @@ class TestFrozenSlices:
             ),
             (2, 9, 0, 9, frozenset(), (17, 7, 7, False)),
             (3, 1, 2, 8, frozenset({FilterId.UNIT_PREFIX, FilterId.DELTAS}), (944, 330, 330, True)),
-            (5, 1, 2, 12, SMOOTH_FANO_PROFILE, (1385, 6, 6, True)),
-            (6, 1, 3, 10, SMOOTH_FANO_PROFILE, (2005, 10, 10, True)),
+            (5, 1, 2, 12, SMOOTH_FANO_PROFILE, (1631, 6, 6, True)),
+            (6, 1, 3, 10, SMOOTH_FANO_PROFILE, (2660, 10, 10, True)),
         ],
     )
     def test_search_counts_are_pinned(self, n, index, k, cap, profile, expected):
@@ -210,7 +209,7 @@ class TestFrozenSlices:
         # without LinearCone the cap, not the middle bound, bounds the
         # middles of (5, 1, 3), and with three middles at k >= 2 the cap
         # bounds them under the full profile too, so every tail prefix
-        # of those slices runs through _prefix_fits
+        # of those slices runs through _tails_fit
         q = EnumerationQuery(n=n, index=index, k=k, max_weight=cap, profile=profile)
         result = enumerate_candidates(q)
         nodes, tested, survivors, touched = expected
@@ -504,7 +503,7 @@ class TestDegreeSumBound:
         if classes is None:
             return None
         banned = weights if bans else ()
-        return _prefix_fits(weights, len(middles), total, classes, banned, k, tail_hi)
+        return _tails_fit(tails, total, classes.items(), banned, k, tail_hi)
 
     @classmethod
     def live_completions(cls, k, middles, tails, total, tail_hi, bans):
@@ -536,10 +535,9 @@ class TestDegreeSumBound:
     def test_a_skipped_tail_prefix_has_no_completion(self, data):
         # tail prefixes under LastWeight: middles, then the first tails,
         # with the class counts and the bans of the weights so far; when
-        # the bound or the degree slack rejects the prefix, no completion
-        # of its tails has a degree tuple.  The walk checks them at k >= 2;
-        # at k = 1 the one tail is the whole prefix, and the bound must
-        # hold there too.
+        # the bound rejects the prefix, no completion of its tails has a
+        # degree tuple.  The walk checks them at k >= 2; at k = 1 the one
+        # tail is the whole prefix, and the bound must hold there too.
         k, middles, tail_hi, total, bans = self.draw_middles(data)
         placed = data.draw(st.integers(1, k))
         tail = st.integers(middles[-1], tail_hi)
@@ -553,9 +551,8 @@ class TestDegreeSumBound:
         # every tail prefix at k 1..3 after one middle up to 5, tails up
         # to 7 and the total up to 3 above its least: an off-by-one in
         # either window or a first window that starts at the last tail
-        # placed would skip a live prefix here, and so would a degree
-        # slack that charges a free slot or takes too few raises
-        rejected = slack_only = 0
+        # placed would skip a live prefix here
+        rejected = 0
         for k, middle, bans in itertools.product((1, 2, 3), range(1, 6), (False, True)):
             for tail_hi, placed in itertools.product(range(middle, 8), range(1, k + 1)):
                 for total, tails in itertools.product(
@@ -564,26 +561,20 @@ class TestDegreeSumBound:
                     case = (k, (middle,), tails, total, tail_hi, bans)
                     if self.prefix_fits(*case) is False:
                         rejected += 1
-                        classes = TestWeightStageCut.class_counts((middle, *tails), k)
-                        banned = (middle, *tails) if bans else ()
-                        fit = _tails_fit(tails, total, classes.items(), banned, k, tail_hi)
-                        slack_only += bool(fit) and placed < k
                         assert self.live_completions(*case) == [], case
         assert rejected > 1000
-        assert slack_only > 50
 
     def test_the_bound_skips_vectors_and_only_saves_nodes(self, monkeypatch):
         # at (5, 1, 3, 12) without LinearCone, where the cap bounds the
-        # two middles, the bound rejects tail prefixes, the degree slack
-        # rejects tail prefixes with free tails left and whole vectors,
-        # and the degree walk stops where the classes fit the slots left
-        # but not the degree sum: the walk places 512 nodes, 578 with the
-        # slack on whole vectors only, 1,627 with the prefix part alone and
-        # 3,701 with neither, for the same tested tuples, survivors and
-        # cap flag
+        # two middles, the bound rejects tail prefixes and the degree
+        # slack stops the degree walk, on whole vectors and where the
+        # classes fit the slots left but not the degree sum: the walk
+        # places 919 nodes, 1,627 without the slack, 2,092 without the
+        # bound and 3,701 with neither, for the same tested tuples,
+        # survivors and cap flag
         q = EnumerationQuery(n=5, index=1, k=3, max_weight=12, profile=NO_CONE)
         tails_fit, slots_fit = wcifano.enumerator._tails_fit, wcifano.enumerator._slots_fit
-        prefixes, short, skipped = [], [], []
+        prefixes, skipped = [], []
 
         def recording_tails_fit(tails, total, classes, banned, k, tail_hi):
             fits = tails_fit(tails, total, classes, banned, k, tail_hi)
@@ -591,40 +582,34 @@ class TestDegreeSumBound:
                 prefixes.append(tails)
             return fits
 
-        def recording_slots_fit(floors, total, min_last, pending, banned, prev, free=0):
-            fits = slots_fit(floors, total, min_last, pending, banned, prev, free)
-            if not fits and free:
-                short.append(floors)
-            elif not fits and slots_fit(floors, total, min_last, (), banned, prev):
+        def recording_slots_fit(floors, total, min_last, pending, banned, prev):
+            fits = slots_fit(floors, total, min_last, pending, banned, prev)
+            if not fits and slots_fit(floors, total, min_last, (), banned, prev):
                 skipped.append(floors)
             return fits
-
-        def whole_vectors_only(floors, total, min_last, pending, banned, prev, free=0):
-            return free > 0 or slots_fit(floors, total, min_last, pending, banned, prev)
 
         monkeypatch.setattr(wcifano.enumerator, "_tails_fit", recording_tails_fit)
         monkeypatch.setattr(wcifano.enumerator, "_slots_fit", recording_slots_fit)
         bounded = enumerate_candidates(q)
         assert skipped
         assert any(len(tails) < q.k for tails in prefixes)
-        assert any(len(tails) < q.k for tails in short)
-        monkeypatch.setattr(wcifano.enumerator, "_slots_fit", whole_vectors_only)
-        whole_only = enumerate_candidates(q)
         monkeypatch.setattr(wcifano.enumerator, "_slots_fit", lambda *args: True)
-        prefix_only = enumerate_candidates(q)
+        no_slack = enumerate_candidates(q)
         monkeypatch.setattr(wcifano.enumerator, "_tails_fit", lambda *args: True)
-        unbounded = enumerate_candidates(q)
-        results = (bounded, whole_only, prefix_only, unbounded)
+        neither = enumerate_candidates(q)
+        monkeypatch.setattr(wcifano.enumerator, "_slots_fit", slots_fit)
+        no_bound = enumerate_candidates(q)
+        results = (bounded, no_slack, no_bound, neither)
         assert len({r.survivors for r in results}) == 1
         assert {r.cap_touched for r in results} == {True}
-        assert bounded.stats == SearchStats(nodes=512, tested=8)
-        assert whole_only.stats == SearchStats(nodes=578, tested=8)
-        assert prefix_only.stats == SearchStats(nodes=1627, tested=8)
-        assert unbounded.stats == SearchStats(nodes=3701, tested=8)
+        assert bounded.stats == SearchStats(nodes=919, tested=8)
+        assert no_slack.stats == SearchStats(nodes=1627, tested=8)
+        assert no_bound.stats == SearchStats(nodes=2092, tested=8)
+        assert neither.stats == SearchStats(nodes=3701, tested=8)
 
     @pytest.mark.parametrize(
         "n, index, k, cap, nodes, tested",
-        [(5, 1, 3, 20, 2454, 8), (6, 1, 4, 20, 6962, 16)],
+        [(5, 1, 3, 20, 4307, 8), (6, 1, 4, 20, 14496, 16)],
         ids=["n5i1k3c20", "n6i1k4c20"],
     )
     def test_survey_slices_keep_the_cut(self, n, index, k, cap, nodes, tested):
@@ -1277,7 +1262,8 @@ class TestWeightBound:
 
     @pytest.mark.parametrize(
         "n, index, k, cap, nodes, tested",
-        [(5, 1, 3, 20, 45, 3), (6, 1, 4, 20, 64, 3)],
+        [(5, 1, 3, 20, 54, 3), (6, 1, 4, 20, 83, 3)],
+        ids=["n5i1k3c20", "n6i1k4c20"],
     )
     def test_two_middle_slices_end_at_the_bound(self, n, index, k, cap, nodes, tested):
         # the survey slices walk no middle above 2 and so no tail above 5
